@@ -9,9 +9,10 @@ process-cached predecode artifact (:mod:`repro.interp.artifact`) instead of
 re-predecoding per machine — the sweep is compile-bound, not
 execution-bound.  Cycle accounting is off by default (the oracle classifies
 on architectural observables, not simulated time), trap tracebacks are
-dropped so results do not retain machine graphs, and :meth:`sweep` batches
-cyclic-garbage collection.  See ``docs/difftest.md`` and
-``docs/pipeline.md``.
+dropped so results do not retain machine graphs, and every machine is
+released (:meth:`~repro.interp.machine.AbstractMachine.release`) straight
+after its run, so reference counting frees it.  See ``docs/difftest.md``
+and ``docs/pipeline.md``.
 """
 
 from __future__ import annotations
@@ -170,9 +171,12 @@ class DifferentialRunner:
                     # ...): the oracle's hot comparison is pdp11 + one
                     # checked model, so per-model latency is what told the
                     # lockstep engine which pair to vectorize first.
-                    with timed_span(tracer, sink, f"stage.execute.{name}",
-                                    model=name):
-                        result = machine.run()
+                    try:
+                        with timed_span(tracer, sink, f"stage.execute.{name}",
+                                        model=name):
+                            result = machine.run()
+                    finally:
+                        machine.release()
                     if result.trap is not None:
                         # The oracle classifies on the trap's type, message
                         # and structured cause; the traceback (and the
@@ -225,18 +229,25 @@ class DifferentialRunner:
         for group in groups:
             if len(group) == 1:
                 name, machine = group[0]
-                with timed_span(tracer, sink, f"stage.execute.{name}",
-                                model=name):
-                    result = machine.run()
+                try:
+                    with timed_span(tracer, sink, f"stage.execute.{name}",
+                                    model=name):
+                        result = machine.run()
+                finally:
+                    machine.release()
                 if result.trap is not None:
                     scrub_trap(result.trap)
                 out.results[name] = result
                 continue
             group_names = [name for name, _machine in group]
-            with tracer.span("stage.execute.lockstep",
-                             models=",".join(group_names)):
-                outcomes = run_lockstep([machine for _name, machine in group],
-                                        collect_seconds=timed)
+            try:
+                with tracer.span("stage.execute.lockstep",
+                                 models=",".join(group_names)):
+                    outcomes = run_lockstep([machine for _name, machine in group],
+                                            collect_seconds=timed)
+            finally:
+                for _name, machine in group:
+                    machine.release()
             # The per-model stage.execute series survives batching: each
             # lane's segment wall time is accumulated by the engine and fed
             # to the same histogram names the serial path uses.
@@ -255,15 +266,14 @@ class DifferentialRunner:
     def sweep(self, programs, *, progress=None) -> list[ProgramResult]:
         """Run a whole corpus; ``progress`` (if given) is called per program.
 
-        Machine graphs are cyclic (handlers close over their machine, the
-        machine owns the compiled code that owns the handlers), so a sweep
-        discards seven cyclic object graphs per program.  Under the default
-        collector that shows up as constant full collections — more than a
-        third of sweep wall-clock.  The loop therefore disables automatic
-        collection and reclaims the short-lived graphs with a cheap
-        young-generation pass every :data:`GC_BATCH` programs (one full
-        collection at the end), which bounds peak memory without scanning
-        the long-lived heap per program.
+        :meth:`run_source` releases every machine after its run, so the
+        seven machine graphs of a program die by reference counting; the
+        only cyclic garbage left is the front end's occasional
+        self-referential struct type (a handful of objects).  The loop
+        still disables automatic collection, which would otherwise trigger
+        on allocation counts alone and rescan the long-lived heap, and runs
+        a cheap young-generation pass every :data:`GC_BATCH` programs
+        (timed as ``stage.gc``; one full collection at the end).
         """
         results = []
         was_enabled = gc.isenabled()
@@ -273,7 +283,8 @@ class DifferentialRunner:
             for i, program in enumerate(programs):
                 results.append(self.run_program(program))
                 if was_enabled and (i + 1) % self.GC_BATCH == 0:
-                    gc.collect(1)
+                    with timed_span(self.tracer, self.stage_sink, "stage.gc"):
+                        gc.collect(1)
                 if progress is not None:
                     progress(i, program)
         finally:

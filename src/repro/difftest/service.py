@@ -141,8 +141,10 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
                                 analyze=analyze, static_facts=static_facts,
                                 lockstep=lockstep, tracer=tracer,
                                 stage_sink=sink)
-    # Same GC discipline as DifferentialRunner.sweep: the per-program machine
-    # graphs are cyclic; reclaim them with cheap young-generation passes.
+    # Same GC discipline as DifferentialRunner.sweep: the runner releases
+    # every machine after its run, so per-program graphs die by reference
+    # counting; the batched young-generation pass only sweeps the front
+    # end's few self-referential struct types.
     gc.disable()
     done = 0
     while True:
@@ -167,6 +169,12 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
                     classification = classify_results(program_result)
                     record = cell_record(program, program_result,
                                          classification)
+            done += 1
+            if done % 4 == 0:
+                # Before the meta is built, so the sample ships with this
+                # program's stage latencies.
+                with timed_span(tracer, sink, "stage.gc"):
+                    gc.collect(1)
             meta = {"fallbacks": sum(r.engine_fallbacks
                                      for r in program_result.results.values())}
             if telemetry_on:
@@ -181,9 +189,6 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
             stage_samples.clear()
             tracer.drain()
             result_q.put(("error", index, f"{type(exc).__name__}: {exc}"))
-        done += 1
-        if done % 4 == 0:
-            gc.collect(1)
 
 
 class SweepService:

@@ -238,7 +238,7 @@ def _start(lane: _Lane, entry: str, args: list) -> None:
             if code.calls >= HOT_CALL_THRESHOLD:
                 install = code.pending_blocks
                 code.pending_blocks = None
-                install()
+                install(code)
         if machine._engine_fault is not None:
             machine._arm_engine_fault(code)
         pool = code.pool

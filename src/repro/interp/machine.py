@@ -511,6 +511,32 @@ class AbstractMachine:
             engine_fallbacks=len(self.engine_faults),
         )
 
+    def release(self) -> None:
+        """Drop everything the finished run bound, breaking the machine cycle.
+
+        Handler closures close over the machine, and the machine's
+        ``_code_cache`` owns them, so an unreleased machine is a reference
+        cycle that only the cyclic collector can reclaim.  Clearing the code
+        cache, each compiled function's handler tables (``paired`` and the
+        block fallbacks), pending installer, lazy builder and frame pool,
+        and the pointer-load memo leaves a graph that reference counting
+        frees as soon as the caller drops the machine.  Counters, output
+        and ``engine_faults`` stay readable; a released machine must not be
+        run again.  :meth:`run` never releases (tests inspect
+        ``_code_cache`` after a run) — callers that discard the machine do,
+        as :class:`~repro.difftest.runner.DifferentialRunner` does after
+        every model's run.
+        """
+        for code in self._code_cache.values():
+            code.paired = []
+            code.block_fallbacks = {}
+            code.pending_blocks = None
+            code.builder = None
+            code.built = None
+            code.pool = []
+        self._code_cache = {}
+        self._ptr_load_memo = {}
+
     def arm_engine_fault(self, factory=RuntimeError) -> None:
         """Make the next superinstruction raise ``factory(...)`` once.
 
@@ -529,7 +555,7 @@ class AbstractMachine:
         if code.pending_blocks is not None:
             install = code.pending_blocks
             code.pending_blocks = None
-            install()
+            install(code)
         factory = self._engine_fault
         for start in sorted(code.block_fallbacks):
             def _raiser(frame, _factory=factory):
@@ -584,7 +610,7 @@ class AbstractMachine:
             if code.calls >= HOT_CALL_THRESHOLD:
                 install = code.pending_blocks
                 code.pending_blocks = None
-                install()
+                install(code)
         if self._engine_fault is not None:
             self._arm_engine_fault(code)
         # Frames come from a per-CompiledFunction pool: released frames were

@@ -201,8 +201,10 @@ class CompiledFunction:
         #: instruction-at-a-time dispatch (AbstractMachine._execute).
         self.block_fallbacks: dict[int, tuple] = {}
         #: shared-block machines defer block binding until the function has
-        #: run HOT_CALL_THRESHOLD times: a zero-arg installer closure, or
-        #: None once installed (or when blocks are bound eagerly/disabled).
+        #: run HOT_CALL_THRESHOLD times: an installer called as
+        #: ``install(code)`` (it does not close over this object, so compiled
+        #: code holds no cycle of its own), or None once installed (or when
+        #: blocks are bound eagerly/disabled).
         self.pending_blocks = None
         self.calls = 0
         #: lazy-binding support (machines constructed with
@@ -1397,7 +1399,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             # block is.
             get_handler = code.materialize if lazy else handlers.__getitem__
 
-            def install(machine=machine, function=function, code=code,
+            def install(code, machine=machine, function=function,
                         get_handler=get_handler, costs=costs, artifact=artifact,
                         timing=(base_cost, branch_cost, call_cost),
                         fast_noprov=fast_noprov, inline_moves=inline_moves,

@@ -117,7 +117,7 @@ def test_trace_schema_and_tracks(tmp_path):
     # per-stage spans nest on the same tracks; per-model execute spans exist
     names = {e["name"] for e in events}
     assert {"stage.generate", "stage.parse", "stage.lower",
-            "stage.predecode", "stage.classify"} <= names
+            "stage.predecode", "stage.classify", "stage.gc"} <= names
     assert any(name.startswith("stage.execute.") for name in names)
     # metadata names the supervisor and both workers
     metadata = [e for e in events if e["ph"] == "M"]
