@@ -13,11 +13,6 @@ container; ``speedup_vs_seed`` in the JSON is relative to them.  The assertion
 uses a deliberately loose floor so that hardware variation does not produce
 false failures, while a real dispatch-path regression still trips it.
 
-The JSON also carries a ``lockstep_sweep`` series: differential-sweep
-throughput (program-runs/s) of the lockstep batched engine vs the serial
-engine, measured with interleaved rounds in one process so the wandering
-container clock cancels out (``speedup_vs_pr9``).
-
 The test is marked ``perf`` and excluded from the default (tier-1) pytest
 run — wall-clock assertions do not belong in correctness CI.  Run it with::
 
@@ -27,17 +22,14 @@ run — wall-clock assertions do not belong in correctness CI.  Run it with::
 from __future__ import annotations
 
 import json
-import statistics
 import time
 
 import pytest
 from conftest import write_result
 
 from repro.core.api import compile_for_model
-from repro.difftest.generator import generate_program
-from repro.difftest.runner import DifferentialRunner
 from repro.interp.machine import AbstractMachine
-from repro.interp.models import PAPER_MODEL_ORDER, get_model
+from repro.interp.models import get_model
 from repro.workloads import dhrystone, tcpdump, zlib_like
 from repro.workloads.olden import bisort, treeadd
 
@@ -91,22 +83,6 @@ PR2_IPS = {
 #: slower/noisier machines).
 MIN_SPEEDUP = 1.5
 
-#: lockstep sweep series (repro.interp.lockstep): corpus size, interleaved
-#: rounds, and the regression floor on the batched engine's sweep throughput
-#: relative to the serial engine measured *in the same run*.  Interleaving
-#: (serial, all, pairs, serial per round; median of per-round ratios) is the
-#: protocol PERFORMANCE.md prescribes because the container clock wanders
-#: ±15-20% between runs — absolute IPS baselines would be noise here.  The
-#: measured medians are ~1.0-1.05x (see the lockstep decomposition in
-#: PERFORMANCE.md: generated programs execute each pc about once, so sweep
-#: cost is per-lane binding + first execution, which lanes cannot share) —
-#: the floor is a *regression* guard: batching must never make the sweep
-#: meaningfully slower, while leaving room for the clock wander.
-LOCKSTEP_PROGRAMS = 300
-LOCKSTEP_ROUNDS = 3
-LOCKSTEP_SEED = 11
-MIN_LOCKSTEP_SPEEDUP = 0.85
-
 
 def _measure_all() -> dict:
     measurements = {}
@@ -147,66 +123,15 @@ def _measure_all() -> dict:
     return measurements
 
 
-def _measure_lockstep() -> dict:
-    """Sweep throughput (program-runs/s), serial vs lockstep, interleaved.
-
-    The unit is program-runs/s (programs x 7 models / wall seconds) over a
-    seeded generated corpus — the quantity a differential sweep actually
-    buys with batching — not single-machine IPS.  ``speedup_vs_pr9`` is the
-    median of per-round ratios against the serial engine bracketing each
-    lockstep run (PR 9's sweep path is exactly ``lockstep=None``), so the
-    baseline is measured on the same machine in the same process.
-    """
-    programs = [generate_program(LOCKSTEP_SEED, i)
-                for i in range(LOCKSTEP_PROGRAMS)]
-    total_runs = LOCKSTEP_PROGRAMS * len(PAPER_MODEL_ORDER)
-
-    def sweep_rate(lockstep: str | None) -> float:
-        runner = DifferentialRunner(lockstep=lockstep)
-        start = time.perf_counter()
-        runner.sweep(programs)
-        return total_runs / (time.perf_counter() - start)
-
-    rates: dict[str, list[float]] = {"serial": [], "all": [], "pairs": []}
-    ratios: dict[str, list[float]] = {"all": [], "pairs": []}
-    for _ in range(LOCKSTEP_ROUNDS):
-        before = sweep_rate(None)
-        rate_all = sweep_rate("all")
-        rate_pairs = sweep_rate("pairs")
-        after = sweep_rate(None)
-        base = (before + after) / 2
-        rates["serial"] += [before, after]
-        rates["all"].append(rate_all)
-        rates["pairs"].append(rate_pairs)
-        ratios["all"].append(rate_all / base)
-        ratios["pairs"].append(rate_pairs / base)
-    out = {
-        "programs": LOCKSTEP_PROGRAMS,
-        "program_runs": total_runs,
-        "rounds": LOCKSTEP_ROUNDS,
-        "serial_runs_per_second": round(statistics.median(rates["serial"])),
-    }
-    for mode in ("pairs", "all"):
-        out[mode] = {
-            "runs_per_second": round(statistics.median(rates[mode])),
-            "speedup_vs_pr9": round(statistics.median(ratios[mode]), 2),
-        }
-    return out
-
-
 @pytest.mark.perf
 def test_perf_interp(benchmark, results_dir):
     measurements = benchmark.pedantic(_measure_all, rounds=1, iterations=1)
-    lockstep = _measure_lockstep()
 
     payload = {
         "benchmark": "interpreter throughput (basic-block superinstructions + frame pool)",
         "workloads": measurements,
         "rounds": ROUNDS,
         "note": "best-of-N wall time of AbstractMachine.run (compilation excluded)",
-        "lockstep_sweep": lockstep,
-        "lockstep_note": ("program-runs/s of DifferentialRunner.sweep, "
-                          "interleaved serial/lockstep rounds, median ratios"),
     }
     write_result(results_dir, "BENCH_interp.json", json.dumps(payload, indent=1))
 
@@ -215,10 +140,4 @@ def test_perf_interp(benchmark, results_dir):
             f"{key}: {entry['instructions_per_second']} insns/s is only "
             f"{entry['speedup_vs_seed']}x the seed interpreter ({SEED_IPS[key]}); "
             f"the dispatch path has regressed (floor {MIN_SPEEDUP}x)"
-        )
-    for mode in ("pairs", "all"):
-        assert lockstep[mode]["speedup_vs_pr9"] >= MIN_LOCKSTEP_SPEEDUP, (
-            f"lockstep {mode}: {lockstep[mode]['speedup_vs_pr9']}x the serial "
-            f"sweep engine (floor {MIN_LOCKSTEP_SPEEDUP}x); the batched "
-            f"engine has regressed"
         )

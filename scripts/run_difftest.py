@@ -13,9 +13,8 @@ outcome against the PDP-11 baseline, and writes:
   reproducers for the first ``--reduce`` divergent programs.
 
 Both outputs are bit-deterministic for a given (seed, count, models,
-budget): worker count, injected faults, retries, ``--resume`` boundaries,
-the persistent artifact cache (``--artifact-cache``, cold, warm or
-corrupted) and multi-host sharding never change a byte.  Every sweep is
+budget): worker count, injected faults, retries, ``--resume`` boundaries
+and multi-host sharding never change a byte.  Every sweep is
 journaled (one JSON line per completed program); an interrupted run
 continues with ``--resume``.
 
@@ -38,7 +37,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 import time
@@ -178,19 +176,6 @@ def main(argv: list[str] | None = None) -> int:
                              "over every program, annotate the corpus JSON "
                              "with per-cell static_prediction and write "
                              "results/staticcheck_crossval.txt")
-    parser.add_argument("--static-facts", action="store_true",
-                        help="annotate compiled modules with proven static "
-                             "facts (repro.staticcheck) so the interpreter "
-                             "unboxes proven call results and skips provably "
-                             "dead shadow bookkeeping; observationally "
-                             "identical, faster")
-    parser.add_argument("--lockstep", choices=("pairs", "all"), default=None,
-                        help="batched lockstep execution (repro.interp."
-                             "lockstep): run each pointer layout's models as "
-                             "2-lane groups ('pairs') or one N-lane group "
-                             "('all') stepping the shared superinstruction "
-                             "stream together; observationally identical to "
-                             "the serial engine, faster")
     parser.add_argument("--out-dir", default=None,
                         help="output directory (default: <repo>/results)")
     parser.add_argument("--jobs", type=int, default=1,
@@ -205,8 +190,7 @@ def main(argv: list[str] | None = None) -> int:
                              "starting over")
     parser.add_argument("--inject", default=None, metavar="SPEC",
                         help="fault-injection spec: 'all' or a comma list of "
-                             "crash/hang/engine/journal/cache-torn/"
-                             "cache-bitflip/cache-stale-lock[:index[:always]] "
+                             "crash/hang/engine/journal[:index[:always]] "
                              "(exercises the supervisor's recovery paths)")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="journal file (default: <out-dir>/difftest_journal"
@@ -215,10 +199,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only the interleaved slice index %% N == I "
                              "of the sweep into a per-host journal; merge the "
                              "N journals afterwards with --merge")
-    parser.add_argument("--artifact-cache", default=None, metavar="DIR",
-                        help="persistent predecode-artifact cache directory "
-                             "(crash-safe, shared across runs and hosts; "
-                             "default: $REPRO_ARTIFACT_CACHE if set)")
     parser.add_argument("--merge", nargs="+", default=None, metavar="JOURNAL",
                         help="merge completed per-host shard journals into "
                              "the sweep artifacts instead of running programs")
@@ -258,8 +238,6 @@ def main(argv: list[str] | None = None) -> int:
         budget = args.budget if args.budget is not None else DEFAULT_BUDGET
         host_shard = (_parse_host_shard(args.host_shard)
                       if args.host_shard else None)
-        artifact_cache = args.artifact_cache or \
-            os.environ.get("REPRO_ARTIFACT_CACHE") or None
         out_dir = pathlib.Path(args.out_dir) if args.out_dir else \
             pathlib.Path(__file__).resolve().parent.parent / "results"
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,10 +261,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed, count=args.count, models=models, budget=budget,
             jobs=args.jobs, timeout=args.timeout, retries=args.retries,
             inject=inject, journal_path=str(journal_path),
-            host_shard=host_shard, artifact_cache=artifact_cache,
-            static_facts=args.static_facts,
-            lockstep=args.lockstep,
-            progress=progress,
+            host_shard=host_shard, progress=progress,
             trace_path=args.trace, collect_stats=args.stats,
             status_interval=args.status_interval,
         )
@@ -296,8 +271,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.jobs} worker(s)"
             + (f", host shard {host_shard[0]}/{host_shard[1]}"
                if host_shard else "")
-            + (f", artifact cache {artifact_cache}" if artifact_cache else "")
-            + (f", lockstep {args.lockstep}" if args.lockstep else "")
             + (", resuming" if args.resume else ""))
         outcome = service.run(resume=args.resume)
     except ServiceError as exc:

@@ -16,12 +16,6 @@ test can schedule deterministically:
 * ``journal`` — the supervisor appends a torn tail to the write-ahead
   journal and immediately runs the recovery cycle: exercises
   ``journal.load_journal``'s truncate-and-continue path.
-* ``cache-torn`` / ``cache-bitflip`` — the worker's persistent artifact
-  cache (:mod:`repro.interp.diskcache`) truncates / flips a bit in the
-  entry it just wrote, then immediately reloads it: exercises the
-  checksum-validation, quarantine and regenerate-on-corruption paths.
-* ``cache-stale-lock`` — a dead-PID lock file is planted on the entry
-  before the store: exercises the stale-lock takeover path.
 
 Faults default to *transient*: they fire on a program's first attempt only,
 so the retry produces the true record and the sweep's merged artifacts stay
@@ -44,10 +38,7 @@ from repro.common.errors import ServiceError
 CRASH_EXIT = 113
 
 #: recognised fault kinds, in the order ``--inject all`` schedules them.
-#: The ``cache-*`` kinds target the persistent artifact cache and are
-#: no-ops when the sweep runs without ``--artifact-cache``.
-FAULT_KINDS = ("crash", "hang", "engine", "journal",
-               "cache-torn", "cache-bitflip", "cache-stale-lock")
+FAULT_KINDS = ("crash", "hang", "engine", "journal")
 
 
 class InjectedEngineError(RuntimeError):
@@ -109,20 +100,6 @@ class FaultPlan:
 
         return hook
 
-    def cache_fault(self, index: int, attempt: int) -> str | None:
-        """The disk-cache fault kind due for program ``index``, or ``None``.
-
-        The worker arms it on the process's :class:`DiskCache` tier before
-        running the program; it fires at the next entry store.  Cache faults
-        are recover-in-place (the cache quarantines and re-stores inside the
-        same attempt), so ``always`` has no quarantine semantics here — the
-        fault simply fires on every attempt instead of the first.
-        """
-        for kind in ("cache-torn", "cache-bitflip", "cache-stale-lock"):
-            if self._active(kind, index, attempt):
-                return kind
-        return None
-
     # -- supervisor side -----------------------------------------------
 
     def journal_fault_index(self) -> int | None:
@@ -134,8 +111,9 @@ class FaultPlan:
 
 
 def _spread_indices(count: int) -> list[int]:
-    """Seven well-separated corpus indices (the ``--inject all`` schedule)."""
-    indices = [count * (k + 1) // 8 for k in range(len(FAULT_KINDS))]
+    """One well-separated corpus index per kind (the ``--inject all`` schedule)."""
+    slots = len(FAULT_KINDS) + 1
+    indices = [count * (k + 1) // slots for k in range(len(FAULT_KINDS))]
     if len(set(indices)) < len(FAULT_KINDS):
         indices = list(range(len(FAULT_KINDS)))
     return indices
@@ -183,6 +161,6 @@ def parse_inject_spec(spec: str, count: int) -> FaultPlan:
         faults.append(Fault(kind, index, always=flag == "always"))
     worker_side = [f for f in faults if f.kind != "journal"]
     if len({f.index for f in worker_side}) < len(worker_side):
-        raise ServiceError("worker-side faults (crash/hang/engine/cache-*) "
+        raise ServiceError("worker-side faults (crash/hang/engine) "
                            "must target distinct programs")
     return FaultPlan(faults)

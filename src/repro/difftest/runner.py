@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.detector import AnalysisResult, analyze_module
 from repro.common.errors import CompilationError
-from repro.interp import diskcache
-from repro.interp.lockstep import run_lockstep
 from repro.interp.machine import AbstractMachine, ExecutionResult, scrub_trap
 from repro.interp.models import PAPER_MODEL_ORDER, get_model
 from repro.minic.irgen import compile_unit
@@ -57,25 +55,8 @@ class DifferentialRunner:
     def __init__(self, models: tuple[str, ...] | None = None, *,
                  budget: int = DEFAULT_BUDGET, analyze: bool = True,
                  collect_timing: bool = False, machine_hook=None,
-                 static_facts: bool = False, tracer=None,
-                 stage_sink=None, lockstep: str | None = None) -> None:
+                 tracer=None, stage_sink=None) -> None:
         self.model_names = tuple(models or PAPER_MODEL_ORDER)
-        #: batched execution (repro.interp.lockstep): None runs the models of
-        #: a layout one machine at a time (the reference path); "pairs" runs
-        #: them as 2-lane groups (the pdp11+checked hot pair first, any odd
-        #: model serial); "all" runs every model of a layout as one group.
-        #: Observationally identical either way — per-lane results are pinned
-        #: bit-identical by tests/test_lockstep.py — so, like static_facts,
-        #: the engine choice is NOT part of a sweep journal's identity.
-        if lockstep not in (None, "pairs", "all"):
-            raise ValueError(f"lockstep must be None, 'pairs' or 'all', not {lockstep!r}")
-        self.lockstep = lockstep
-        #: annotate each compiled module with proven static facts
-        #: (repro.staticcheck.facts) so the interpreter can unbox proven
-        #: scalar call results and skip provably dead shadow bookkeeping.
-        #: Observationally identical to running without facts — only the
-        #: wall-clock changes — which the facts export tests pin.
-        self.static_facts = static_facts
         #: optional callable ``(machine, model_name)`` invoked on every
         #: freshly constructed machine before it runs — the fault-injection
         #: harness uses it to arm engine faults (difftest/faultinject.py).
@@ -141,94 +122,26 @@ class DifferentialRunner:
                 for name in selected:
                     out.compile_errors[name] = f"{type(exc).__name__}: {exc}"
                 continue
-            if self.static_facts:
-                # Imported lazily: repro.staticcheck's package init pulls in
-                # the predictor, which imports this module.
-                from repro.staticcheck.facts import annotate_module
-                annotate_module(module)
             if self.analyze and layout[0] == 8 and out.analysis is None:
                 with timed_span(tracer, sink, "stage.analyze"):
                     out.analysis = analyze_module(module)
-            if self.lockstep is not None and len(selected) > 1:
-                self._run_lockstep(module, selected, out, tracer, sink)
-            else:
-                for name in selected:
-                    # shared_blocks: every model of this layout binds the
-                    # same cached predecode artifact (slot analysis, fusion,
-                    # block code objects) instead of re-predecoding per
-                    # machine — the sweep is compile-bound, not
-                    # execution-bound.
-                    with timed_span(tracer, sink, "stage.predecode", model=name):
-                        machine = AbstractMachine(
-                            module, get_model(name),
-                            max_instructions=self.budget,
-                            collect_timing=self.collect_timing,
-                            shared_blocks=True,
-                        )
-                        if self.machine_hook is not None:
-                            self.machine_hook(machine, name)
-                    # Span and histogram are per model (stage.execute.pdp11
-                    # ...): the oracle's hot comparison is pdp11 + one
-                    # checked model, so per-model latency is what told the
-                    # lockstep engine which pair to vectorize first.
-                    try:
-                        with timed_span(tracer, sink, f"stage.execute.{name}",
-                                        model=name):
-                            result = machine.run()
-                    finally:
-                        machine.release()
-                    if result.trap is not None:
-                        # The oracle classifies on the trap's type, message
-                        # and structured cause; the traceback (and the
-                        # tracebacks chained behind ``from None`` raises)
-                        # would retain the whole machine graph for as long
-                        # as the sweep keeps its results.
-                        scrub_trap(result.trap)
-                    out.results[name] = result
-        if diskcache.enabled():
-            # Persist this program's artifacts now that every model has
-            # bound them (all policy combinations are memoized); a killed
-            # worker loses at most the in-flight program's entries.
-            with timed_span(tracer, sink, "stage.cachestore"):
-                diskcache.flush()
-        return out
-
-    def _run_lockstep(self, module, selected: list[str], out: ProgramResult,
-                      tracer, sink) -> None:
-        """Execute one layout's models as lockstep lane groups.
-
-        Machines are built up front (same per-model ``stage.predecode`` spans
-        and hook as the serial path) with ``lazy_binding=True`` — per-pc
-        handler closures are built on first execution, so N lanes pay binding
-        roughly once per reached pc instead of N times.  ``pairs`` groups
-        adjacent models two at a time, which puts the paper's hot comparison
-        (pdp11 + the first checked model) in the first group; an odd leftover
-        lane runs serially.  ``all`` batches the whole layout.  Results land
-        in ``out.results`` in the same order the serial path would insert
-        them, already scrubbed, so corpus artifacts stay byte-identical.
-        """
-        machines = []
-        for name in selected:
-            with timed_span(tracer, sink, "stage.predecode", model=name):
-                machine = AbstractMachine(
-                    module, get_model(name),
-                    max_instructions=self.budget,
-                    collect_timing=self.collect_timing,
-                    shared_blocks=True,
-                    lazy_binding=True,
-                )
-                if self.machine_hook is not None:
-                    self.machine_hook(machine, name)
-            machines.append(machine)
-        if self.lockstep == "all":
-            groups = [list(zip(selected, machines))]
-        else:
-            groups = [list(zip(selected, machines))[i:i + 2]
-                      for i in range(0, len(selected), 2)]
-        timed = sink is not None or tracer is not NULL_TRACER
-        for group in groups:
-            if len(group) == 1:
-                name, machine = group[0]
+            for name in selected:
+                # shared_blocks: every model of this layout binds the same
+                # cached predecode artifact (slot analysis, fusion, block
+                # code objects) instead of re-predecoding per machine — the
+                # sweep is compile-bound, not execution-bound.
+                with timed_span(tracer, sink, "stage.predecode", model=name):
+                    machine = AbstractMachine(
+                        module, get_model(name),
+                        max_instructions=self.budget,
+                        collect_timing=self.collect_timing,
+                        shared_blocks=True,
+                    )
+                    if self.machine_hook is not None:
+                        self.machine_hook(machine, name)
+                # Span and histogram are per model (stage.execute.pdp11
+                # ...): the oracle's hot comparison is pdp11 + one checked
+                # model, so per-model latency is what the stats report.
                 try:
                     with timed_span(tracer, sink, f"stage.execute.{name}",
                                     model=name):
@@ -236,25 +149,14 @@ class DifferentialRunner:
                 finally:
                     machine.release()
                 if result.trap is not None:
+                    # The oracle classifies on the trap's type, message and
+                    # structured cause; the traceback (and the tracebacks
+                    # chained behind ``from None`` raises) would retain the
+                    # whole machine graph for as long as the sweep keeps its
+                    # results.
                     scrub_trap(result.trap)
                 out.results[name] = result
-                continue
-            group_names = [name for name, _machine in group]
-            try:
-                with tracer.span("stage.execute.lockstep",
-                                 models=",".join(group_names)):
-                    outcomes = run_lockstep([machine for _name, machine in group],
-                                            collect_seconds=timed)
-            finally:
-                for _name, machine in group:
-                    machine.release()
-            # The per-model stage.execute series survives batching: each
-            # lane's segment wall time is accumulated by the engine and fed
-            # to the same histogram names the serial path uses.
-            for (name, _machine), outcome in zip(group, outcomes):
-                if sink is not None:
-                    sink(f"stage.execute.{name}", outcome.seconds)
-                out.results[name] = outcome.result
+        return out
 
     def run_program(self, program, *, models: tuple[str, ...] | None = None) -> ProgramResult:
         """Run a :class:`~repro.difftest.generator.GeneratedProgram`."""

@@ -46,7 +46,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.common.errors import ServiceError
-from repro.interp import diskcache
 from repro.difftest.faultinject import FaultPlan
 from repro.difftest.generator import GENERATOR_VERSION, generate_program
 from repro.difftest.journal import (
@@ -87,32 +86,21 @@ class SweepOutcome:
 
 
 def _cache_counters() -> dict[str, int]:
-    """Current process's cache + lockstep counters, namespaced for aggregation.
+    """Current process's artifact-cache counters, namespaced for aggregation.
 
     Workers snapshot this before/after every program and ship the *delta*
     with the result, so the supervisor's totals aggregate across the fork
-    boundary instead of silently reporting the parent's zeros.  The lockstep
-    engine's lane/round/divergence counters ride along: they live in the
-    worker's metrics registry, which never crosses the fork either.  (The
-    lane-occupancy *histogram* stays worker-local; its mean survives as
-    ``lockstep.occupied_lane_rounds / lockstep.rounds``.)
+    boundary instead of silently reporting the parent's zeros.
     """
     from repro.interp.artifact import ARTIFACTS
-    from repro.telemetry import metrics
-    counters = {f"cache.artifact.{key}": value
-                for key, value in ARTIFACTS.stats().items()
-                if key != "entries"}
-    tier = diskcache.tier()
-    if tier is not None:
-        counters.update({f"cache.disk.{key}": value
-                         for key, value in tier.stats.items()})
-    counters.update(metrics.registry().counter_values("lockstep."))
-    return counters
+    return {f"cache.artifact.{key}": value
+            for key, value in ARTIFACTS.stats().items()
+            if key != "entries"}
 
 
 def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
-                 analyze: bool, static_facts: bool, lockstep, plan, cache_dir,
-                 telemetry_on: bool, trace_on: bool, task_q, result_q) -> None:
+                 analyze: bool, plan, telemetry_on: bool, trace_on: bool,
+                 task_q, result_q) -> None:
     """Worker loop: regenerate, run, classify, condense — one task at a time.
 
     Runs in a subprocess.  Tasks are ``("run", index, attempt)`` tuples;
@@ -124,12 +112,6 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
     fork).  An in-worker failure answers ``("error", index, detail)`` and
     keeps the worker alive.
     """
-    if cache_dir:
-        # Persistent artifact tier, shared with sibling workers and future
-        # runs through per-key lock files (repro.interp.diskcache).  Under
-        # the fork start method the parent may already have configured it;
-        # reconfiguring resets only this process's pending list.
-        diskcache.configure(cache_dir)
     # Worker track ``worker_id + 1`` (the supervisor owns pid 0); the slot
     # id is the stable identity across respawns, the OS pid is an arg.
     tracer = (TraceBuffer(pid=worker_id + 1, tid=0) if trace_on
@@ -138,13 +120,13 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
     sink = (lambda name, seconds: stage_samples.append((name, seconds))) \
         if telemetry_on else None
     runner = DifferentialRunner(models=tuple(model_names), budget=budget,
-                                analyze=analyze, static_facts=static_facts,
-                                lockstep=lockstep, tracer=tracer,
+                                analyze=analyze, tracer=tracer,
                                 stage_sink=sink)
     # Same GC discipline as DifferentialRunner.sweep: the runner releases
     # every machine after its run, so per-program graphs die by reference
     # counting; the batched young-generation pass only sweeps the front
     # end's few self-referential struct types.
+    gc_batch = DifferentialRunner.GC_BATCH
     gc.disable()
     done = 0
     while True:
@@ -156,9 +138,6 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
             if plan is not None:
                 plan.fire_worker_fault(index, attempt)
                 runner.machine_hook = plan.machine_hook(index, attempt)
-                cache_fault = plan.cache_fault(index, attempt)
-                if cache_fault is not None and diskcache.enabled():
-                    diskcache.tier().arm_fault(cache_fault)
             caches_before = _cache_counters() if telemetry_on else None
             with tracer.span("program", index=index, attempt=attempt,
                              os_pid=os.getpid()):
@@ -170,7 +149,7 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
                     record = cell_record(program, program_result,
                                          classification)
             done += 1
-            if done % 4 == 0:
+            if done % gc_batch == 0:
                 # Before the meta is built, so the sample ships with this
                 # program's stage latencies.
                 with timed_span(tracer, sink, "stage.gc"):
@@ -202,9 +181,6 @@ class SweepService:
                  jobs: int = 1, timeout: float = 30.0, retries: int = 2,
                  inject: FaultPlan | None = None, journal_path: str,
                  host_shard: tuple[int, int] | None = None,
-                 artifact_cache: str | None = None,
-                 static_facts: bool = False,
-                 lockstep: str | None = None,
                  progress=None,
                  trace_path: str | None = None,
                  collect_stats: bool = False,
@@ -238,21 +214,6 @@ class SweepService:
         self.inject = inject if inject else None
         self.journal_path = journal_path
         self.host_shard = tuple(host_shard) if host_shard else None
-        self.artifact_cache = artifact_cache
-        #: run every model with static-facts annotations (pinned
-        #: observationally identical to facts-off, so NOT part of the
-        #: journal's sweep identity — a facts-on resume of a facts-off
-        #: journal replays the same cells).
-        self.static_facts = static_facts
-        #: batched lockstep execution per pointer layout (None, "pairs" or
-        #: "all"; repro.interp.lockstep).  Like static_facts, pinned
-        #: observationally identical to the serial engine, so NOT part of
-        #: the journal's sweep identity — a lockstep resume of a serial
-        #: journal (or vice versa) replays the same cells.
-        if lockstep not in (None, "pairs", "all"):
-            raise ServiceError(
-                f"--lockstep must be 'pairs' or 'all', got {lockstep!r}")
-        self.lockstep = lockstep
         self.progress = progress
         if status_interval < 0:
             raise ServiceError(
@@ -321,8 +282,7 @@ class SweepService:
         result_q = ctx.SimpleQueue()
         proc = ctx.Process(target=_worker_main,
                            args=(worker_id, self.seed, self.model_names,
-                                 self.budget, self.analyze, self.static_facts,
-                                 self.lockstep, self.inject, self.artifact_cache,
+                                 self.budget, self.analyze, self.inject,
                                  self.telemetry_on, bool(self.trace_path),
                                  task_q, result_q),
                            daemon=True, name=f"difftest-worker-{worker_id}")

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.interp import diskcache
 from repro.interp.hotgen import block_code, block_source
 from repro.interp.values import (
     INTERN_MAX,
@@ -126,19 +125,7 @@ def analyze_slots(function: Function, ctx, fast_noprov: bool) -> dict[int, tuple
     ``fast_noprov`` is False when the model overrides the provenance hook —
     arithmetic must then see every boxed operand, so its results cannot be
     proven provenance-free at compile time.
-
-    When the static checker has annotated the function
-    (``function.static_facts``, see repro.staticcheck.facts), CALL
-    destinations also qualify: ``noprov_callees`` lists the callees whose
-    result is proven to be a provenance-free ``IntVal`` of exactly the
-    recorded ``(bytes, signed)`` shape, so storing ``.value`` raw and
-    re-boxing with the slot type on read is an identity.
     """
-    facts = getattr(function, "static_facts", None)
-    callee_scalars: dict[str, tuple[int, bool]] = {}
-    if facts is not None:
-        callee_scalars = {name: (width, signed)
-                          for name, width, signed in facts.noprov_callees}
 
     def const_type(operand: Const) -> tuple[int, bool] | None:
         ctype = operand.ctype
@@ -197,10 +184,6 @@ def analyze_slots(function: Function, ctx, fast_noprov: bool) -> dict[int, tuple
             if type(source) is Const:
                 return const_type(source)
             return None
-        if op is Opcode.CALL:
-            if not fast_noprov:
-                return None
-            return callee_scalars.get(instr.attrs.get("callee"))
         return None
 
     instrs = [instr for instr in function.instrs if instr.dest is not None]
@@ -729,9 +712,8 @@ class PredecodeArtifact:
     """Everything about one IR function derivable from IR + pointer layout."""
 
     __slots__ = ("function", "ctx", "instrs", "ninstrs", "mutations",
-                 "labels", "sync_pcs", "use_counts", "nregs", "nallocas",
-                 "scratch", "shadow_flag", "_slot_types", "_fusions",
-                 "_plans", "_arg_raws", "fingerprint", "disk_snapshot")
+                 "labels", "use_counts", "nregs", "nallocas", "scratch",
+                 "_slot_types", "_fusions", "_plans", "_arg_raws")
 
     def __init__(self, function: Function, ctx) -> None:
         self.function = function
@@ -746,27 +728,6 @@ class PredecodeArtifact:
         self.ninstrs = len(function.instrs)
         self.mutations = function.mutations
         self.labels = function.label_index()
-        #: lane-rejoin boundaries for the lockstep engine
-        #: (repro.interp.lockstep): the label pcs targeted by a *backward*
-        #: branch (loop heads).  Model-independent decode fact, so it lives
-        #: here.  Any label pc would be sound — labels are the only branch
-        #: targets and a superinstruction never spans one, so pausing lanes
-        #: there can never split a block dispatch — but forward-join labels
-        #: (if/else joins) are so dense that pausing at each one costs more
-        #: scheduler round-trips than the reconvergence is worth; diverged
-        #: lanes rejoin at the next loop head (or completion) instead.
-        sync = set()
-        for pc, instr in enumerate(function.instrs):
-            if instr.op is Opcode.JUMP:
-                target = self.labels[instr.attrs["target"]]
-                if target <= pc:
-                    sync.add(target)
-            elif instr.op is Opcode.CJUMP:
-                for key in ("then", "else"):
-                    target = self.labels[instr.attrs[key]]
-                    if target <= pc:
-                        sync.add(target)
-        self.sync_pcs = tuple(sorted(sync))
         max_temp = -1
         nallocas = 0
         use_counts: dict[int, int] = {}
@@ -781,23 +742,15 @@ class PredecodeArtifact:
             if instr.op is Opcode.ALLOCA:
                 nallocas += 1
         self.use_counts = use_counts
-        # Two extra frame slots beyond the temps: a scratch slot for
-        # dest-less ops, and a per-activation shadow-clean flag for the
-        # static-facts store fast path (UNDEF unless the function has safe
-        # allocas under a shadow-clearing model; see repro.staticcheck).
-        self.nregs = max_temp + 3
+        # One extra frame slot beyond the temps: a scratch slot for
+        # dest-less ops.
+        self.nregs = max_temp + 2
         self.nallocas = nallocas
         self.scratch = max_temp + 1 + FRAME_RESERVED
-        self.shadow_flag = max_temp + 2 + FRAME_RESERVED
         self._slot_types: dict[bool, dict] = {}
         self._fusions: dict[tuple, dict] = {}
         self._plans: dict[tuple, list[BlockPlan]] = {}
         self._arg_raws: dict[bool, list[tuple]] = {}
-        #: persistent-tier state (repro.interp.diskcache): the IR content
-        #: hash this artifact is filed under, and the memo-count snapshot at
-        #: the last load/store (None means never persisted — dirty).
-        self.fingerprint: str | None = None
-        self.disk_snapshot: tuple | None = None
 
     def slot_types(self, fast_noprov: bool) -> dict[int, tuple[int, bool]]:
         """The slot-type fixpoint, memoized per provenance-hook policy."""
@@ -892,10 +845,6 @@ class ArtifactCache:
             return artifact
         self.misses += 1
         artifact = PredecodeArtifact(function, ctx)
-        # Persistent tier (no-op unless diskcache.configure() enabled it):
-        # prefill the memo dicts from a validated on-disk entry keyed by IR
-        # content hash, and register the artifact for the next flush.
-        diskcache.attach(artifact)
         self.entries[key] = artifact
         self.entries.move_to_end(key)
         while len(self.entries) > self.maxsize:

@@ -454,8 +454,8 @@ def block_code(source: str, tag: str):
 #: code object -> its exec'd ``make``.  A block's generated module body is a
 #: single ``def`` and ``make`` only *reads* its globals, so one namespace per
 #: code object is safe to share across machines; rebinding the same plan for
-#: another machine (or another lockstep lane) is then a dict hit plus one
-#: ``make(bindings)`` call, with no per-bind ``exec`` at all.
+#: another machine is then a dict hit plus one ``make(bindings)`` call, with
+#: no per-bind ``exec`` at all.
 _BLOCK_MAKES: dict = {}
 
 
@@ -477,12 +477,6 @@ def bind_block(code, bindings: dict):
     per-machine ``bindings``.
     """
     return block_maker(code)(bindings)
-
-
-def bind_block_multi(code, bindings_list: list) -> list:
-    """Bind one block plan for several machines (lockstep lanes) in one pass."""
-    make = block_maker(code)
-    return [make(bindings) for bindings in bindings_list]
 
 
 def compile_block(body_lines: list, bindings: dict, tag: str):

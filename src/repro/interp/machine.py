@@ -130,7 +130,7 @@ class AbstractMachine:
                  "hierarchy", "shadow", "globals", "output", "checkpoints",
                  "rng", "instructions", "cycles", "memory_accesses",
                  "max_instructions", "collect_timing", "shared_blocks",
-                 "lazy_binding", "_call_depth", "_code_cache", "_ptr_load_memo",
+                 "_call_depth", "_code_cache", "_ptr_load_memo",
                  "_clear_shadow", "block_profile", "_engine_fault",
                  "engine_faults")
 
@@ -143,7 +143,6 @@ class AbstractMachine:
         max_instructions: int = 50_000_000,
         collect_timing: bool = True,
         shared_blocks: bool = False,
-        lazy_binding: bool = False,
     ) -> None:
         self.module = module
         self.model = get_model(model) if isinstance(model, str) else model
@@ -177,13 +176,6 @@ class AbstractMachine:
         #: differential runner uses for its 7-model replay).  Observables are
         #: identical either way (tests/test_predecode_cache.py).
         self.shared_blocks = shared_blocks
-        #: defer per-pc handler binding until a pc first executes (requires
-        #: shared_blocks; see CompiledFunction.materialize).  Observationally
-        #: invisible — dispatch charges before the thunk runs — but binding
-        #: cost becomes proportional to the pcs actually reached, which is
-        #: what makes the lockstep sweep engine pay compile cost ~once per
-        #: reached pc instead of once per (pc × lane).
-        self.lazy_binding = lazy_binding
         self._call_depth = 0
         #: predecoded per-function code, keyed by the function's identity.
         self._code_cache: dict[int, CompiledFunction] = {}
@@ -518,8 +510,8 @@ class AbstractMachine:
         ``_code_cache`` owns them, so an unreleased machine is a reference
         cycle that only the cyclic collector can reclaim.  Clearing the code
         cache, each compiled function's handler tables (``paired`` and the
-        block fallbacks), pending installer, lazy builder and frame pool,
-        and the pointer-load memo leaves a graph that reference counting
+        block fallbacks), pending installer and frame pool, and the
+        pointer-load memo leaves a graph that reference counting
         frees as soon as the caller drops the machine.  Counters, output
         and ``engine_faults`` stay readable; a released machine must not be
         run again.  :meth:`run` never releases (tests inspect
@@ -531,8 +523,6 @@ class AbstractMachine:
             code.paired = []
             code.block_fallbacks = {}
             code.pending_blocks = None
-            code.builder = None
-            code.built = None
             code.pool = []
         self._code_cache = {}
         self._ptr_load_memo = {}

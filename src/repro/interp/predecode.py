@@ -99,8 +99,6 @@ not round-trip Python's allocator for the register file or the alloca list.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.common.errors import InterpreterError, UndefinedBehaviorError
 from repro.interp.artifact import (
     BINOP_EXPR as _BINOP_EXPR,
@@ -177,8 +175,7 @@ class CompiledFunction:
 
     __slots__ = ("function", "paired", "size", "nregs", "nallocas",
                  "frame_proto", "pool", "alloca_proto", "blocks",
-                 "block_fallbacks", "pending_blocks", "calls",
-                 "builder", "built")
+                 "block_fallbacks", "pending_blocks", "calls")
 
     def __init__(self, function: Function, handlers: list, costs: list,
                  nregs: int, nallocas: int) -> None:
@@ -207,42 +204,6 @@ class CompiledFunction:
         #: blocks are bound eagerly/disabled).
         self.pending_blocks = None
         self.calls = 0
-        #: lazy-binding support (machines constructed with
-        #: ``lazy_binding=True``): ``builder(index) -> (handler, cost, desc)``
-        #: builds the real closure for one pc, ``built`` memoizes the
-        #: handlers already materialized.  Both stay ``None`` on eagerly
-        #: bound machines.
-        self.builder = None
-        self.built: dict[int, object] | None = None
-
-    def materialize(self, index: int):
-        """The real handler for pc ``index``, built and patched on first use.
-
-        Lazy-binding machines fill ``paired`` with cheap dispatch thunks
-        (:func:`_lazy_step`) and only pay for a pc's closure when it first
-        executes — or when a shared-block install needs it as an ``h<k>``
-        binding.  Building has no machine-observable effect and the dispatch
-        loop charges count/cycles *before* invoking the thunk, so laziness is
-        invisible to counters, traps and the budget (pinned by
-        ``tests/test_lockstep.py``).  If ``index`` is currently a demoted
-        block's leader the single-step fallback tuple is patched instead of
-        ``paired`` (whose entry is the installed block handler).
-        """
-        built = self.built
-        handler = built.get(index)
-        if handler is None:
-            handler = built[index] = self.builder(index)[0]
-            entry = self.block_fallbacks.get(index)
-            if entry is not None:
-                self.block_fallbacks[index] = (handler, entry[1])
-            else:
-                self.paired[index] = (handler, self.paired[index][1])
-        return handler
-
-
-def _lazy_step(code: CompiledFunction, index: int, frame):
-    """Dispatch thunk installed at every not-yet-built pc of a lazy machine."""
-    return code.materialize(index)(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -483,36 +444,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     else:
         check_kind = 0
 
-    # Static-facts shadow fast path (repro.staticcheck.facts).  A
-    # shadow-clearing model may skip per-store shadow bookkeeping for stores
-    # rooted at a proven pointer-free, never-escaping alloca — but only once
-    # the alloca's address range is probed clean *for this activation*
-    # (stack addresses are reused across frames and pop_frame never purges
-    # shadow).  Soundness needs the base access-check policy: it rejects
-    # dangling and forged pointers before any shadow mutation, so no valid
-    # pointer into the never-escaping object exists besides the in-function
-    # aliases, and a probed-clean range provably stays clean.  The
-    # per-activation flag lives in a dedicated frame slot; gating every safe
-    # alloca into the straight-line entry prefix guarantees the flag is
-    # fully assigned before any skipped store can execute.
-    facts = getattr(function, "static_facts", None)
-    skip_shadow_stores: frozenset = frozenset()
-    safe_alloca_pcs: frozenset = frozenset()
-    first_safe_pc = -1
-    shadow_flag = artifact.shadow_flag
-    if (facts is not None and facts.safe_stores and facts.safe_allocas
-            and clear_shadow and model_check is MemoryModel.check_access):
-        first_transfer = stop
-        for pc_, instr_ in enumerate(instrs):
-            if instr_.op in (Opcode.LABEL, Opcode.JUMP, Opcode.CJUMP,
-                             Opcode.RET):
-                first_transfer = pc_
-                break
-        if max(facts.safe_allocas) < first_transfer:
-            skip_shadow_stores = facts.safe_stores
-            safe_alloca_pcs = facts.safe_allocas
-            first_safe_pc = min(safe_alloca_pcs)
-
     # Metadata-free pointer loads are pure per raw address for these models;
     # share one memo across the machine's compiled functions.
     if type(model).load_pointer_without_metadata in _PURE_PTR_LOADERS:
@@ -657,12 +588,8 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                  mem_unpack is not None)
         return load_maker(shape)(b), ("mem", out, "load", shape, b)
 
-    def gen_store(instr, ptr_operand, delta, extra, next_pc, clear=clear_shadow):
-        """(handler, mem-desc) for a STORE; ``delta``/``extra`` = fused producer.
-
-        ``clear`` overrides the model-wide shadow-clear policy for the
-        static-facts fast path (a provably clean range needs no clearing).
-        """
+    def gen_store(instr, ptr_operand, delta, extra, next_pc):
+        """(handler, mem-desc) for a STORE; ``delta``/``extra`` = fused producer."""
         ctype = instr.ctype
         pslot, pcoerce = ptr_parts(ptr_operand)
         dkind, d1, d2, dlabel = delta
@@ -694,7 +621,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             mem_pack = packer_for(8)
             b["mem_pack"] = mem_pack
             shape = ("ptr", pslot is not None, dkind, extra, check_kind,
-                     collect_timing, inline_cache, clear, uses_shadow,
+                     collect_timing, inline_cache, clear_shadow, uses_shadow,
                      2, isinstance(ctype, PointerType), span > 8,
                      mem_pack is not None)
             return store_maker(shape)(b), ("mem", None, "store", shape, b)
@@ -726,26 +653,9 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         mem_pack = packer_for(size)
         b["mem_pack"] = mem_pack
         shape = ("scalar", pslot is not None, dkind, extra, check_kind,
-                 collect_timing, inline_cache, clear, uses_shadow,
+                 collect_timing, inline_cache, clear_shadow, uses_shadow,
                  value_mode, coerce_flag, False, mem_pack is not None)
         return store_maker(shape)(b), ("mem", None, "store", shape, b)
-
-    def gen_flagged_store(instr, ptr_operand, delta, extra, next_pc):
-        """Store rooted at a safe alloca: skip shadow clearing while the
-        activation's range is proven clean (flag == 1), else full path.
-        The flag is always a 0/1 int by the time a rooted store runs — its
-        address temp is produced after the (entry-prefix) allocas."""
-        fast, _ = gen_store(instr, ptr_operand, delta, extra, next_pc,
-                            clear=False)
-        slow, _ = gen_store(instr, ptr_operand, delta, extra, next_pc,
-                            clear=True)
-
-        def handler(frame, fast=fast, slow=slow, shadow_flag=shadow_flag):
-            if frame[shadow_flag] == 1:
-                return fast(frame)
-            return slow(frame)
-
-        return handler
 
     def gen_cmp_branch(cmp_instr, cjump_instr):
         """Fused CMP+CJUMP: compare and branch in one handler."""
@@ -826,9 +736,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     # Main compilation loop
     # ------------------------------------------------------------------
 
-    # ALLOCA register slots are assigned in pc order; precomputing the map
-    # keeps the per-index builder below order-independent, which the lazy
-    # path needs (a run may reach pc 17's alloca without ever building pc 3).
+    # ALLOCA register slots are assigned in pc order.
     alloca_slots: dict[int, int] = {}
     for _pc, _instr in enumerate(instrs):
         if _instr.op is Opcode.ALLOCA:
@@ -861,10 +769,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                                     if consumer.dest is not None else scratch)
                     handler, desc = gen_load(consumer, instr.args[0], delta, True,
                                              index + 2, consumer_out)
-                elif index + 1 in skip_shadow_stores:
-                    handler = gen_flagged_store(consumer, instr.args[0], delta,
-                                                True, index + 2)
-                    desc = ("ext", None)
                 else:
                     handler, desc = gen_store(consumer, instr.args[0], delta, True,
                                               index + 2)
@@ -993,49 +897,13 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             # Allocas mutate allocator state and the `allocations` golden
             # metric, so they are charge points ("ext"), not deferred pures.
             desc = ("ext", out)
-            if index in safe_alloca_pcs:
-                # Probe the fresh allocation's 8-aligned shadow slots once
-                # per activation; only aligned entries matter because data
-                # stores clear exactly those.  The first (lowest-pc) safe
-                # alloca assigns the activation flag, later ones AND into it
-                # — execution order equals pc order in the entry prefix.
-                inner = handler
-                assign = index == first_safe_pc
-
-                def handler(frame, inner=inner, slot=slot, out=out,
-                            assign=assign, shadow_flag=shadow_flag,
-                            shadow_entries=shadow_entries):
-                    fresh = frame[_ALLOCAS][slot] is None
-                    pc = inner(frame)
-                    if fresh:
-                        obj = frame[out].obj
-                        if obj is None:
-                            clean = 0
-                        else:
-                            clean = 1
-                            if shadow_entries:
-                                base = obj.base
-                                for key in range(base, base + obj.size, 8):
-                                    if key in shadow_entries:
-                                        clean = 0
-                                        break
-                        if assign:
-                            frame[shadow_flag] = clean
-                        else:
-                            frame[shadow_flag] = clean & frame[shadow_flag]
-                    return pc
 
         elif op is Opcode.LOAD:
             handler, desc = gen_load(instr, instr.args[0], _NO_DELTA, False, next_pc,
                                      dest if dest is not None else scratch)
 
         elif op is Opcode.STORE:
-            if index in skip_shadow_stores:
-                handler = gen_flagged_store(instr, instr.args[0], _NO_DELTA,
-                                            False, next_pc)
-                desc = ("ext", None)
-            else:
-                handler, desc = gen_store(instr, instr.args[0], _NO_DELTA, False, next_pc)
+            handler, desc = gen_store(instr, instr.args[0], _NO_DELTA, False, next_pc)
 
         elif op is Opcode.GEP or op is Opcode.PTRADD:
             element_size = instr.attrs["element_size"] if op is Opcode.GEP else 1
@@ -1340,71 +1208,28 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
         return handler, cost, desc
 
-    def cost_of(index: int) -> int:
-        """Dispatch cost of pc ``index`` without building its handler.
-
-        Mirrors ``build``'s cost assignments branch for branch (the same
-        rules ``artifact._generic_descs_and_costs`` mirrors); the lazy path
-        fills ``paired`` with these up front so budget/cycle accounting
-        never waits for a handler to materialize.
-        """
-        fusion = fused.get(index)
-        if fusion is not None:
-            return base_cost + (base_cost if fusion[0] == "mem" else branch_cost)
-        op = instrs[index].op
-        if op is Opcode.LABEL or op is Opcode.NOP:
-            return 0
-        if op is Opcode.JUMP or op is Opcode.CJUMP:
-            return branch_cost
-        if op is Opcode.CALL:
-            return call_cost
-        return base_cost
-
     nallocas = len(alloca_slots)
-    lazy = machine.lazy_binding and shared_blocks
-    if lazy:
-        # Lazy per-pc binding: every pc starts as a cheap dispatch thunk and
-        # builds its real closure only on first execution
-        # (CompiledFunction.materialize), so binding cost is proportional to
-        # the pcs a run actually reaches — a lane that traps early, or a
-        # branch path never taken, never pays for the rest of the function.
-        # The lockstep sweep path turns this on; its saving is what makes
-        # N-lane batching beat N serial runs (docs/pipeline.md).
-        costs = [cost_of(i) for i in range(stop)]
-        code = CompiledFunction(function, [None] * stop, costs, nregs, nallocas)
-        code.builder = build
-        code.built = {}
-        paired = code.paired
-        for i in range(stop):
-            paired[i] = (partial(_lazy_step, code, i), costs[i])
-        descs = None
-    else:
-        handlers: list = []
-        costs = []
-        descs = []
-        for i in range(stop):
-            handler, cost, desc = build(i)
-            handlers.append(handler)
-            costs.append(cost)
-            descs.append(desc)
-        code = CompiledFunction(function, handlers, costs, nregs, nallocas)
+    handlers: list = []
+    costs = []
+    descs = []
+    for i in range(stop):
+        handler, cost, desc = build(i)
+        handlers.append(handler)
+        costs.append(cost)
+        descs.append(desc)
+    code = CompiledFunction(function, handlers, costs, nregs, nallocas)
     if SUPERINSTRUCTIONS and stop > 1:
         if shared_blocks:
             # Tiered binding: a sweep-style machine executes most functions
             # once or twice, where block binding never amortizes.  The
             # dispatch loop installs the artifact's cached plans when the
-            # function proves hot (see AbstractMachine._execute).  Lazy
-            # machines hand the installer a materializing accessor so a
-            # block's interior ``h<k>`` bindings are built exactly when the
-            # block is.
-            get_handler = code.materialize if lazy else handlers.__getitem__
-
+            # function proves hot (see AbstractMachine._execute).
             def install(code, machine=machine, function=function,
-                        get_handler=get_handler, costs=costs, artifact=artifact,
+                        handlers=handlers, costs=costs, artifact=artifact,
                         timing=(base_cost, branch_cost, call_cost),
                         fast_noprov=fast_noprov, inline_moves=inline_moves,
                         inline_field=inline_field):
-                _install_shared_blocks(machine, function, code, get_handler,
+                _install_shared_blocks(machine, function, code, handlers,
                                        costs, artifact, timing, fast_noprov,
                                        inline_moves, inline_field)
 
@@ -1446,7 +1271,7 @@ def _budget_replay(machine, cost_seq: tuple, fname: str):
 
 
 def _install_shared_blocks(machine, function: Function, code: CompiledFunction,
-                           get_handler, costs: list, artifact,
+                           handlers: list, costs: list, artifact,
                            timing: tuple[int, int, int], fast_noprov: bool,
                            inline_moves: bool, inline_field: bool) -> None:
     """Instantiate the artifact's shared superinstruction plans for one machine.
@@ -1466,7 +1291,7 @@ def _install_shared_blocks(machine, function: Function, code: CompiledFunction,
         b["fname"] = function.name
         b["budget_replay"] = _budget_replay
         for k in plan.handler_indices:
-            b[f"h{k}"] = get_handler(k)
+            b[f"h{k}"] = handlers[k]
         if profiled:
             counter = [0]
             machine.block_profile[(function.name, plan.start)] = {
@@ -2160,11 +1985,6 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
     # compiled readers (through the intern pool), so callees, intrinsics and
     # model hooks only ever see IntVal/PtrVal.
     arg_readers = tuple(_reader(machine, arg, slot_types) for arg in instr.args)
-    # A raw destination slot only exists when the static checker proved the
-    # callee returns a provenance-free IntVal of exactly the slot's shape
-    # (repro.staticcheck.facts), so storing the bare value is an identity
-    # with the reader-side re-boxing.
-    unwrap = dest is not None and instr.dest.index in slot_types
     function = machine.module.functions.get(callee)
     result_type = instr.ctype
 
@@ -2231,9 +2051,7 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
                 if not code_cell:
                     code_append(code_for(function))
                 result = machine_call(function, [], code_cell[0])
-                if unwrap:
-                    frame[dest] = result.value
-                elif dest is not None:
+                if dest is not None:
                     frame[dest] = result
                 return next_pc
         elif arity == 1:
@@ -2243,9 +2061,7 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
                 if not code_cell:
                     code_append(code_for(function))
                 result = machine_call(function, [read0(frame)], code_cell[0])
-                if unwrap:
-                    frame[dest] = result.value
-                elif dest is not None:
+                if dest is not None:
                     frame[dest] = result
                 return next_pc
         elif arity == 2:
@@ -2255,9 +2071,7 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
                 if not code_cell:
                     code_append(code_for(function))
                 result = machine_call(function, [read0(frame), read1(frame)], code_cell[0])
-                if unwrap:
-                    frame[dest] = result.value
-                elif dest is not None:
+                if dest is not None:
                     frame[dest] = result
                 return next_pc
         elif arity == 3:
@@ -2268,9 +2082,7 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
                     code_append(code_for(function))
                 result = machine_call(function, [read0(frame), read1(frame), read2(frame)],
                                       code_cell[0])
-                if unwrap:
-                    frame[dest] = result.value
-                elif dest is not None:
+                if dest is not None:
                     frame[dest] = result
                 return next_pc
         else:
@@ -2279,9 +2091,7 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
                     code_append(code_for(function))
                 result = machine_call(function, [read(frame) for read in readers],
                                       code_cell[0])
-                if unwrap:
-                    frame[dest] = result.value
-                elif dest is not None:
+                if dest is not None:
                     frame[dest] = result
                 return next_pc
 
@@ -2296,9 +2106,7 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
     def handler(frame):
         arguments = [reader(frame) for reader in arg_readers]
         result = intrinsic(machine, arguments, result_type)
-        if unwrap:
-            frame[dest] = result.value
-        elif dest is not None:
+        if dest is not None:
             frame[dest] = result
         return next_pc
 

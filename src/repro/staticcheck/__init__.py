@@ -14,15 +14,12 @@ Package map:
   shared store per pointer layout, per-model metadata planes);
 * :mod:`repro.staticcheck.predict` — per-program verdict assembly in the
   oracle's taxonomy;
-* :mod:`repro.staticcheck.facts`   — proven dataflow facts exported to the
-  interpreter (`interp/artifact.py`) and the idiom detector;
 * :mod:`repro.staticcheck.crossval` — the static-vs-dynamic sweep, confusion
   matrix and corpus annotation used by ``scripts/run_staticcheck.py``.
 """
 
 from repro.staticcheck.domain import Bail, ModelOutcome, WalkOutcome
 from repro.staticcheck.predict import PREDICTION_CATEGORIES, predict_source
-from repro.staticcheck.facts import FunctionFacts, annotate_module, compute_module_facts
 
 __all__ = [
     "Bail",
@@ -30,7 +27,4 @@ __all__ = [
     "WalkOutcome",
     "PREDICTION_CATEGORIES",
     "predict_source",
-    "FunctionFacts",
-    "annotate_module",
-    "compute_module_facts",
 ]

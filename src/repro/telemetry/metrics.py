@@ -34,12 +34,6 @@ from bisect import bisect_left
 LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
-#: lane-occupancy buckets for the lockstep batch engine
-#: (``lockstep.occupancy``): how many lanes stepped together in a round.
-#: The paper sweep runs at most 7 lanes (one per memory model), so unit
-#: buckets up to 7 plus the overflow bucket cover every configuration.
-LANE_BUCKETS = (1, 2, 3, 4, 5, 6, 7)
-
 
 class Counter:
     """Monotonically increasing event count."""

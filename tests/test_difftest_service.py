@@ -160,25 +160,6 @@ def test_resume_reports_torn_tail_recovery_on_stderr(tmp_path, capfd, reference)
     assert full.stats["completed"] == COUNT
 
 
-def test_injected_cache_faults_with_artifact_cache_still_bit_identical(
-        tmp_path, reference):
-    cache_root = tmp_path / "artifact-cache"
-    outcome = _run(
-        tmp_path, jobs=2, artifact_cache=str(cache_root),
-        inject=parse_inject_spec("cache-torn:1,cache-bitflip:4,"
-                                 "cache-stale-lock:7", COUNT))
-    assert outcome.stats["quarantined"] == 0
-    _assert_bit_identical(outcome.records, reference)
-    # The torn/bitflip faults really fired: their evidence is quarantined.
-    quarantined = os.listdir(cache_root / "quarantine")
-    assert any(name.endswith(".truncated") for name in quarantined)
-    assert any(name.endswith(".checksum") for name in quarantined)
-    # Warm pass over the (healed) cache: still bit-identical.
-    warm = _run(tmp_path, name="warm.jsonl", jobs=2,
-                artifact_cache=str(cache_root))
-    _assert_bit_identical(warm.records, reference)
-
-
 def test_host_shards_partition_and_rebuild_the_sweep(tmp_path, reference):
     by_index = {}
     for i in range(3):
@@ -300,17 +281,16 @@ def test_journal_rejects_foreign_files(tmp_path):
 def test_parse_inject_all_schedules_every_kind_at_distinct_indices():
     plan = parse_inject_spec("all", 200)
     kinds = {fault.kind for fault in plan.faults}
-    assert kinds == {"crash", "hang", "engine", "journal",
-                     "cache-torn", "cache-bitflip", "cache-stale-lock"}
+    assert kinds == {"crash", "hang", "engine", "journal"}
     indices = [fault.index for fault in plan.faults]
-    assert len(set(indices)) == 7
+    assert len(set(indices)) == 4
     assert all(0 <= index < 200 for index in indices)
     assert not any(fault.always for fault in plan.faults)
 
 
 def test_parse_inject_spec_validation():
-    with pytest.raises(ServiceError, match=">= 7 programs"):
-        parse_inject_spec("all", 6)
+    with pytest.raises(ServiceError, match=">= 4 programs"):
+        parse_inject_spec("all", 3)
     with pytest.raises(ServiceError, match="unknown fault kind"):
         parse_inject_spec("segfault", 10)
     with pytest.raises(ServiceError, match="outside the corpus"):

@@ -3,9 +3,13 @@
 Handler closures close over their machine and the machine's code cache owns
 the handlers, so an unreleased machine is a reference cycle.  The runner
 calls :meth:`AbstractMachine.release` after every model's run; this test
-pins that a mini-sweep — serial and lockstep, trapping programs, budget
-exhaustion and an injected engine fault included — leaves no machine,
-compiled function or handler closure for the cyclic collector.
+pins that a mini-sweep — trapping programs, budget exhaustion and an
+injected engine fault included — leaves no machine, compiled function or
+handler closure for the cyclic collector.
+
+Trapped results must not keep machines alive either: the runner scrubs
+tracebacks along each trap's whole ``__context__``/``__cause__`` chain
+(:func:`~repro.interp.machine.scrub_trap`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import gc
 import types
 
 from repro.difftest import DifferentialRunner, generate_program
-from repro.interp.machine import AbstractMachine
+from repro.interp.machine import AbstractMachine, scrub_trap
 from repro.interp.models import PAPER_MODEL_ORDER
 from repro.interp.predecode import CompiledFunction
 from repro.minic.typesys import CType, StructField
@@ -35,7 +39,6 @@ def _mini_sweep() -> list:
     programs = [generate_program(0, index) for index in range(16)]
     runners = [
         DifferentialRunner(machine_hook=_arm_fault),
-        DifferentialRunner(lockstep="all"),
         DifferentialRunner(budget=60),
     ]
     return [runner.run_program(program)
@@ -72,3 +75,57 @@ def test_mini_sweep_leaves_no_cyclic_machine_garbage():
     other = {type(obj).__name__ for obj in garbage
              if not isinstance(obj, FRONT_END_CYCLES)}
     assert not other, f"unexpected cyclic garbage: {sorted(other)}"
+
+
+def _chain_tracebacks(exc) -> list:
+    found, stack, seen = [], [exc], set()
+    while stack:
+        err = stack.pop()
+        if err is None or id(err) in seen:
+            continue
+        seen.add(id(err))
+        if err.__traceback__ is not None:
+            found.append(err)
+        stack.extend((err.__cause__, err.__context__))
+    return found
+
+
+def test_scrub_trap_clears_whole_context_chain() -> None:
+    try:
+        try:
+            raise ValueError("inner")
+        except ValueError:
+            raise KeyError("outer") from None
+    except KeyError as exc:
+        trap = exc
+    assert trap.__context__ is not None  # ``from None`` hides, not unlinks
+    assert _chain_tracebacks(trap)
+    scrub_trap(trap)
+    assert not _chain_tracebacks(trap)
+    # the structured chain itself survives (the oracle reads it)
+    assert isinstance(trap.__context__, ValueError)
+    scrub_trap(None)  # tolerated, like the runner's trap-less path
+
+
+#: read_global raises ``from None``, so the surfaced trap carries a chained
+#: exception whose traceback holds interpreter frames — the leak the scrub
+#: exists to cut.  Division traps cover the UndefinedBehaviorError path.
+CHAINED_TRAP = r"""
+int main(void) {
+    int arr[4];
+    int i = 0;
+    for (i = 0; i < 4; i++) { arr[i] = i; }
+    return arr[0] / (arr[1] - arr[1]);
+}
+"""
+
+
+def test_runner_traps_have_no_retained_tracebacks() -> None:
+    out = DifferentialRunner().run_source(CHAINED_TRAP)
+    trapped = 0
+    for name, result in out.results.items():
+        if result.trap is None:
+            continue
+        trapped += 1
+        assert not _chain_tracebacks(result.trap), name
+    assert trapped == len(PAPER_MODEL_ORDER)  # division traps everywhere

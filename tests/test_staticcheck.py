@@ -1,22 +1,17 @@
-"""Static checker: crossval goldens, proven-facts export, totality.
+"""Static checker: crossval goldens and totality.
 
-Three layers of guarantees, mirroring ``docs/staticcheck.md``:
+Two layers of guarantees, mirroring ``docs/staticcheck.md``:
 
 * **Crossval goldens** — the 64-program mini-sweep's static-vs-dynamic
   confusion matrix is pinned exactly (semantic-diff style, like the Table 5
   goldens in test_difftest.py).  Zero soundness violations — a dynamically
   trapping cell predicted safe — is an acceptance invariant, not a target.
 
-* **Facts export** — proven facts (``repro.staticcheck.facts``) feed the
-  interpreter's slot-type fixpoint and shadow fast path.  They must be
-  observationally invisible: every model, every workload, bit-identical
-  results with facts on and off.
-
 * **Totality** — the predictor is a *static* analyzer: it must return a
   verdict from the taxonomy for every generated program and every model,
-  never raise, across the full scenario-template space (5000 seeded
-  programs, all 24 generator features, both pointer layouts via the
-  seven-model sweep).
+  never raise, across the full scenario-template space (all 24 generator
+  features, both pointer layouts via the seven-model sweep).  Tier-1 checks
+  the 64-program mini-sweep; the 5000-program sweep is marked ``slow``.
 """
 
 from __future__ import annotations
@@ -27,11 +22,7 @@ from repro.difftest.generator import generate_program
 from repro.difftest.oracle import cell_record, classify_results
 from repro.difftest.output import sweep_meta
 from repro.difftest.runner import DifferentialRunner
-from repro.interp.artifact import analyze_slots
 from repro.interp.models import PAPER_MODEL_ORDER
-from repro.minic.irgen import compile_unit
-from repro.minic.optimizer import optimize_module
-from repro.minic.parser import parse
 from repro.staticcheck import PREDICTION_CATEGORIES
 from repro.staticcheck.crossval import (
     format_crossval,
@@ -39,7 +30,6 @@ from repro.staticcheck.crossval import (
     prediction_matches,
     summarize_crossval,
 )
-from repro.staticcheck.facts import annotate_module, compute_module_facts
 from repro.staticcheck.predict import predict_source, predict_source_report
 
 MINI_SWEEP_COUNT = 64
@@ -147,216 +137,15 @@ def test_match_and_violation_predicates():
 
 
 # ---------------------------------------------------------------------------
-# Proven facts (repro.staticcheck.facts)
-# ---------------------------------------------------------------------------
-
-FACTS_SOURCE = """
-int add(int a, int b) { return a + b; }
-long fib(long n) {
-    if (n < 2) { return n; }
-    return fib(n - 1) + fib(n - 2);
-}
-int *first(int *p) { return p; }
-int main(void) {
-    int acc[4];
-    int i = 0;
-    while (i < 4) { acc[i] = add(i, i); i = i + 1; }
-    long f = fib(5);
-    int *p = first(&acc[0]);
-    return (int)(f + *p) - 5;
-}
-"""
-
-
-def _facts_for(source, *, pointer_bytes=8, pointer_align=8):
-    unit, _ = parse(source)
-    module = compile_unit(unit, pointer_bytes=pointer_bytes,
-                          pointer_align=pointer_align)
-    optimize_module(module)
-    return module, compute_module_facts(module)
-
-
-def test_facts_prove_scalar_returns_and_reject_pointers():
-    _, facts = _facts_for(FACTS_SOURCE)
-    assert facts["add"].noprov_return
-    assert facts["add"].return_scalar == (4, True)
-    # Mutual/self recursion survives the greatest fixpoint.
-    assert facts["fib"].return_scalar == (8, True)
-    # A pointer-returning function carries provenance by definition.
-    assert not facts["first"].noprov_return
-    assert facts["first"].return_scalar is None
-    # main's per-call-site view names exactly the proven callees.
-    callees = {name: (width, signed)
-               for name, width, signed in facts["main"].noprov_callees}
-    assert callees["add"] == (4, True)
-    assert callees["fib"] == (8, True)
-    assert "first" not in callees
-
-
-def test_facts_unbox_proven_call_destinations():
-    module, _ = _facts_for(FACTS_SOURCE)
-    main = module.functions["main"]
-    before = set(analyze_slots(main, module.context, True))
-    annotate_module(module)
-    after = set(analyze_slots(main, module.context, True))
-    # Annotation can only widen the raw-slot set, and must widen it here:
-    # add()'s destination becomes a raw int slot.
-    assert before < after
-    assert main.static_facts is not None
-
-
-def test_facts_ignored_without_fast_noprov():
-    module, _ = _facts_for(FACTS_SOURCE)
-    main = module.functions["main"]
-    annotate_module(module)
-    with_hook = analyze_slots(main, module.context, False)
-    # With a provenance-propagating model, CALL destinations stay boxed even
-    # with facts attached (the proof cannot see the model's hook).
-    call_dests = {instr.dest.index for instr in main.instrs
-                  if instr.op.name == "CALL" and instr.dest is not None}
-    assert not call_dests & set(with_hook)
-
-
-def test_facts_find_safe_allocas_and_their_stores():
-    source = """
-    int helper(int *p) { return p[0]; }
-    int main(void) {
-        int safe[4];
-        int leaked[4];
-        int i = 0;
-        while (i < 4) { safe[i] = i; leaked[i] = i; i = i + 1; }
-        return safe[3] + helper(leaked) - 3;
-    }
-    """
-    module, facts = _facts_for(source)
-    main = module.functions["main"]
-    safe_pcs = facts["main"].safe_allocas
-    # Exactly the non-escaping scalar arrays qualify; ``leaked`` is passed
-    # to a call and must not appear.
-    names = {main.instrs[pc].attrs.get("name") for pc in safe_pcs}
-    assert "safe" in names
-    assert "leaked" not in names
-    # Every safe store is a STORE instruction rooted at a safe alloca.
-    for pc in facts["main"].safe_stores:
-        assert main.instrs[pc].op.name == "STORE"
-
-
-def test_facts_reject_address_taken_and_pointer_holding_allocas():
-    source = """
-    int main(void) {
-        long x = 5;
-        long *p = &x;
-        return (int)*p - 5;
-    }
-    """
-    module, facts = _facts_for(source)
-    main = module.functions["main"]
-    names = {main.instrs[pc].attrs.get("name")
-             for pc in facts["main"].safe_allocas}
-    # x's address escapes into p; p holds a pointer.  Neither is safe.
-    assert "x" not in names
-    assert "p" not in names
-
-
-# ---------------------------------------------------------------------------
-# Facts export: observational equivalence (the Layer-3 contract)
-# ---------------------------------------------------------------------------
-
-
-def _result_signature(result):
-    return (result.exit_code, result.output,
-            type(result.trap).__name__ if result.trap else None,
-            str(result.trap) if result.trap else None,
-            result.instructions, result.cycles, result.memory_accesses,
-            result.allocations, result.allocated_bytes,
-            tuple(result.checkpoints))
-
-
-def _assert_program_equivalent(facts_off, facts_on, program_result_pairs):
-    for label, source in program_result_pairs:
-        off = facts_off.run_source(source)
-        on = facts_on.run_source(source)
-        assert off.compile_errors == on.compile_errors, label
-        assert set(off.results) == set(on.results), label
-        for model in off.results:
-            assert _result_signature(off.results[model]) \
-                == _result_signature(on.results[model]), (label, model)
-
-
-#: stack reuse with stale shadow: ``dirty`` leaves pointer metadata on its
-#: stack addresses; ``clean``'s safe alloca then reuses them, so the
-#: activation probe must see the stale entries and take the clearing path.
-STALE_SHADOW_SOURCE = """
-long dirty(void) {
-    long x = 5;
-    long *slots[2];
-    slots[0] = &x;
-    slots[1] = &x;
-    return *slots[0] + *slots[1];
-}
-long clean(void) {
-    long buf[4];
-    int i = 0;
-    while (i < 4) { buf[i] = i; i = i + 1; }
-    return buf[0] + buf[3];
-}
-int main(void) {
-    long a = dirty();
-    long b = clean();
-    return (int)(a + b) - 13;
-}
-"""
-
-#: clean-first variant: the probe finds a pristine range and the skip path
-#: actually executes (flag == 1) before the frame is ever dirtied.
-CLEAN_FIRST_SOURCE = """
-long clean(void) {
-    long buf[4];
-    int i = 0;
-    while (i < 4) { buf[i] = i * 2; i = i + 1; }
-    return buf[1] + buf[3];
-}
-int main(void) {
-    long total = clean() + clean();
-    int *p = (int *)malloc(8);
-    *p = 3;
-    int got = *p;
-    free(p);
-    return (int)total + got - 19;
-}
-"""
-
-
-def test_facts_are_observationally_invisible_on_fixed_programs():
-    facts_off = DifferentialRunner(analyze=False)
-    facts_on = DifferentialRunner(analyze=False, static_facts=True)
-    _assert_program_equivalent(facts_off, facts_on, [
-        ("stale_shadow", STALE_SHADOW_SOURCE),
-        ("clean_first", CLEAN_FIRST_SOURCE),
-    ])
-
-
-def test_facts_are_observationally_invisible_on_mini_sweep():
-    # The Layer-3 acceptance gate: all seven models, 64 generated programs,
-    # every observable field bit-compared with facts on and off.
-    facts_off = DifferentialRunner(analyze=False)
-    facts_on = DifferentialRunner(analyze=False, static_facts=True)
-    pairs = []
-    for index in range(MINI_SWEEP_COUNT):
-        program = generate_program(0, index)
-        pairs.append((f"gen_0_{index}", program.source))
-    _assert_program_equivalent(facts_off, facts_on, pairs)
-
-
-# ---------------------------------------------------------------------------
 # Totality: the analyzer never raises, over the full template space
 # ---------------------------------------------------------------------------
 
 TOTALITY_CHUNK = 1250
 TOTALITY_CHUNKS = 4
 
-#: every feature tag the generator can emit; chunk 0 alone covers all of
-#: them (asserted below), so template coverage cannot silently rot.
+#: every feature tag the generator can emit; the mini-sweep and chunk 0
+#: each cover all of them (asserted below), so template coverage cannot
+#: silently rot.
 ALL_GENERATOR_FEATURES = frozenset({
     "abi_assume", "arith", "container", "deconst", "gc_churn", "helper",
     "helper_oob", "int_arith", "int_roundtrip", "layout_probe", "loop",
@@ -366,12 +155,11 @@ ALL_GENERATOR_FEATURES = frozenset({
 })
 
 
-@pytest.mark.parametrize("chunk", range(TOTALITY_CHUNKS))
-def test_static_predictor_is_total_over_seeded_corpus(chunk):
-    """5000 programs in 4 chunks: a verdict for every (program, model) cell,
-    never an exception, walk step counts inside the budget mirror."""
+def _assert_predictor_total(indices) -> set:
+    """A verdict for every (program, model) cell, never an exception, walk
+    step counts inside the budget mirror; returns the features seen."""
     seen_features = set()
-    for index in range(chunk * TOTALITY_CHUNK, (chunk + 1) * TOTALITY_CHUNK):
+    for index in indices:
         program = generate_program(0, index)
         seen_features.update(program.features)
         report = predict_source_report(program.source)
@@ -381,5 +169,21 @@ def test_static_predictor_is_total_over_seeded_corpus(chunk):
                 (program.name, model, verdict)
         for layout, steps in report.steps.items():
             assert 0 <= steps <= 200_000, (program.name, layout, steps)
+    return seen_features
+
+
+def test_static_predictor_is_total_over_mini_sweep():
+    """The tier-1 cut of the property: the 64-program mini-sweep already
+    reaches every generator feature."""
+    assert _assert_predictor_total(range(MINI_SWEEP_COUNT)) \
+        == ALL_GENERATOR_FEATURES
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("chunk", range(TOTALITY_CHUNKS))
+def test_static_predictor_is_total_over_seeded_corpus(chunk):
+    """5000 programs in 4 chunks (``-m slow``)."""
+    seen_features = _assert_predictor_total(
+        range(chunk * TOTALITY_CHUNK, (chunk + 1) * TOTALITY_CHUNK))
     if chunk == 0:
         assert seen_features == ALL_GENERATOR_FEATURES
