@@ -11,7 +11,7 @@ Two layers of guarantees, mirroring ``docs/staticcheck.md``:
   verdict from the taxonomy for every generated program and every model,
   never raise, across the full scenario-template space (all 24 generator
   features, both pointer layouts via the seven-model sweep).  Tier-1 checks
-  the 64-program mini-sweep; the 5000-program sweep is marked ``slow``.
+  the 64-program mini-sweep and the 5000-program sweep.
 """
 
 from __future__ import annotations
@@ -179,10 +179,9 @@ def test_static_predictor_is_total_over_mini_sweep():
         == ALL_GENERATOR_FEATURES
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("chunk", range(TOTALITY_CHUNKS))
 def test_static_predictor_is_total_over_seeded_corpus(chunk):
-    """5000 programs in 4 chunks (``-m slow``)."""
+    """5000 programs in 4 chunks."""
     seen_features = _assert_predictor_total(
         range(chunk * TOTALITY_CHUNK, (chunk + 1) * TOTALITY_CHUNK))
     if chunk == 0:
