@@ -95,9 +95,10 @@ def _measure_all() -> dict:
                 module = compile_for_model(source(), model)
                 machine = AbstractMachine(module, get_model(model),
                                           max_instructions=200_000_000)
-                # Predecode (incl. basic-block compilation) outside the
-                # timer: the tracked metric is execution throughput, and the
-                # note below has always excluded compilation.
+                # Per-instruction predecode outside the timer: the tracked
+                # metric is execution throughput.  Basic blocks still bind
+                # inside run(), at each function's HOT_CALL_THRESHOLD-th
+                # call, so the timed run includes their (cached) binding.
                 for function in module.functions.values():
                     if function.instrs:
                         machine._code_for(function)

@@ -3,15 +3,16 @@
 One generated program is **parsed once** (tokens and AST are pointer-layout
 independent), **lowered once per pointer layout** (the seven registered
 models share two: 8-byte integer pointers and 32-byte capabilities), then
-replayed under every model with a per-run instruction budget.  The machines
-run with ``shared_blocks=True``, so every model of a layout binds the same
-process-cached predecode artifact (:mod:`repro.interp.artifact`) instead of
-re-predecoding per machine — the sweep is compile-bound, not
-execution-bound.  Cycle accounting is off by default (the oracle classifies
-on architectural observables, not simulated time), trap tracebacks are
-dropped so results do not retain machine graphs, and every machine is
-released (:meth:`~repro.interp.machine.AbstractMachine.release`) straight
-after its run, so reference counting frees it.  See ``docs/difftest.md``
+replayed under every model with a per-run instruction budget.  Every model
+of a layout binds the same process-cached predecode artifact
+(:mod:`repro.interp.artifact`) instead of re-predecoding per machine, and
+superinstructions bind only in functions that prove hot — the sweep is
+compile-bound, not execution-bound.  Cycle accounting is off by default
+(the oracle classifies on architectural observables, not simulated time),
+trap tracebacks are dropped so results do not retain machine graphs, and
+every machine is released
+(:meth:`~repro.interp.machine.AbstractMachine.release`) straight after its
+run, so reference counting frees it.  See ``docs/difftest.md``
 and ``docs/pipeline.md``.
 """
 
@@ -85,10 +86,6 @@ class DifferentialRunner:
 
     # ------------------------------------------------------------------
 
-    def _layouts(self) -> dict[tuple[int, int], list[str]]:
-        """The requested models grouped by pointer layout (precomputed)."""
-        return self._layout_groups
-
     def run_source(self, source: str, *, models: tuple[str, ...] | None = None,
                    source_name: str = "<difftest>") -> ProgramResult:
         """Compile ``source`` per layout and execute it under each model."""
@@ -101,13 +98,13 @@ class DifferentialRunner:
             with timed_span(tracer, sink, "stage.parse"):
                 unit, _ = parse(source)
         except CompilationError as exc:
-            for layout, layout_models in self._layouts().items():
+            for layout, layout_models in self._layout_groups.items():
                 for name in layout_models:
                     if name in names:
                         out.compile_errors[name] = f"{type(exc).__name__}: {exc}"
             return out
         line_count = source.count("\n") + 1
-        for layout, layout_models in self._layouts().items():
+        for layout, layout_models in self._layout_groups.items():
             selected = [m for m in layout_models if m in names]
             if not selected:
                 continue
@@ -126,16 +123,14 @@ class DifferentialRunner:
                 with timed_span(tracer, sink, "stage.analyze"):
                     out.analysis = analyze_module(module)
             for name in selected:
-                # shared_blocks: every model of this layout binds the same
-                # cached predecode artifact (slot analysis, fusion, block
-                # code objects) instead of re-predecoding per machine — the
-                # sweep is compile-bound, not execution-bound.
+                # Every model of this layout binds the same cached
+                # predecode artifact (slot analysis, fusion, block code
+                # objects) instead of re-predecoding per machine.
                 with timed_span(tracer, sink, "stage.predecode", model=name):
                     machine = AbstractMachine(
                         module, get_model(name),
                         max_instructions=self.budget,
                         collect_timing=self.collect_timing,
-                        shared_blocks=True,
                     )
                     if self.machine_hook is not None:
                         self.machine_hook(machine, name)

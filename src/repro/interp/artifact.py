@@ -12,7 +12,7 @@ pointer layout alone, independent of which memory model will execute it:
   register slots carry raw Python ints;
 * the **pair-fusion** prepass (parameterized by the model's inline-move
   policy flags, memoized per flag combination);
-* **generic basic-block superinstructions**: block segmentation plus
+* **basic-block superinstruction plans**: block segmentation plus
   generated source and compiled code objects in which raw-register work is
   spliced as straight-line Python and every model-specialized entry (memory
   ops, calls, pointer moves) is a closure-call slot bound later.
@@ -23,17 +23,17 @@ keyed by ``(function identity, pointer layout)`` (an LRU bounded at
 rules).  The per-machine *binding* step in :mod:`repro.interp.predecode`
 closes the artifact over one concrete machine's model, memory and cache
 state: per-instruction handlers are built against the shared analysis
-results, and machines that opt into shared blocks
-(``AbstractMachine(shared_blocks=True)``) instantiate the artifact's cached
-block code objects with per-machine bindings instead of regenerating and
-re-``compile()``-ing block source per machine.
+results, and once a function proves hot the machine instantiates the
+artifact's cached block code objects with per-machine bindings — no block
+source is generated or ``compile()``-d per machine.
 
 Sharing is observationally safe by construction: the analysis inputs that
 vary per model (``fast_noprov``, the inline-move flags) are part of the memo
-keys, and generic blocks only change *charge batching granularity* — every
+keys, and blocks only change *charge batching granularity* — every
 trap-capable entry still flushes all deferred charges before it executes, so
 counters at any trap point equal single-step dispatch exactly
-(``tests/test_predecode_cache.py`` pins this across all seven models).
+(``tests/test_superinstructions.py`` and ``tests/test_predecode_cache.py``
+pin this across all seven models).
 """
 
 from __future__ import annotations
@@ -59,12 +59,11 @@ from repro.minic.typesys import IntType, PointerType
 #: of temp ``%i`` is ``i + FRAME_RESERVED`` (shared with predecode).
 FRAME_RESERVED = 3
 
-#: maximum paired entries folded into one block handler (shared with the
-#: specialized block compiler in predecode).
+#: maximum paired entries folded into one block handler.
 BLOCK_LIMIT = 40
 
 #: canonical integer binary operators (semantics shared by the closure
-#: handlers in predecode and both block compilers; shifts mask their count
+#: handlers in predecode and the block planner; shifts mask their count
 #: like C on a 64-bit machine would).
 INT_BINOPS = {
     "+": lambda a, b: a + b,
@@ -254,9 +253,10 @@ def compute_fusion(function: Function, ctx, slot_types, use_counts,
     """Producer index -> ("mem", delta) or ("cmp",) pair-fusion decisions.
 
     The consumer at ``index + 1`` keeps its (unreachable) stand-alone handler
-    so pc layout is unchanged.  Both block flavours use the same fusion map
-    for a given model — fused pairs charge both halves' costs up front, so
-    the decisions are part of the observable charging protocol.
+    so pc layout is unchanged.  The block plans use the same fusion map as
+    the binding step for a given model — fused pairs charge both halves'
+    costs up front, so the decisions are part of the observable charging
+    protocol.
     """
     instrs = function.instrs
     fused: dict[int, tuple] = {}
@@ -291,17 +291,15 @@ def compute_fusion(function: Function, ctx, slot_types, use_counts,
 def _generic_descs_and_costs(function: Function, ctx, slot_types, fused,
                              labels, timing: tuple[int, int, int], scratch: int,
                              fast_noprov: bool):
-    """Per-instruction (descriptor, cost) lists for the shared block planner.
+    """Per-instruction (descriptor, cost) lists for the block planner.
 
     Mirrors the binding step's cost rules exactly and classifies every entry
     model-independently: raw-register work keeps its splice descriptor, every
     model-specialized entry (memory op, call, alloca, pointer move, boxed
     compare, ...) becomes a conservative closure-call slot — ``("ext", out)``
     when it may trap (a charge point), ``("opaque", out)`` when no model's
-    hook can raise (the contract the specialized compiler already relies on
-    for pointer moves and conversions).  Flushing charges *more* often than
-    the specialized compiler is always exact: single-step dispatch charges
-    every entry before it runs.
+    hook can raise.  Flushing charges at every charge point is always exact:
+    single-step dispatch charges every entry before it runs.
     """
     instrs = function.instrs
     base_cost, branch_cost, call_cost = timing
@@ -367,8 +365,9 @@ def _generic_descs_and_costs(function: Function, ctx, slot_types, fused,
             desc = _generic_bitcast_desc(instr, ctx, slot_types, dest_type, out)
         elif op in (Opcode.GEP, Opcode.PTRADD, Opcode.FIELD,
                     Opcode.PTRTOINT, Opcode.INTTOPTR):
-            # Pointer moves and conversions: no model's hook raises, so they
-            # are deferred-charge closure calls (same contract as predecode).
+            # Pointer moves and conversions: no model's hook for these raises
+            # (a contract every model keeps), so they are deferred-charge
+            # closure calls.
             desc = ("opaque", out)
         elif op is Opcode.CALL:
             cost = call_cost
@@ -392,8 +391,7 @@ def _generic_binop_desc(instr, ctx, slot_types, dest_type, out, fast_noprov):
     if is_division or not fast_noprov:
         # Division by zero is a program-level trap, and an overridden
         # provenance hook must see every operand (and may itself raise):
-        # both make the binding step's handler a closure-call charge point,
-        # exactly as the specialized compiler demotes them.
+        # both make the binding step's handler a closure-call charge point.
         return ("ext", out)
     raw_left = raw_operand(instr.args[0], ctx, slot_types)
     raw_right = raw_operand(instr.args[1], ctx, slot_types)
@@ -418,7 +416,7 @@ def _generic_cmp_desc(instr, ctx, slot_types, dest_type, out):
     raw_right = raw_operand(instr.args[1], ctx, slot_types)
     if raw_left is None or raw_right is None:
         # Boxed comparison may consult the model's ptr_compare hook:
-        # conservatively a charge point in shared blocks.
+        # conservatively a charge point.
         return ("ext", out)
     lkind, lpayload, _lt, llabel = raw_left
     rkind, rpayload, _rt, rlabel = raw_right
@@ -491,10 +489,11 @@ def _plan_blocks(function: Function, descs: list, costs: list, fused: dict,
                  labels: dict, profiled: bool) -> list[BlockPlan]:
     """Segment into basic blocks and emit a shared plan per eligible run.
 
-    The walk is identical to the specialized compiler's
-    (:func:`repro.interp.predecode._install_superinstructions`): a leader is
-    pc 0, any label pc, or the entry after a block; the first control
-    transfer ends the block; runs of two or more entries get a plan.
+    A leader is pc 0, any label pc (the only possible branch targets), or
+    the entry after a block; the first control transfer ends the block;
+    runs of two or more entries get a plan.  Every non-leader pc keeps its
+    per-instruction handler, so branching into the middle of a block works
+    unchanged.
     """
     n = len(descs)
     label_pcs = set(labels.values())
@@ -532,12 +531,13 @@ def _emit_generic_block(function: Function, descs: list, costs: list,
                         fall_to: int, profiled: bool) -> BlockPlan:
     """Generate and compile the model-independent source for one block.
 
-    Charge groups work exactly as in the specialized compiler: pure entries
-    run immediately but defer their charges; every closure-call charge point
-    flushes the deferred charges plus its own — one batched add and budget
-    check — before it executes, with :func:`predecode._budget_replay`
-    reproducing the exact single-step trap point on overrun.  (The leader's
-    charge is applied by the dispatch loop before the handler runs.)
+    Counters stay exact through *charge groups*: pure entries (which cannot
+    trap and touch nothing but the frame) run immediately but defer their
+    charges; every closure-call charge point flushes the deferred charges
+    plus its own — one batched add and budget check — before it executes,
+    with :func:`predecode._budget_replay` reproducing the exact single-step
+    trap point on overrun.  (The leader's charge is applied by the dispatch
+    loop before the handler runs.)
     """
     span = members + [terminal] if terminal is not None else members
     start = span[0]
@@ -787,7 +787,7 @@ class PredecodeArtifact:
     def block_plans(self, timing: tuple[int, int, int], fast_noprov: bool,
                     profiled: bool, inline_moves: bool,
                     inline_field: bool) -> list[BlockPlan]:
-        """Shared superinstruction plans, memoized per (timing, policy).
+        """Superinstruction plans, memoized per (timing, policy).
 
         The inline-move flags are part of the key because fusion must match
         the binding step exactly (fused pairs change pc layout and charge

@@ -13,13 +13,13 @@ golden-metrics suite pins this across all seven memory models.
 Shapes are tuples of small ints/strings/bools; the cache is unbounded but in
 practice a workload produces a few dozen shapes.
 
-The module also owns the generated-source plumbing both block compilers sit
+The module also owns the generated-source plumbing the block planner sits
 on: :func:`block_source` wraps emitted body lines into ``make(B) -> handler``
 source, :func:`block_code` caches compilation by source text, and
 :func:`bind_block` instantiates a handler from a cached code object — which
-is all a shared-block machine pays per superinstruction
-(:mod:`repro.interp.artifact` stores the code objects on the predecode
-artifact; see ``docs/pipeline.md``).
+is all a machine pays per superinstruction (:mod:`repro.interp.artifact`
+stores the code objects on the predecode artifact; see
+``docs/pipeline.md``).
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ _PACKERS = {key: struct.Struct("<" + code).pack_into
 _MAKERS: dict[tuple, object] = {}
 
 #: ("load"/"store", shape) -> raw handler body lines, built once per shape.
-#: NOTE: the block compiler's scalar-memory inliner
-#: (predecode._emit_block/emit_scalar_mem) emits its own copy of the scalar
-#: load/store semantics with block-local naming — a change to the access
-#: check, timing, shadow-clear or page-access logic here must be mirrored
-#: there (tests/test_superinstructions.py pins the two paths against each
-#: other across all seven models).
 _BODIES: dict[tuple, list] = {}
 
 #: names unpacked from the binding dict into ``make`` locals; the handler
@@ -414,9 +408,9 @@ def store_body(shape: tuple) -> list:
     return lines
 
 
-#: block source text -> compiled code object.  Different machines (and the
-#: benchmark's repeated machine builds) regenerate byte-identical sources for
-#: the same function/model, and ``compile()`` dominates predecode cost — the
+#: block source text -> compiled code object.  Artifacts rebuilt for the same
+#: function (a recompiled module, an artifact evicted from the LRU) regenerate
+#: byte-identical sources, and ``compile()`` dominates planning cost — the
 #: cache turns every rebuild after the first into a cheap ``exec``.
 _BLOCK_CODE: dict[str, object] = {}
 
@@ -439,10 +433,10 @@ def block_source(body_lines: list, names: list) -> str:
 def block_code(source: str, tag: str):
     """The compiled code object for block ``source``, cached by source text.
 
-    Rebuilding the same function for another machine (or benchmark round)
-    skips ``compile()``, which otherwise dominates predecode time; the
-    shared block plans in :mod:`repro.interp.artifact` store these code
-    objects directly, so a cross-machine rebind never recompiles at all.
+    Re-planning the same function (a recompiled module, an evicted artifact)
+    skips ``compile()``, which otherwise dominates planning time; the block
+    plans in :mod:`repro.interp.artifact` store these code objects directly,
+    so a cross-machine rebind never recompiles at all.
     """
     code = _BLOCK_CODE.get(source)
     if code is None:
@@ -472,22 +466,11 @@ def block_maker(code):
 def bind_block(code, bindings: dict):
     """Instantiate a block handler from a compiled ``make(B)`` code object.
 
-    This is the whole per-machine cost of a shared superinstruction: one
+    This is the whole per-machine cost of a superinstruction: one
     memoized :func:`block_maker` lookup plus a closure construction over the
     per-machine ``bindings``.
     """
     return block_maker(code)(bindings)
-
-
-def compile_block(body_lines: list, bindings: dict, tag: str):
-    """Compile one basic-block superinstruction from generated source.
-
-    ``body_lines`` are pre-indented to the handler body depth (8 spaces);
-    every key in ``bindings`` becomes a keyword default (see
-    :func:`block_source`).
-    """
-    source = block_source(body_lines, sorted(bindings))
-    return bind_block(block_code(source, tag), bindings)
 
 
 def _compile(shape: tuple, body_lines: list) -> object:

@@ -23,11 +23,12 @@ Key mechanisms:
   difference between ABIs is the size and alignment of pointers, which is the
   paper's architectural story for Figures 1–4.
 * **Dispatch.**  Function bodies are predecoded once per machine into
-  per-instruction closures plus basic-block superinstructions
-  (:mod:`repro.interp.predecode`) and executed by a threaded-dispatch loop
-  over pooled call frames; ``tests/test_metrics_golden.py`` and
-  ``tests/test_superinstructions.py`` pin that this is observationally
-  identical to naive instruction-at-a-time interpretation.
+  per-instruction closures, plus basic-block superinstructions bound once a
+  function proves hot (:mod:`repro.interp.predecode`), and executed by a
+  threaded-dispatch loop over pooled call frames;
+  ``tests/test_metrics_golden.py`` and ``tests/test_superinstructions.py``
+  pin that this is observationally identical to naive instruction-at-a-time
+  interpretation.
 """
 
 from __future__ import annotations
@@ -129,10 +130,9 @@ class AbstractMachine:
     __slots__ = ("module", "model", "config", "ctx", "memory", "allocator",
                  "hierarchy", "shadow", "globals", "output", "checkpoints",
                  "rng", "instructions", "cycles", "memory_accesses",
-                 "max_instructions", "collect_timing", "shared_blocks",
-                 "_call_depth", "_code_cache", "_ptr_load_memo",
-                 "_clear_shadow", "block_profile", "_engine_fault",
-                 "engine_faults")
+                 "max_instructions", "collect_timing", "_call_depth",
+                 "_code_cache", "_ptr_load_memo", "_clear_shadow",
+                 "block_profile", "_engine_fault", "engine_faults")
 
     def __init__(
         self,
@@ -142,7 +142,6 @@ class AbstractMachine:
         config: MachineConfig | None = None,
         max_instructions: int = 50_000_000,
         collect_timing: bool = True,
-        shared_blocks: bool = False,
     ) -> None:
         self.module = module
         self.model = get_model(model) if isinstance(model, str) else model
@@ -169,13 +168,6 @@ class AbstractMachine:
         self.memory_accesses = 0
         self.max_instructions = max_instructions
         self.collect_timing = collect_timing
-        #: superinstruction flavour: False compiles model-specialized block
-        #: source per machine (fastest execution — the workload default);
-        #: True binds the model-independent block plans cached process-wide
-        #: on the predecode artifact (fastest compilation — what the
-        #: differential runner uses for its 7-model replay).  Observables are
-        #: identical either way (tests/test_predecode_cache.py).
-        self.shared_blocks = shared_blocks
         self._call_depth = 0
         #: predecoded per-function code, keyed by the function's identity.
         self._code_cache: dict[int, CompiledFunction] = {}
@@ -539,9 +531,9 @@ class AbstractMachine:
         self._engine_fault = factory
 
     def _arm_engine_fault(self, code: CompiledFunction) -> None:
-        # Shared-block machines bind blocks lazily at HOT_CALL_THRESHOLD; a
-        # one-shot difftest program never gets there, so force the install —
-        # observationally invisible by the superinstruction contract.
+        # Blocks bind lazily at HOT_CALL_THRESHOLD; a one-shot difftest
+        # program never gets there, so force the install — observationally
+        # invisible by the superinstruction contract.
         if code.pending_blocks is not None:
             install = code.pending_blocks
             code.pending_blocks = None
@@ -591,10 +583,10 @@ class AbstractMachine:
         """
         if code is None:
             code = self._code_for(function)
-        # Tiered block binding (shared-block machines only): install the
-        # artifact's cached superinstruction plans once the function has
-        # proven hot.  Install timing is observationally invisible — blocks
-        # charge exactly what single-step dispatch charges.
+        # Tiered block binding: install the artifact's cached
+        # superinstruction plans once the function has proven hot.  Install
+        # timing is observationally invisible — blocks charge exactly what
+        # single-step dispatch charges.
         if code.pending_blocks is not None:
             code.calls += 1
             if code.calls >= HOT_CALL_THRESHOLD:

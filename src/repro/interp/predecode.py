@@ -53,39 +53,25 @@ originals), and reconstruction of metadata-free pointer loads is memoised for
 models where it is a pure function of the raw address.
 
 **Basic-block superinstructions.**  On top of the per-instruction handlers,
-:func:`_install_superinstructions` segments each compiled function at labels
-and control transfers and compiles every straight-line run of two or more
-entries into **one generated-source block handler**
-(:func:`repro.interp.hotgen.compile_block`).  Inside a block, raw-register
-arithmetic/compare/cast work, inline pointer moves and scalar loads/stores
-are emitted as straight-line Python threading values through locals (a slot
-read once stays in a local until something rewrites it); other pure handlers
-(conversions, boxed arithmetic) and the trap-capable pointer ops/calls are
-invoked as closure calls without a dispatch round-trip.  Instruction counts
-and cycle costs are batched per **charge group**: pure entries run
-immediately but defer their charges, and every trap-capable entry
-(load/store/call/division/alloca/``ptrdiff``) flushes the deferred charges
-plus its own — one batched add and budget check — *before* it executes.
-Counter exactness is preserved by construction:
+every machine binds the artifact's cached **block plans**
+(:meth:`~repro.interp.artifact.PredecodeArtifact.block_plans`): each
+straight-line run of two or more entries is one generated handler in which
+raw-register arithmetic/compare/cast work is spliced as straight-line Python
+and every model-specialized entry (memory ops, pointer moves, calls) is a
+closure call to its per-instruction handler, without a dispatch round-trip.
+Instruction counts and cycle costs are batched per **charge group**: pure
+entries run immediately but defer their charges, and every trap-capable
+entry flushes the deferred charges plus its own *before* it executes, so the
+counters at any trap equal exactly what single-step dispatch would have
+charged; a batch that would overrun the instruction budget is replayed
+entry-by-entry (:func:`_budget_replay`) and raises at the precise
+single-step trap point.
 
-* whenever an entry that can trap runs, everything up to and including it
-  has been charged and nothing after it has, so the counters at any trap
-  equal exactly what single-step dispatch would have charged;
-* a charge batch that would overrun the instruction budget is replayed
-  entry-by-entry (:func:`_budget_replay`) — count, budget check, cycle cost,
-  exactly like the dispatch loop — raising at the precise single-step trap
-  point.
-
-``SUPERINSTRUCTIONS`` toggles the block compiler (the equivalence test flips
-it to compare engines on the same machine build).  Machines come in two
-superinstruction flavours: the default compiles model-specialized block
-source per machine (fastest execution — every splice above applies), while
-``AbstractMachine(shared_blocks=True)`` binds the artifact's cached
-model-independent block plans — raw-register work spliced, memory ops and
-pointer moves as closure-call slots — with **tiered binding**: a function
-binds its blocks only after ``HOT_CALL_THRESHOLD`` calls, so one-shot code
-(the differential sweep) never pays block compilation.  Both flavours are
-observationally identical; ``tests/test_predecode_cache.py`` pins it.
+Binding is **tiered**: a function binds its block plans only at its
+``HOT_CALL_THRESHOLD``-th call, so code that runs once (the differential
+sweep, a workload's ``main``) stays single-step and never pays block
+binding.  ``SUPERINSTRUCTIONS`` turns block binding off altogether (the
+equivalence tests flip it to build the single-step reference engine).
 
 The engine is **observationally identical** to the old dispatch chain: the
 same instruction/cycle/memory-access counts, the same outputs and the same
@@ -101,8 +87,6 @@ from __future__ import annotations
 
 from repro.common.errors import InterpreterError, UndefinedBehaviorError
 from repro.interp.artifact import (
-    BINOP_EXPR as _BINOP_EXPR,
-    BLOCK_LIMIT as _BLOCK_LIMIT,
     CMP_FUNCS as _CMP_FUNCS,
     FRAME_RESERVED as _FRAME_RESERVED,
     INT_BINOPS as _INT_BINOPS,
@@ -114,7 +98,6 @@ from repro.interp.models.mpx import MpxModel
 from repro.interp.models.pdp11 import Pdp11Model
 from repro.interp.hotgen import (
     bind_block,
-    compile_block,
     load_maker,
     packer_for,
     store_maker,
@@ -131,7 +114,6 @@ from repro.interp.values import (
     SIGN_MIN,
     TRUE_I32,
     IntVal,
-    Provenance,
     PtrVal,
     intern_table,
 )
@@ -141,14 +123,14 @@ from repro.minic.typesys import IntType, PointerType, Qualifiers
 #: sentinel stored in unwritten register slots (None is a legitimate value).
 UNDEF = object()
 
-#: basic-block superinstruction compilation (see module docstring).  Flipped
-#: to False by the engine-equivalence test to build a single-step engine on
+#: basic-block superinstruction binding (see module docstring).  Flipped
+#: to False by the engine-equivalence tests to build a single-step engine on
 #: the same machine; production machines always compile with it on.
 SUPERINSTRUCTIONS = True
 
-#: calls before a shared-block machine binds a function's superinstructions
-#: (block install is observationally invisible, so the threshold only trades
-#: binding cost against dispatch speed; specialized machines bind eagerly).
+#: calls before a function binds its superinstructions (block install is
+#: observationally invisible, so the threshold only trades binding cost
+#: against dispatch speed).
 HOT_CALL_THRESHOLD = 2
 
 #: indices of the bookkeeping slots at the head of every frame.
@@ -157,7 +139,7 @@ _ARGS, _ALLOCAS, _RET = 0, 1, 2
 _ADDRESS_MASK = (1 << 64) - 1
 
 #: interned comparison results for boxed destinations (canonical instances
-#: shared with the block compiler; see values.TRUE_I32/FALSE_I32).
+#: shared with the block plans; see values.TRUE_I32/FALSE_I32).
 _TRUE = TRUE_I32
 _FALSE = FALSE_I32
 
@@ -197,11 +179,11 @@ class CompiledFunction:
         #: the machine can demote a misbehaving block handler back to
         #: instruction-at-a-time dispatch (AbstractMachine._execute).
         self.block_fallbacks: dict[int, tuple] = {}
-        #: shared-block machines defer block binding until the function has
-        #: run HOT_CALL_THRESHOLD times: an installer called as
+        #: block binding is deferred until the function has run
+        #: HOT_CALL_THRESHOLD times: an installer called as
         #: ``install(code)`` (it does not close over this object, so compiled
         #: code holds no cycle of its own), or None once installed (or when
-        #: blocks are bound eagerly/disabled).
+        #: blocks are disabled).
         self.pending_blocks = None
         self.calls = 0
 
@@ -505,10 +487,9 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
     # Producer index -> ("mem", delta) or ("cmp",); the consumer at index+1
     # keeps its (unreachable) stand-alone handler so pc layout is unchanged.
-    # Fusion MUST be identical in both block flavours: the fused pair
-    # charges both halves' costs up front, so restricting fusion would move
-    # the cycle counter observed at a budget trap on the consumer half.
-    shared_blocks = machine.shared_blocks
+    # The block plans are built against the same fusion map: the fused pair
+    # charges both halves' costs up front, so a different map would move the
+    # cycle counter observed at a budget trap on the consumer half.
     fused = artifact.fusion(inline_moves, inline_field, fast_noprov)
 
     # ------------------------------------------------------------------
@@ -547,7 +528,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         return dict(proto_bindings)
 
     def gen_load(instr, ptr_operand, delta, extra, next_pc, out):
-        """(handler, mem-desc) for a LOAD; ``delta``/``extra`` = fused producer."""
+        """Handler for a LOAD; ``delta``/``extra`` = fused producer."""
         ctype = instr.ctype
         pslot, pcoerce = ptr_parts(ptr_operand)
         dkind, d1, d2, dlabel = delta
@@ -586,10 +567,10 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                  collect_timing, inline_cache, uses_shadow,
                  ptr_memo is not None, inline_reconcile, len(appliers),
                  mem_unpack is not None)
-        return load_maker(shape)(b), ("mem", out, "load", shape, b)
+        return load_maker(shape)(b)
 
     def gen_store(instr, ptr_operand, delta, extra, next_pc):
-        """(handler, mem-desc) for a STORE; ``delta``/``extra`` = fused producer."""
+        """Handler for a STORE; ``delta``/``extra`` = fused producer."""
         ctype = instr.ctype
         pslot, pcoerce = ptr_parts(ptr_operand)
         dkind, d1, d2, dlabel = delta
@@ -624,7 +605,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                      collect_timing, inline_cache, clear_shadow, uses_shadow,
                      2, isinstance(ctype, PointerType), span > 8,
                      mem_pack is not None)
-            return store_maker(shape)(b), ("mem", None, "store", shape, b)
+            return store_maker(shape)(b)
 
         size = max(ctype.size(ctx), 1)
         b["size"] = size
@@ -655,7 +636,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         shape = ("scalar", pslot is not None, dkind, extra, check_kind,
                  collect_timing, inline_cache, clear_shadow, uses_shadow,
                  value_mode, coerce_flag, False, mem_pack is not None)
-        return store_maker(shape)(b), ("mem", None, "store", shape, b)
+        return store_maker(shape)(b)
 
     def gen_cmp_branch(cmp_instr, cjump_instr):
         """Fused CMP+CJUMP: compare and branch in one handler."""
@@ -743,12 +724,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             alloca_slots[_pc] = len(alloca_slots)
 
     def build(index: int):
-        """Bind one pc: ``(handler, cost, desc)``.
-
-        ``desc`` is the per-entry descriptor for the block compiler: how
-        (whether) this handler may join a superinstruction.  None = terminal
-        (may trap or transfer control; ends any block it appears in).
-        """
+        """Bind one pc: ``(handler, cost)``."""
         instr = instrs[index]
         op = instr.op
         next_pc = index + 1
@@ -756,7 +732,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         dest_type = slot_types.get(instr.dest.index) if instr.dest is not None else None
         cost = base_cost
         handler = None
-        desc = None
         fusion = fused.get(index)
 
         if fusion is not None:
@@ -767,27 +742,22 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 if consumer.op is Opcode.LOAD:
                     consumer_out = (consumer.dest.index + _FRAME_RESERVED
                                     if consumer.dest is not None else scratch)
-                    handler, desc = gen_load(consumer, instr.args[0], delta, True,
-                                             index + 2, consumer_out)
+                    handler = gen_load(consumer, instr.args[0], delta, True,
+                                       index + 2, consumer_out)
                 else:
-                    handler, desc = gen_store(consumer, instr.args[0], delta, True,
-                                              index + 2)
+                    handler = gen_store(consumer, instr.args[0], delta, True, index + 2)
             else:
                 cost = base_cost + branch_cost  # both halves, charged up front
                 handler = gen_cmp_branch(instr, consumer)
-                desc = None  # branches on its own: ends any block
-            return handler, cost, desc
+            return handler, cost
 
         if op is Opcode.LABEL or op is Opcode.NOP:
             cost = 0
             handler = _make_fallthrough(next_pc)
-            desc = ("label",)
 
         elif op is Opcode.JUMP:
             cost = branch_cost
-            target = labels[instr.attrs["target"]]
-            handler = _make_fallthrough(target)
-            desc = ("goto", target)
+            handler = _make_fallthrough(labels[instr.attrs["target"]])
 
         elif op is Opcode.CJUMP:
             cost = branch_cost
@@ -796,7 +766,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             raw = raw_operand(instr.args[0])
             if raw is not None and raw[0] == "slot":
                 _, slot, _, label = raw
-                desc = ("cjump_raw", slot, label, then_pc, else_pc)
 
                 def handler(frame, slot=slot, label=label, then_pc=then_pc, else_pc=else_pc):
                     condition = frame[slot]
@@ -804,9 +773,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                         return then_pc if condition else else_pc
                     raise InterpreterError(f"use of undefined temporary {label}")
             elif raw is not None:
-                target = then_pc if raw[1] else else_pc
-                handler = _make_fallthrough(target)
-                desc = ("goto", target)
+                handler = _make_fallthrough(then_pc if raw[1] else else_pc)
             else:
                 read_cond = reader(instr.args[0])
 
@@ -854,7 +821,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                         return stop
             else:
                 handler = _make_fallthrough(stop)
-                desc = ("goto", stop)
 
         elif op is Opcode.ALLOCA:
             slot = alloca_slots[index]
@@ -894,16 +860,13 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                         allocas[slot] = pointer
                     frame[out] = pointer
                     return next_pc
-            # Allocas mutate allocator state and the `allocations` golden
-            # metric, so they are charge points ("ext"), not deferred pures.
-            desc = ("ext", out)
 
         elif op is Opcode.LOAD:
-            handler, desc = gen_load(instr, instr.args[0], _NO_DELTA, False, next_pc,
-                                     dest if dest is not None else scratch)
+            handler = gen_load(instr, instr.args[0], _NO_DELTA, False, next_pc,
+                               dest if dest is not None else scratch)
 
         elif op is Opcode.STORE:
-            handler, desc = gen_store(instr, instr.args[0], _NO_DELTA, False, next_pc)
+            handler = gen_store(instr, instr.args[0], _NO_DELTA, False, next_pc)
 
         elif op is Opcode.GEP or op is Opcode.PTRADD:
             element_size = instr.attrs["element_size"] if op is Opcode.GEP else 1
@@ -914,8 +877,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 dkind, d1, d2, dlabel = ((1, raw[1] * element_size, 0, None)
                                          if raw[0] == "const"
                                          else (2, raw[1], element_size, raw[3]))
-                desc = (("ptrmove", pslot, pcoerce, dkind, d1, d2, dlabel, out)
-                        if pslot is not None else ("opaque", out))
 
                 def handler(frame, pslot=pslot, pcoerce=pcoerce, dkind=dkind, d1=d1,
                             d2=d2, dlabel=dlabel, out=out, next_pc=next_pc):
@@ -957,11 +918,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                         delta = (idx.value if type(idx) is IntVal else idx.address) * element_size
                         frame[out] = ptr_offset(pointer, delta)
                         return next_pc
-            # No model's ptr_offset/int_to_ptr raises, so pointer moves are
-            # pure non-trapping work: callable mid-block without dispatch
-            # (the inline variant above is emitted as block source instead).
-            if desc is None:
-                desc = ("opaque", out)
 
         elif op is Opcode.FIELD:
             field_type = instr.ctype.pointee if isinstance(instr.ctype, PointerType) else None
@@ -971,8 +927,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             out = dest if dest is not None else scratch
             if inline_field:
                 pslot, pcoerce = ptr_parts(instr.args[0])
-                desc = (("ptrmove", pslot, pcoerce, 1, offset, 0, None, out)
-                        if pslot is not None else ("opaque", out))
 
                 def handler(frame, pslot=pslot, pcoerce=pcoerce, offset=offset,
                             out=out, next_pc=next_pc):
@@ -993,8 +947,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                             field_address=field_address, out=out, next_pc=next_pc):
                     frame[out] = field_address(read_ptr(frame), offset, field_size)
                     return next_pc
-            if desc is None:
-                desc = ("opaque", out)
 
         elif op is Opcode.PTRDIFF:
             read_a = _ptr_reader(machine, instr.args[0], slot_types)
@@ -1002,7 +954,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             element_size = instr.attrs.get("element_size", 1)
             ptr_diff = model.ptr_diff
             out = dest if dest is not None else scratch
-            desc = ("ext", out)  # ptr_diff traps under CHERIv2: charge point
             if dest_type is not None:
                 def handler(frame, read_a=read_a, read_b=read_b, element_size=element_size,
                             ptr_diff=ptr_diff, out=out, next_pc=next_pc):
@@ -1029,7 +980,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 frame[out] = ptr_to_int(read_ptr(frame), bytes=width, signed=signed,
                                         pointer_sized=pointer_sized)
                 return next_pc
-            desc = ("opaque", out)
 
         elif op is Opcode.INTTOPTR:
             read_value = reader(instr.args[0])
@@ -1044,7 +994,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                     pointer = apply(pointer)
                 frame[out] = pointer
                 return next_pc
-            desc = ("opaque", out)
 
         elif op is Opcode.BITCAST:
             deconst = model.deconst if instr.attrs.get("deconst") else None
@@ -1056,7 +1005,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 # Raw pass-through: the analysis gave the destination the
                 # source's exact type, so the register value is unchanged.
                 _, slot, _, label = raw
-                desc = ("copy_raw", slot, label, out)
 
                 def handler(frame, slot=slot, label=label, out=out, next_pc=next_pc):
                     value = frame[slot]
@@ -1068,14 +1016,12 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 # Constant source with an unboxed destination: the raw
                 # register value is the constant itself, known at compile time.
                 const_raw = raw[1]
-                desc = ("const_raw", const_raw, out)
 
                 def handler(frame, const_raw=const_raw, out=out, next_pc=next_pc):
                     frame[out] = const_raw
                     return next_pc
             else:
                 read_value = reader(instr.args[0])
-                desc = ("opaque", out)
 
                 def handler(frame, read_value=read_value, deconst=deconst, appliers=appliers,
                             out=out, next_pc=next_pc):
@@ -1102,8 +1048,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 sign_min = SIGN_MIN[width] if signed else None
                 modulus = MODULI[width]
                 identity = (swidth, ssigned) == (width, signed)
-                desc = (("copy_raw", slot, label, out) if identity
-                        else ("intcast_raw", slot, label, width, signed, out))
 
                 def handler(frame, slot=slot, label=label, identity=identity, mask=mask,
                             sign_min=sign_min, modulus=modulus, out=out, next_pc=next_pc):
@@ -1120,14 +1064,12 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 # Constant source with an unboxed destination: fold the
                 # conversion at compile time.
                 const_raw = IntVal(raw[1], width, signed).value
-                desc = ("const_raw", const_raw, out)
 
                 def handler(frame, const_raw=const_raw, out=out, next_pc=next_pc):
                     frame[out] = const_raw
                     return next_pc
             else:
                 read_value = reader(instr.args[0])
-                desc = ("opaque", out)
 
                 def handler(frame, read_value=read_value, width=width, signed=signed,
                             pointer_sized=pointer_sized, out=out, next_pc=next_pc):
@@ -1144,9 +1086,9 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                     return next_pc
 
         elif op is Opcode.BINOP:
-            handler, desc = _make_binop(machine, instr, dest if dest is not None else scratch,
-                                        dest_type, slot_types, next_pc, propagate_provenance,
-                                        ptr_to_int, arg_raw_lists[index])
+            handler = _make_binop(machine, instr, dest if dest is not None else scratch,
+                                  dest_type, slot_types, next_pc, propagate_provenance,
+                                  ptr_to_int, arg_raw_lists[index], fast_noprov)
 
         elif op is Opcode.UNOP:
             negate = instr.attrs["operator"] == "neg"
@@ -1157,7 +1099,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 mask = MASKS[swidth]
                 sign_min = SIGN_MIN[swidth] if ssigned else None
                 modulus = MODULI[swidth]
-                desc = ("unop_raw", slot, label, negate, swidth, ssigned, out)
 
                 def handler(frame, slot=slot, label=label, negate=negate, mask=mask,
                             sign_min=sign_min, modulus=modulus, out=out, next_pc=next_pc):
@@ -1175,14 +1116,12 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 _, const_value, (swidth, ssigned), _label = raw
                 const_raw = IntVal(-const_value if negate else ~const_value,
                                    swidth, ssigned).value
-                desc = ("const_raw", const_raw, out)
 
                 def handler(frame, const_raw=const_raw, out=out, next_pc=next_pc):
                     frame[out] = const_raw
                     return next_pc
             else:
                 read_value = reader(instr.args[0])
-                desc = ("ext", out)  # may trap on a pointer operand: charge point
 
                 def handler(frame, read_value=read_value, negate=negate, out=out, next_pc=next_pc):
                     value = read_value(frame)
@@ -1193,50 +1132,43 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                     return next_pc
 
         elif op is Opcode.CMP:
-            handler, desc = _make_cmp(machine, instr, dest if dest is not None else scratch,
-                                      dest_type, slot_types, next_pc, inline_ptrcmp,
-                                      arg_raw_lists[index])
+            handler = _make_cmp(machine, instr, dest if dest is not None else scratch,
+                                dest_type, slot_types, next_pc, inline_ptrcmp,
+                                arg_raw_lists[index])
 
         elif op is Opcode.CALL:
             cost = call_cost
             handler = _make_call(machine, instr, dest, slot_types, next_pc)
-            desc = ("ext", dest)  # callee observes counters: charge point
 
         else:
             def handler(frame, op=op):
                 raise InterpreterError(f"unsupported IR opcode {op}")
 
-        return handler, cost, desc
+        return handler, cost
 
     nallocas = len(alloca_slots)
     handlers: list = []
     costs = []
-    descs = []
     for i in range(stop):
-        handler, cost, desc = build(i)
+        handler, cost = build(i)
         handlers.append(handler)
         costs.append(cost)
-        descs.append(desc)
     code = CompiledFunction(function, handlers, costs, nregs, nallocas)
     if SUPERINSTRUCTIONS and stop > 1:
-        if shared_blocks:
-            # Tiered binding: a sweep-style machine executes most functions
-            # once or twice, where block binding never amortizes.  The
-            # dispatch loop installs the artifact's cached plans when the
-            # function proves hot (see AbstractMachine._execute).
-            def install(code, machine=machine, function=function,
-                        handlers=handlers, costs=costs, artifact=artifact,
-                        timing=(base_cost, branch_cost, call_cost),
-                        fast_noprov=fast_noprov, inline_moves=inline_moves,
-                        inline_field=inline_field):
-                _install_shared_blocks(machine, function, code, handlers,
-                                       costs, artifact, timing, fast_noprov,
-                                       inline_moves, inline_field)
+        # Tiered binding: most functions of a one-shot program run once or
+        # twice, where block binding never amortizes.  The dispatch loop
+        # installs the artifact's cached plans when the function proves hot
+        # (see AbstractMachine._execute).
+        def install(code, machine=machine, function=function,
+                    handlers=handlers, costs=costs, artifact=artifact,
+                    timing=(base_cost, branch_cost, call_cost),
+                    fast_noprov=fast_noprov, inline_moves=inline_moves,
+                    inline_field=inline_field):
+            _install_shared_blocks(machine, function, code, handlers,
+                                   costs, artifact, timing, fast_noprov,
+                                   inline_moves, inline_field)
 
-            code.pending_blocks = install
-        else:
-            _install_superinstructions(machine, function, code, handlers, costs,
-                                       descs, fused, labels)
+        code.pending_blocks = install
     return code
 
 
@@ -1303,464 +1235,14 @@ def _install_shared_blocks(machine, function: Function, code: CompiledFunction,
         code.blocks.append((plan.start, plan.entries, plan.n_ir))
 
 
-def _install_superinstructions(machine, function: Function, code: CompiledFunction,
-                               handlers: list, costs: list, descs: list,
-                               fused: dict, labels: dict) -> None:
-    """Segment the handler list into basic blocks and fuse straight-line runs.
-
-    A block leader is pc 0, any label pc (the only possible branch targets),
-    or the entry after a block.  From each leader, consecutive straight-line
-    entries are gathered: inline-able raw ops and pure "opaque" handlers join
-    freely, trap-capable fixed-successor handlers ("ext": loads, stores,
-    calls, divisions, allocas, ``ptrdiff``) join as charge points, and the
-    first control transfer (branch, return, fused compare-and-branch) ends
-    the block.  Runs of two or more entries become one generated handler
-    installed at the leader pc; every non-leader pc keeps its per-instruction
-    handler, so branching into the middle of a block works unchanged.
-    """
-    n = len(handlers)
-    label_pcs = set(labels.values())
-    pc = 0
-    while pc < n:
-        members: list[int] = []
-        terminal = None
-        k = pc
-        while k < n:
-            d = descs[k]
-            if d is None or d[0] in ("goto", "cjump_raw"):
-                terminal = k
-                break
-            members.append(k)
-            step = 2 if k in fused else 1  # skip a fused pair's consumer slot
-            if len(members) >= _BLOCK_LIMIT or k + step >= n or (k + step) in label_pcs:
-                break
-            k += step
-        if terminal is not None:
-            span = members + [terminal]
-            next_pc = terminal + (2 if terminal in fused else 1)
-        else:
-            span = members
-            next_pc = (members[-1] + (2 if members[-1] in fused else 1)) if members else pc + 1
-        if len(span) >= 2:
-            handler, n_ir = _emit_block(machine, function, handlers, costs,
-                                        descs, fused, members, terminal, next_pc)
-            code.block_fallbacks[span[0]] = code.paired[span[0]]
-            code.paired[span[0]] = (handler, costs[span[0]])
-            code.blocks.append((span[0], len(span), n_ir))
-        pc = next_pc
-
-
-def _emit_block(machine, function: Function, handlers: list, costs: list,
-                descs: list, fused: dict, members: list, terminal: int | None,
-                fall_to: int):
-    """Generate the source for one superinstruction and compile it.
-
-    Counter exactness is preserved by *charge groups*: pure entries (which
-    cannot trap and touch nothing but the frame) run immediately but defer
-    their instruction/cost charges; every trap-capable entry flushes the
-    deferred charges plus its own — with one batched add and budget check —
-    **before** it executes.  At any point a trap can surface, the counters
-    therefore equal exactly what single-step dispatch would have charged.
-    When a batch would overrun the instruction budget, :func:`_budget_replay`
-    charges the group entry-by-entry and raises at the precise single-step
-    trap point.  (The leader's count/cost is charged by the dispatch loop
-    before the block handler runs, like any other handler's.)
-    """
-    span = members + [terminal] if terminal is not None else members
-    start = span[0]
-    n_ir = sum(2 if k in fused else 1 for k in span)
-
-    bindings = {"machine": machine, "InterpreterError": InterpreterError,
-                "budget_replay": _budget_replay, "fname": function.name}
-    lines: list[str] = []
-    emit = lines.append
-
-    profile = machine.block_profile
-    if profile is not None:
-        counter = [0]
-        profile[(function.name, start)] = {
-            "count": counter, "entries": len(span), "ir": n_ir}
-        bindings["BC"] = counter
-        emit("        BC[0] += 1")
-
-    #: slot index -> local variable (or parenthesised literal) holding the
-    #: slot's current raw value; threads values through the block's locals.
-    local_of: dict[int, str] = {}
-    #: slot index -> local variable known to hold that slot's PtrVal (after a
-    #: coerced read or an inline pointer move); lets consecutive pointer ops
-    #: on one register skip the frame read and type check.
-    ptr_local_of: dict[int, str] = {}
-    serial = [0]
-
-    def invalidate(slot) -> None:
-        if slot is not None:
-            local_of.pop(slot, None)
-            ptr_local_of.pop(slot, None)
-
-    def set_raw(out: int, var: str) -> None:
-        emit(f"        frame[{out}] = {var}")
-        local_of[out] = var
-        ptr_local_of.pop(out, None)
-    #: entries executed (pure) or pending (the next ext/terminal) whose
-    #: count/cost charges have not reached the machine counters yet.
-    pending: list[int] = []
-
-    def flush_charges(including: int | None) -> None:
-        entries = pending + ([including] if including is not None else [])
-        if not entries:
-            return
-        pending.clear()
-        group_cost = sum(costs[e] for e in entries)
-        serial[0] += 1
-        seq_name = f"cs{serial[0]}"
-        bindings[seq_name] = tuple(costs[e] for e in entries)
-        emit(f"        icount = machine.instructions + {len(entries)}")
-        emit("        if icount > machine.max_instructions:")
-        emit(f"            budget_replay(machine, {seq_name}, fname)")
-        emit("        machine.instructions = icount")
-        if group_cost:
-            emit(f"        machine.cycles += {group_cost}")
-
-    def fresh() -> str:
-        serial[0] += 1
-        return f"v{serial[0]}"
-
-    def read_raw(slot: int, label: str | None, message: str | None = None) -> str:
-        var = local_of.get(slot)
-        if var is not None:
-            return var
-        var = fresh()
-        if message is None:
-            message = f"use of undefined temporary {label}"
-        emit(f"        {var} = frame[{slot}]")
-        emit(f"        if type({var}) is not int:")
-        emit(f"            raise InterpreterError({message!r})")
-        local_of[slot] = var
-        return var
-
-    def read_ptr(pslot: int, pcoerce, k: int) -> str:
-        """Read a pointer register into a local (threaded across the block)."""
-        var = ptr_local_of.get(pslot)
-        if var is not None:
-            return var
-        var = fresh()
-        coerce_name = f"pco{k}"
-        bindings[coerce_name] = pcoerce
-        bindings["PtrVal"] = PtrVal
-        emit(f"        {var} = frame[{pslot}]")
-        emit(f"        if type({var}) is not PtrVal:")
-        emit(f"            {var} = {coerce_name}({var})")
-        ptr_local_of[pslot] = var
-        return var
-
-    def emit_scalar_mem(k: int, d: tuple) -> bool:
-        """Inline a scalar load/store body; False when the shape is not
-        eligible (pointer-typed accesses, overridden check policies, timing
-        disabled, ...) and the entry must stay a closure call.
-
-        The emitted operations mirror ``hotgen.load_body``/``store_body`` for
-        the same shape exactly — same checks, same counters, same fall-backs
-        — with the pointer register threaded through the block's locals.
-        """
-        _, out, op, shape, b = d
-        if op == "load":
-            (kind, pslot_inline, dkind, extra, check_kind, collect_timing_f,
-             inline_cache_f, _uses_shadow, _memo, _rec, _napp, fast_mem) = shape
-            if kind not in ("raw", "box"):
-                return False
-            is_write = False
-        else:
-            (kind, pslot_inline, dkind, extra, check_kind, collect_timing_f,
-             inline_cache_f, clear_shadow_f, _uses_shadow, value_mode,
-             coerce_f, _wide, fast_mem) = shape
-            if kind != "scalar":
-                return False
-            is_write = True
-        if not (pslot_inline and check_kind in (1, 2) and collect_timing_f
-                and inline_cache_f and fast_mem):
-            return False
-
-        for name in ("machine", "fname", "check_access", "l1_sets", "l1_stats",
-                     "l2_access", "hier", "hierarchy_access", "pages_get",
-                     "read_small", "write_small", "mem_pages", "mem_tags",
-                     "shadow_entries", "shadow_pages"):
-            bindings[name] = b[name]
-        size = b["size"]
-        pointer = read_ptr(b["pslot"], b["pcoerce"], k)
-        address = fresh()
-        if dkind == 0:
-            emit(f"        {address} = {pointer}.address")
-        elif dkind == 1:
-            bindings["M64"] = _ADDRESS_MASK
-            emit(f"        {address} = ({pointer}.address + ({b['d1']!r})) & M64")
-        else:
-            bindings["M64"] = _ADDRESS_MASK
-            index = read_raw(b["d1"], None, b["dmsg"])
-            emit(f"        {address} = ({pointer}.address + {index} * ({b['d2']!r})) & M64")
-        if extra:
-            # Fused second instruction: count it before any observable effect
-            # (its cycle cost is in the pair's costs[] entry, charged with
-            # the enclosing charge group).
-            counter = fresh()
-            emit(f"        machine.instructions = {counter} = machine.instructions + 1")
-            emit(f"        if {counter} > machine.max_instructions:")
-            emit("            raise InterpreterError(")
-            emit("                f'instruction budget of {machine.max_instructions} "
-                 "exhausted in {fname}')")
-
-        # Value to store is prepared before the access check, like store_body.
-        if is_write:
-            if value_mode == 0:
-                raw = f"({b['const_raw']!r})"
-            elif value_mode == 1:
-                value = read_raw(b["vslot"], None, b["vmsg"])
-                raw = fresh()
-                emit(f"        {raw} = {value} & ({b['comb_mask']!r})")
-            else:
-                reader_name = f"rv{k}"
-                bindings[reader_name] = b["read_value"]
-                value = fresh()
-                emit(f"        {value} = {reader_name}(frame)")
-                if coerce_f:
-                    bindings["ptr_to_int"] = b["ptr_to_int"]
-                    bindings["PtrVal"] = PtrVal
-                    emit(f"        if type({value}) is PtrVal:")
-                    emit(f"            {value} = ptr_to_int({value}, bytes={b['coerce_bytes']!r},"
-                         f" signed={b['coerce_signed']!r}, pointer_sized=False)")
-                bindings["IntVal"] = IntVal
-                raw = fresh()
-                emit(f"        {raw} = ({value}.unsigned if type({value}) is IntVal"
-                     f" else int({value})) & ({b['size_mask']!r})")
-
-        # Dereference check (same two known policies as hotgen._emit_check).
-        perm = 2 if is_write else 1
-        flag = "True" if is_write else "False"
-        if check_kind == 1:
-            obj = fresh()
-            emit(f"        {obj} = {pointer}.obj")
-            emit(f"        if not ({pointer}.tag and {pointer}.checked and {pointer}.perms & {perm}")
-            emit(f"                and {pointer}.base <= {address}")
-            emit(f"                and {address} + {size} <= {pointer}.base + {pointer}.length")
-            emit(f"                and ({obj} is None or not {obj}.freed)")
-            emit(f"                and not ({address} == 0 and {obj} is None)):")
-        else:
-            emit(f"        if {address} < 4096:")
-        if dkind:
-            emit(f"            {address} = check_access(PtrVal({address}, {pointer}.base,"
-                 f" {pointer}.length, {pointer}.obj, {pointer}.perms, {pointer}.tag,"
-                 f" {pointer}.checked), {size}, is_write={flag})")
-        else:
-            emit(f"            {address} = check_access({pointer}, {size}, is_write={flag})")
-        emit("        machine.memory_accesses += 1")
-
-        # Inline L1-hit timing (hotgen._emit_timing with literal latencies).
-        line = fresh()
-        latency = fresh()
-        cache_set = fresh()
-        tag = fresh()
-        counter_attr = "writes" if is_write else "reads"
-        emit(f"        {line} = {address} >> ({b['line_shift']!r})")
-        emit(f"        if ({address} + ({b['size_m1']!r})) >> ({b['line_shift']!r}) == {line}:")
-        emit(f"            {cache_set} = l1_sets[{line} & ({b['nsets_mask']!r})]")
-        emit(f"            {tag} = {line} >> ({b['nsets_shift']!r})")
-        emit(f"            l1_stats.{counter_attr} += 1")
-        emit(f"            if {tag} in {cache_set}:")
-        emit(f"                del {cache_set}[{tag}]")
-        emit(f"                {cache_set}[{tag}] = 0")
-        emit("                l1_stats.hits += 1")
-        emit(f"                {latency} = ({b['lat_l1']!r})")
-        emit("            else:")
-        emit("                l1_stats.misses += 1")
-        emit(f"                if len({cache_set}) >= ({b['assoc']!r}):")
-        emit(f"                    del {cache_set}[next(iter({cache_set}))]")
-        emit(f"                {cache_set}[{tag}] = 0")
-        emit(f"                {latency} = ({b['lat_l1'] + b['lat_l2']!r})")
-        emit(f"                if not l2_access({line} << ({b['line_shift']!r}), is_write={flag}):")
-        emit("                    hier.dram_accesses += 1")
-        emit(f"                    {latency} += ({b['lat_dram']!r})")
-        emit(f"            hier.stall_cycles += {latency}")
-        emit(f"            machine.cycles += {latency}")
-        emit("        else:")
-        emit(f"            machine.cycles += hierarchy_access({address}, {size}, is_write={flag})")
-
-        offset = fresh()
-        page = fresh()
-        emit(f"        {offset} = {address} & ({b['page_mask']!r})")
-        if is_write:
-            if clear_shadow_f:
-                key = fresh()
-                emit("        if shadow_entries:")
-                emit(f"            for {key} in range({address} - {address} % 8, {address} + {size}, 8):")
-                emit(f"                if {key} in shadow_entries:")
-                emit(f"                    del shadow_entries[{key}]")
-                emit(f"                    shadow_pages[{key} >> {PAGE_SHIFT}].discard({key})")
-            pack_name = f"pk{k}"
-            bindings[pack_name] = b["mem_pack"]
-            emit(f"        if not mem_tags and {offset} + {size} <= ({b['page_size']!r})"
-                 f" and 0 <= {address} and {address} + {size} <= ({b['mem_size']!r}):")
-            emit(f"            {page} = pages_get({address} >> ({b['page_shift']!r}))")
-            emit(f"            if {page} is None:")
-            emit(f"                {page} = mem_pages[{address} >> ({b['page_shift']!r})]"
-                 f" = bytearray({b['page_size']!r})")
-            emit(f"            {pack_name}({page}, {offset}, {raw})")
-            emit("        else:")
-            emit(f"            write_small({address}, {size}, {raw})")
-        else:
-            unpack_name = f"up{k}"
-            bindings[unpack_name] = b["mem_unpack"]
-            raw = fresh()
-            emit(f"        if {offset} + {size} <= ({b['page_size']!r})"
-                 f" and 0 <= {address} and {address} + {size} <= ({b['mem_size']!r}):")
-            emit(f"            {page} = pages_get({address} >> ({b['page_shift']!r}))")
-            emit(f"            {raw} = 0 if {page} is None else {unpack_name}({page}, {offset})[0]")
-            emit("        else:")
-            emit(f"            {raw} = read_small({address}, {size}, {b['signed']!r})")
-            if kind == "raw":
-                set_raw(out, raw)
-            else:
-                table_name = f"T{k}"
-                bindings[table_name] = b["table"]
-                bindings["IntVal"] = IntVal
-                emit(f"        frame[{out}] = ({table_name}[{raw} - ({INTERN_MIN})]"
-                     f" if {INTERN_MIN} <= {raw} <= {INTERN_MAX}"
-                     f" else IntVal({raw}, {size}, {b['signed']!r}))")
-                invalidate(out)
-        return True
-
-    def operand(kind: str, payload, label) -> str:
-        if kind == "slot":
-            return read_raw(payload, label)
-        return f"({payload!r})"
-
-    def wrap(expr: str, width: int, signed: bool) -> str:
-        """Emit width wrapping of ``expr`` into a fresh local; return it."""
-        var = fresh()
-        emit(f"        {var} = {expr} & {MASKS[width]}")
-        if signed:
-            emit(f"        if {var} >= {SIGN_MIN[width]}:")
-            emit(f"            {var} -= {MODULI[width]}")
-        return var
-
-    for position, k in enumerate(members):
-        d = descs[k]
-        kind = d[0]
-        if kind == "ext" or kind == "mem":
-            # Trap-capable fixed-successor entry: flush deferred charges
-            # plus this entry's own before it runs (the leader's charge was
-            # already applied by the dispatch loop).  Scalar loads/stores are
-            # emitted in line (threading the pointer register through the
-            # block's locals); pointer-typed accesses and unusual shapes stay
-            # closure calls — their shared code objects are hot and
-            # well-specialized, and splicing their large bodies into every
-            # block measured slower at workload scale.
-            flush_charges(None if position == 0 else k)
-            if kind == "mem" and emit_scalar_mem(k, d):
-                continue
-            name = f"h{k}"
-            bindings[name] = handlers[k]
-            emit(f"        {name}(frame)")
-            invalidate(d[1])
-            continue
-        if position > 0:
-            pending.append(k)
-        if kind == "label":
-            continue
-        if kind == "opaque":
-            name = f"h{k}"
-            bindings[name] = handlers[k]
-            emit(f"        {name}(frame)")
-            invalidate(d[1])
-        elif kind == "ptrmove":
-            _, pslot, pcoerce, dkind, d1, d2, dlabel, out = d
-            p = read_ptr(pslot, pcoerce, k)
-            if dkind == 1:
-                address = f"({p}.address + ({d1!r})) & M64"
-            else:
-                index = read_raw(d1, dlabel)
-                address = f"({p}.address + {index} * ({d2!r})) & M64"
-            bindings["PtrVal"] = PtrVal
-            bindings["M64"] = _ADDRESS_MASK
-            var = fresh()
-            emit(f"        {var} = PtrVal({address}, {p}.base, {p}.length,"
-                 f" {p}.obj, {p}.perms, {p}.tag, {p}.checked)")
-            emit(f"        frame[{out}] = {var}")
-            ptr_local_of[out] = var
-            local_of.pop(out, None)
-        elif kind == "const_raw":
-            _, value, out = d
-            set_raw(out, f"({value!r})")
-        elif kind == "copy_raw":
-            _, slot, label, out = d
-            set_raw(out, read_raw(slot, label))
-        elif kind == "intcast_raw":
-            _, slot, label, width, signed, out = d
-            set_raw(out, wrap(read_raw(slot, label), width, signed))
-        elif kind == "unop_raw":
-            _, slot, label, negate, width, signed, out = d
-            source = read_raw(slot, label)
-            set_raw(out, wrap(f"({'-' if negate else '~'}{source})", width, signed))
-        elif kind == "binop_raw":
-            (_, lkind, lpayload, llabel, rkind, rpayload, rlabel,
-             operator, width, signed, dest_mode, out) = d
-            a = operand(lkind, lpayload, llabel)
-            b = operand(rkind, rpayload, rlabel)
-            var = wrap(_BINOP_EXPR[operator].format(a=a, b=b), width, signed)
-            if dest_mode == 0:
-                set_raw(out, var)
-            elif dest_mode == 1:
-                table_name = f"T{k}"
-                bindings[table_name] = intern_table(width, signed)
-                bindings["IntVal"] = IntVal
-                emit(f"        frame[{out}] = ({table_name}[{var} - ({INTERN_MIN})]"
-                     f" if {INTERN_MIN} <= {var} <= {INTERN_MAX}"
-                     f" else IntVal({var}, {width}, {signed}))")
-                invalidate(out)
-            else:
-                bindings["IntVal"] = IntVal
-                emit(f"        frame[{out}] = IntVal({var}, {width}, {signed}, None, True)")
-                invalidate(out)
-        elif kind == "cmp_raw":
-            (_, lkind, lpayload, llabel, rkind, rpayload, rlabel,
-             operator, raw_dest, out) = d
-            a = operand(lkind, lpayload, llabel)
-            b = operand(rkind, rpayload, rlabel)
-            condition = f"{a} {operator} {b}"
-            if raw_dest:
-                var = fresh()
-                emit(f"        {var} = 1 if {condition} else 0")
-                set_raw(out, var)
-            else:
-                bindings["TRUE"] = _TRUE
-                bindings["FALSE"] = _FALSE
-                emit(f"        frame[{out}] = TRUE if {condition} else FALSE")
-                invalidate(out)
-        else:  # pragma: no cover - descriptor/emitter mismatch is a bug
-            raise InterpreterError(f"unknown block descriptor {d!r}")
-
-    if terminal is None:
-        flush_charges(None)
-        emit(f"        return {fall_to}")
-    else:
-        d = descs[terminal]
-        flush_charges(None if terminal == start else terminal)
-        if d is not None and d[0] == "goto":
-            emit(f"        return {d[1]}")
-        elif d is not None and d[0] == "cjump_raw":
-            _, slot, label, then_pc, else_pc = d
-            var = read_raw(slot, label)
-            emit(f"        return {then_pc} if {var} else {else_pc}")
-        else:
-            name = f"h{terminal}"
-            bindings[name] = handlers[terminal]
-            emit(f"        return {name}(frame)")
-
-    handler = compile_block(lines, bindings, f"{function.name}+{start}")
-    return handler, n_ir
-
-
 def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
-                propagate_provenance, ptr_to_int, arg_raws):
-    """Compile a BINOP; returns ``(handler, block_descriptor)``."""
+                propagate_provenance, ptr_to_int, arg_raws, fast_noprov: bool):
+    """Compile a BINOP.
+
+    ``fast_noprov``: the model keeps the base provenance hook (no source ->
+    None), so the hook may be skipped for provenance-free operands; a model
+    that overrides it gets called unconditionally.
+    """
     operator = instr.attrs["operator"]
     target = instr.ctype
     ctx = machine.ctx
@@ -1770,10 +1252,6 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
     is_division = operator in ("/", "%")
     fast_op = _INT_BINOPS.get(operator)
     is_div_op = operator == "/"
-    # Skipping the provenance hook for provenance-free operands is only valid
-    # for the base implementation (no source -> None); a model that overrides
-    # the hook gets called unconditionally.
-    fast_noprov = type(machine.model).propagate_provenance is MemoryModel.propagate_provenance
 
     if fast_op is None and not is_division:
         read_left = _reader(machine, instr.args[0], slot_types)
@@ -1783,7 +1261,7 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
             read_left(frame)
             read_right(frame)
             raise InterpreterError(f"unknown binary operator {operator!r}")
-        return handler, None
+        return handler
 
     raw_left, raw_right = arg_raws
     if raw_left is not None and raw_right is not None and fast_noprov:
@@ -1833,14 +1311,7 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
                 frame[out] = IntVal(wrapped, width, signed)
             return next_pc
 
-        if is_division:
-            # Division by zero is a program-level trap: charge point.
-            desc = ("ext", out)
-        else:
-            dest_mode = 0 if dest_type is not None else 2 if pointer_sized else 1
-            desc = ("binop_raw", lkind, lpayload, llabel, rkind, rpayload,
-                    rlabel, operator, width, signed, dest_mode, out)
-        return handler, desc
+        return handler
 
     # Generic path: inline boxed Temp reads (the common case — e.g. summing
     # call results) and fall back to reader closures for everything else.
@@ -1903,17 +1374,12 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
         frame[out] = result.value if dest_type is not None else result
         return next_pc
 
-    # The generic non-division handler touches no hook that can trap when the
-    # model keeps the base provenance policy, so its charge can be deferred;
-    # division (or an overridden provenance hook) makes it a charge point.
-    if fast_noprov and not is_division:
-        return handler, ("opaque", out)
-    return handler, ("ext", out)
+    return handler
 
 
 def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
               inline_ptrcmp: bool, arg_raws):
-    """Compile a CMP; returns ``(handler, block_descriptor)``."""
+    """Compile a CMP."""
     operator = instr.attrs["operator"]
     compare = _CMP_FUNCS.get(operator)
     ptr_compare = machine.model.ptr_compare
@@ -1925,7 +1391,7 @@ def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
             read_left(frame)
             read_right(frame)
             raise KeyError(operator)
-        return handler, None
+        return handler
 
     raw_left, raw_right = arg_raws
     raw_dest = dest_type is not None
@@ -1952,8 +1418,7 @@ def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
                 frame[out] = _TRUE if compare(a, b) else _FALSE
             return next_pc
 
-        return handler, ("cmp_raw", lkind, lpayload, llabel, rkind, rpayload,
-                         rlabel, operator, raw_dest, out)
+        return handler
 
     read_left = _reader(machine, instr.args[0], slot_types)
     read_right = _reader(machine, instr.args[1], slot_types)
@@ -1974,9 +1439,7 @@ def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
             frame[out] = _TRUE if result else _FALSE
         return next_pc
 
-    # ptr_compare is only a dict lookup in the base model; a model that
-    # overrides it could trap, making the comparison a charge point.
-    return handler, (("opaque", out) if inline_ptrcmp else ("ext", out))
+    return handler
 
 
 def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):

@@ -344,7 +344,7 @@ def test_engine_fallback_is_observationally_identical():
 
     def run(arm):
         module = compile_source(source)
-        machine = AbstractMachine(module, "pdp11", shared_blocks=True)
+        machine = AbstractMachine(module, "pdp11")
         if arm:
             machine.arm_engine_fault(InjectedEngineError)
         return machine.run()

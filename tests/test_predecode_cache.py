@@ -1,14 +1,15 @@
 """Guardrails for the predecode-artifact cache and shared block binding.
 
-PR 5 split ``interp/predecode.py::compile_function`` into a model-independent
+``interp/predecode.py::compile_function`` is split into a model-independent
 artifact (``interp/artifact.py``, cached process-wide per ``(function,
 pointer layout)``) plus a per-machine binding step, with shared
 superinstruction plans bound lazily once a function proves hot.  These tests
 pin the three contracts that make the split safe:
 
-* **observational identity** — the golden-metrics observables are
-  bit-identical with shared blocks on and off, across all seven models,
-  including instruction budgets exhausting mid-block;
+* **observational identity** — the golden-metrics observables hold with
+  every function block-bound, and every instruction budget traps exactly
+  where the single-step reference engine (``predecode.SUPERINSTRUCTIONS =
+  False``) traps, across all seven models;
 * **the cache actually hits** — a differential mini-sweep reuses one
   artifact per (function, layout) across every model of that layout;
 * **no cross-machine leakage** — two machines with different models bound
@@ -21,6 +22,8 @@ import pytest
 
 from repro.core.api import compile_for_model
 from repro.difftest import DifferentialRunner, classify_sweep, generate_corpus, summarize
+from repro.interp import machine as machine_module
+from repro.interp import predecode
 from repro.interp.artifact import ARTIFACTS, get_artifact
 from repro.interp.machine import AbstractMachine
 from repro.interp.models import PAPER_MODEL_ORDER, get_model
@@ -43,10 +46,19 @@ def observables(result) -> dict:
     )
 
 
-def run_shared(source: str, model_name: str, **kwargs):
+def run_source(source: str, model_name: str, **kwargs):
     model = get_model(model_name)
     module = compile_for_model(source, model)
-    return AbstractMachine(module, model, shared_blocks=True, **kwargs).run()
+    return AbstractMachine(module, model, **kwargs).run()
+
+
+def run_single_step(module, model, **kwargs):
+    """Run on the single-step reference engine (no superinstructions)."""
+    predecode.SUPERINSTRUCTIONS = False
+    try:
+        return AbstractMachine(module, model, **kwargs).run()
+    finally:
+        predecode.SUPERINSTRUCTIONS = True
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +68,16 @@ def run_shared(source: str, model_name: str, **kwargs):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("model", PAPER_MODEL_ORDER)
-def test_shared_blocks_match_golden_metrics(workload: str, model: str) -> None:
-    """The exact goldens pinned for the specialized engine hold verbatim on
-    a shared-blocks machine (same counters, output, traps, checkpoints)."""
+def test_shared_blocks_match_golden_metrics(workload: str, model: str,
+                                           monkeypatch) -> None:
+    """The goldens hold verbatim with every function block-bound (same
+    counters, output, traps, checkpoints).  ``test_metrics_golden`` runs
+    with tiered binding, where a ``main`` that runs once stays single-step;
+    binding at the first call puts every function's body through the
+    shared block plans."""
+    monkeypatch.setattr(machine_module, "HOT_CALL_THRESHOLD", 1)
     expected = GOLDEN[f"{workload}/{model}"]
-    observed = observables(run_shared(WORKLOADS[workload](), model))
+    observed = observables(run_source(WORKLOADS[workload](), model))
     observed.pop("trap_text")
     assert observed == expected
 
@@ -89,11 +106,11 @@ int main(void) {
 
 
 @pytest.mark.parametrize("model", PAPER_MODEL_ORDER)
-def test_budget_exhaustion_identical_in_both_modes(model: str) -> None:
+def test_budget_exhaustion_identical_in_both_modes(model: str, monkeypatch) -> None:
     """Budgets landing at *every* point of the program — including inside
-    hot (block-compiled) code and on the consumer half of fused
-    pointer-move/memory pairs, where restricted fusion once diverged by one
-    cycle — must trap with identical counters in both modes."""
+    block-bound code and on the consumer half of fused pointer-move/memory
+    pairs, where restricted fusion once diverged by one cycle — must trap
+    with the single-step reference engine's counters."""
     from repro.difftest import generate_program
 
     source = generate_program(7, 3).source
@@ -102,31 +119,32 @@ def test_budget_exhaustion_identical_in_both_modes(model: str) -> None:
     full = AbstractMachine(module, get_model(model)).run().instructions
     # exhaustive on the three distinct charging shapes (pdp11's check
     # policy, strict's mem fusion, cheri_v2's no-fusion layout); strided
-    # elsewhere to keep tier-1 fast
+    # elsewhere to keep tier-1 fast.  Every function binds its blocks at
+    # its first call, so one-shot code is block-bound too.
     stride = 1 if model in ("pdp11", "strict", "cheri_v2") else 7
-    for budget in range(1, full + 2, stride):
-        specialized = AbstractMachine(module, get_model(model),
+    with monkeypatch.context() as patch:
+        patch.setattr(machine_module, "HOT_CALL_THRESHOLD", 1)
+        for budget in range(1, full + 2, stride):
+            stepped = run_single_step(module, get_model(model), max_instructions=budget)
+            blocked = AbstractMachine(module, get_model(model),
                                       max_instructions=budget).run()
-        shared = AbstractMachine(module, get_model(model),
-                                 max_instructions=budget, shared_blocks=True).run()
-        assert observables(specialized) == observables(shared), budget
+            assert observables(stepped) == observables(blocked), budget
 
-    # and the hot-helper case: the trap lands inside bound block plans
-    hot_full = AbstractMachine(compile_for_model(HOT_SOURCE, resolved),
-                               get_model(model), shared_blocks=True).run()
+    # and the hot-helper case under tiered binding: the trap lands inside
+    # block plans bound mid-run
+    hot_full = run_source(HOT_SOURCE, model)
     budget = hot_full.instructions // 2
-    specialized = AbstractMachine(compile_for_model(HOT_SOURCE, resolved), get_model(model),
-                                  max_instructions=budget).run()
-    shared = AbstractMachine(compile_for_model(HOT_SOURCE, resolved), get_model(model),
-                             max_instructions=budget, shared_blocks=True).run()
-    assert observables(specialized) == observables(shared)
-    assert shared.trap is not None and "instruction budget" in str(shared.trap)
+    stepped = run_single_step(compile_for_model(HOT_SOURCE, resolved), get_model(model),
+                              max_instructions=budget)
+    blocked = run_source(HOT_SOURCE, model, max_instructions=budget)
+    assert observables(stepped) == observables(blocked)
+    assert blocked.trap is not None and "instruction budget" in str(blocked.trap)
 
 
 def test_hot_functions_get_blocks_and_cold_ones_do_not() -> None:
     model = get_model("pdp11")
     module = compile_for_model(HOT_SOURCE, model)
-    machine = AbstractMachine(module, model, shared_blocks=True)
+    machine = AbstractMachine(module, model)
     machine.run()
     by_name = {code.function.name: code
                for code in machine._code_cache.values()}
@@ -191,24 +209,23 @@ def test_no_cross_machine_state_leakage() -> None:
     """Two machines with *different models* bound against the same shared
     artifacts, run interleaved, behave exactly like solo runs."""
     source = WORKLOADS["sub_idiom"]()
-    solo = {name: observables(run_shared(source, name))
+    solo = {name: observables(run_source(source, name))
             for name in ("pdp11", "strict", "cheri_v2")}
 
     # Interleaved: one module per layout, machines sharing artifacts.
     module8 = compile_for_model(source, get_model("pdp11"))
     module32 = compile_for_model(source, get_model("cheri_v2"))
     machines = {
-        "pdp11": AbstractMachine(module8, get_model("pdp11"), shared_blocks=True),
-        "strict": AbstractMachine(module8, get_model("strict"), shared_blocks=True),
-        "cheri_v2": AbstractMachine(module32, get_model("cheri_v2"), shared_blocks=True),
+        "pdp11": AbstractMachine(module8, get_model("pdp11")),
+        "strict": AbstractMachine(module8, get_model("strict")),
+        "cheri_v2": AbstractMachine(module32, get_model("cheri_v2")),
     }
     interleaved = {name: observables(machine.run())
                    for name, machine in machines.items()}
     assert interleaved == solo
     # and running a second strict machine against the now-warm artifacts
     # still reproduces the solo observables
-    again = AbstractMachine(compile_for_model(source, get_model("strict")),
-                            get_model("strict"), shared_blocks=True).run()
+    again = run_source(source, "strict")
     assert observables(again) == solo["strict"]
 
 
@@ -229,7 +246,7 @@ def test_reoptimizing_a_function_invalidates_its_artifact() -> None:
 def test_provenance_overriding_model_identical_in_both_modes() -> None:
     """A model that overrides propagate_provenance must see every operand:
     shared blocks demote its arithmetic to charge-point closure calls and
-    stay observationally identical to the specialized engine."""
+    stay observationally identical to the single-step reference engine."""
     from repro.interp.models.strict import StrictModel
 
     class TracingStrict(StrictModel):
@@ -240,16 +257,18 @@ def test_provenance_overriding_model_identical_in_both_modes() -> None:
             TracingStrict.calls += 1
             return super().propagate_provenance(left, right, result)
 
-    def run(shared: bool):
+    def run(blocks: bool):
         model = TracingStrict()
         module = compile_for_model(HOT_SOURCE, model)
-        return AbstractMachine(module, model, shared_blocks=shared).run()
+        if blocks:
+            return AbstractMachine(module, model).run()
+        return run_single_step(module, model)
 
-    specialized = observables(run(False))
-    hook_calls_specialized = TracingStrict.calls
+    stepped = observables(run(False))
+    hook_calls_stepped = TracingStrict.calls
     TracingStrict.calls = 0
-    shared = observables(run(True))
-    assert specialized == shared
-    assert specialized["trap"] is None
+    blocked = observables(run(True))
+    assert stepped == blocked
+    assert stepped["trap"] is None
     # the overridden hook really ran, equally often, in both modes
-    assert TracingStrict.calls == hook_calls_specialized > 0
+    assert TracingStrict.calls == hook_calls_stepped > 0

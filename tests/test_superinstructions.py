@@ -1,7 +1,7 @@
-"""Engine-equivalence tests for basic-block superinstruction compilation.
+"""Engine-equivalence tests for basic-block superinstructions.
 
-The block compiler batches instruction-count/cycle charges per charge group
-and threads raw register values through generated locals.  These tests pin
+Block handlers batch instruction-count/cycle charges per charge group and
+thread raw register values through generated locals.  These tests pin
 that this is **observationally identical** to single-step dispatch — same
 counters, output, traps — on every memory model, including the two places
 where batching could plausibly diverge:
@@ -11,6 +11,10 @@ where batching could plausibly diverge:
 * instruction-budget exhaustion landing *inside* a block must trap at the
   same instruction, with the same counts, as the single-step loop (the
   generated handlers fall back to per-entry charge replay for this).
+
+Blocks normally bind at a function's ``HOT_CALL_THRESHOLD``-th call, so a
+``main`` that runs once would stay single-step and the comparison would be
+vacuous; every test here lowers the threshold to 1 so every function binds.
 """
 
 from __future__ import annotations
@@ -18,9 +22,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.api import compile_for_model
+from repro.interp import machine as machine_module
 from repro.interp import predecode
 from repro.interp.machine import AbstractMachine
 from repro.interp.models import PAPER_MODEL_ORDER, get_model
+
+
+@pytest.fixture(autouse=True)
+def bind_blocks_at_first_call(monkeypatch):
+    """Every function binds its block plans on its first call."""
+    monkeypatch.setattr(machine_module, "HOT_CALL_THRESHOLD", 1)
 
 #: arithmetic + memory + calls + a trap under CHERIv2 (pointer subtraction).
 WORKLOADS = {
