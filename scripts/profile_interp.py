@@ -2,8 +2,7 @@
 """Profile the abstract-machine interpreter over one workload/model pair.
 
 Perf PRs should start from data, not guesses: this helper runs cProfile over
-``AbstractMachine.run`` (compilation excluded, like the throughput benchmark)
-and prints the top functions by cumulative time, so the next optimization
+``AbstractMachine.run`` (compilation excluded) and prints the top functions by cumulative time, so the next optimization
 target is visible immediately.  See PERFORMANCE.md ("Profiling workflow").
 
 Usage::
@@ -34,8 +33,9 @@ from repro.core.api import compile_for_model
 from repro.interp.machine import AbstractMachine
 from repro.interp.models import get_model
 
-#: workload name -> zero-argument callable producing mini-C source.  The sizes
-#: match benchmarks/test_perf_interp.py so profiles explain benchmark numbers.
+#: workload name -> zero-argument callable producing mini-C source.  Confirm
+#: what a profile suggests with the benchmark, ``perfbench/run.py``, whose
+#: ``figures`` workload runs these kernels at the paper's sizes.
 WORKLOADS = {
     "treeadd": lambda: _treeadd(),
     "bisort": lambda: _bisort(),

@@ -4,8 +4,8 @@ One generated program is **parsed once** (tokens and AST are pointer-layout
 independent), **lowered once per pointer layout** (the seven registered
 models share two: 8-byte integer pointers and 32-byte capabilities), then
 replayed under every model with a per-run instruction budget.  Every model
-of a layout binds the same process-cached predecode artifact
-(:mod:`repro.interp.artifact`) instead of re-predecoding per machine, and
+of a layout binds the same predecode artifact, stored on each IR function
+(:mod:`repro.interp.artifact`), instead of re-predecoding per machine, and
 superinstructions bind only in functions that prove hot — the sweep is
 compile-bound, not execution-bound.  Cycle accounting is off by default
 (the oracle classifies on architectural observables, not simulated time),
@@ -123,9 +123,9 @@ class DifferentialRunner:
                 with timed_span(tracer, sink, "stage.analyze"):
                     out.analysis = analyze_module(module)
             for name in selected:
-                # Every model of this layout binds the same cached
-                # predecode artifact (slot analysis, fusion, block code
-                # objects) instead of re-predecoding per machine.
+                # Every model of this layout binds the same predecode
+                # artifact (slot analysis, fusion, raw handlers, block
+                # plans) instead of re-predecoding per machine.
                 with timed_span(tracer, sink, "stage.predecode", model=name):
                     machine = AbstractMachine(
                         module, get_model(name),

@@ -94,8 +94,7 @@ def _cache_counters() -> dict[str, int]:
     """
     from repro.interp.artifact import ARTIFACTS
     return {f"cache.artifact.{key}": value
-            for key, value in ARTIFACTS.stats().items()
-            if key != "entries"}
+            for key, value in ARTIFACTS.stats().items()}
 
 
 def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,

@@ -1,46 +1,55 @@
-"""Model-independent predecode artifacts with a process-level cache.
+"""Model-independent predecode artifacts, stored on the function they describe.
 
-:func:`repro.interp.predecode.compile_function` used to recompute everything
-from scratch once **per machine** — so the differential runner's 7-model
-replay predecoded the same IR functions seven times per program.  This module
-factors out the half of that work that is derivable from the IR and the
-pointer layout alone, independent of which memory model will execute it:
+:func:`repro.interp.predecode.compile_function` binds one IR function to one
+machine.  This module owns the half of that work that is derivable from the
+IR and the pointer layout alone, independent of which memory model will
+execute it:
 
 * the instruction-stream facts (label index, register-file and alloca-slot
   sizes, temp use counts);
 * the **slot-type fixpoint** (:func:`analyze_slots`) that decides which
-  register slots carry raw Python ints;
+  register slots carry raw Python ints, and the per-operand raw descriptors
+  derived from it (:meth:`PredecodeArtifact.arg_raws`);
 * the **pair-fusion** prepass (parameterized by the model's inline-move
   policy flags, memoized per flag combination);
-* **basic-block superinstruction plans**: block segmentation plus
-  generated source and compiled code objects in which raw-register work is
-  spliced as straight-line Python and every model-specialized entry (memory
-  ops, calls, pointer moves) is a closure-call slot bound later.
+* the **per-pc descriptor table**: the one classification of every pc as
+  raw-register work (labels, gotos, raw casts, arithmetic and compares) or
+  a model-specialized entry, plus the per-policy **cycle-cost lists**; the
+  binding step and the block planner both read these;
+* the **raw handlers**: one frame-only closure per raw-register pc, built
+  from the descriptor table and shared by every machine of the layout;
+* **basic-block superinstruction plans**: block segmentation plus a
+  generated ``make(B) -> handler`` factory per block in which raw-register
+  work is spliced as straight-line Python and every model-specialized entry
+  (memory ops, calls, pointer moves) is a closure-call slot bound later.
 
-A :class:`PredecodeArtifact` is cached process-wide in :data:`ARTIFACTS`,
-keyed by ``(function identity, pointer layout)`` (an LRU bounded at
-:data:`CACHE_LIMIT` entries; see ``docs/pipeline.md`` for the invalidation
-rules).  The per-machine *binding* step in :mod:`repro.interp.predecode`
-closes the artifact over one concrete machine's model, memory and cache
-state: per-instruction handlers are built against the shared analysis
-results, and once a function proves hot the machine instantiates the
-artifact's cached block code objects with per-machine bindings — no block
-source is generated or ``compile()``-d per machine.
+A :class:`PredecodeArtifact` is stored on its :class:`~repro.minic.ir.Function`
+(``Function._artifact``).  :func:`get_artifact` checks the layout context,
+the identity and length of ``function.instrs`` and the function's mutation
+counter on every call, and replaces a stale artifact.  The artifact keeps the
+instruction list and the function's name, never the function itself, so the
+two form no reference cycle: an artifact is freed with its function.
+:data:`ARTIFACTS` only counts hits, misses and evictions (stale artifacts
+replaced); see ``docs/pipeline.md`` for the invalidation rules.  The
+per-machine *binding* step in :mod:`repro.interp.predecode` closes the
+artifact over one concrete machine's model, memory and cache state.
 
 Sharing is observationally safe by construction: the analysis inputs that
-vary per model (``fast_noprov``, the inline-move flags) are part of the memo
-keys, and blocks only change *charge batching granularity* — every
-trap-capable entry still flushes all deferred charges before it executes, so
-counters at any trap point equal single-step dispatch exactly
+vary per model (``fast_noprov``, the inline-move flags, the timing costs) are
+part of the memo keys, and blocks only change *charge batching granularity*
+— every trap-capable entry still flushes all deferred charges before it
+executes, so counters at any trap point equal single-step dispatch exactly
 (``tests/test_superinstructions.py`` and ``tests/test_predecode_cache.py``
 pin this across all seven models).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import partial
+from typing import NamedTuple
 
-from repro.interp.hotgen import block_code, block_source
+from repro.common.errors import InterpreterError, UndefinedBehaviorError
+from repro.interp.hotgen import block_make, block_source
 from repro.interp.values import (
     INTERN_MAX,
     INTERN_MIN,
@@ -88,6 +97,17 @@ BINOP_EXPR = {
     ">>": "({a} >> ({b} & 63))",
 }
 
+
+def divide(quotient_only: bool, a: int, b: int) -> int:
+    """C ``/`` (``quotient_only``) or ``%`` of two ints: truncates toward
+    zero; dividing by zero is undefined behaviour, trapped."""
+    if b == 0:
+        raise UndefinedBehaviorError("integer division by zero")
+    quotient = abs(a) // abs(b)
+    signed_quotient = quotient if (a >= 0) == (b >= 0) else -quotient
+    return signed_quotient if quotient_only else a - signed_quotient * b
+
+
 #: canonical comparison operators (same contract as INT_BINOPS).
 CMP_FUNCS = {
     "==": lambda a, b: a == b,
@@ -113,7 +133,19 @@ def scalar_int_type(ctype, ctx) -> tuple[int, bool] | None:
     return None
 
 
-def analyze_slots(function: Function, ctx, fast_noprov: bool) -> dict[int, tuple[int, bool]]:
+def _const_type(ctype, ctx) -> tuple[int, bool] | None:
+    """(width, signed) of an integer constant of ``ctype``; None when it
+    must stay boxed (a pointer or pointer-sized integer)."""
+    if isinstance(ctype, PointerType):
+        return None
+    if isinstance(ctype, IntType):
+        if ctype.is_pointer_sized:
+            return None
+        return (min(ctype.size(ctx), 8), ctype.signed)
+    return (8, True)
+
+
+def analyze_slots(instrs: list, ctx, fast_noprov: bool) -> dict[int, tuple[int, bool]]:
     """Map temp index -> (width, signed) for slots that can go unboxed.
 
     A slot qualifies when **every** instruction writing it produces a
@@ -126,16 +158,6 @@ def analyze_slots(function: Function, ctx, fast_noprov: bool) -> dict[int, tuple
     proven provenance-free at compile time.
     """
 
-    def const_type(operand: Const) -> tuple[int, bool] | None:
-        ctype = operand.ctype
-        if isinstance(ctype, PointerType):
-            return None
-        if isinstance(ctype, IntType):
-            if ctype.is_pointer_sized:
-                return None
-            return (min(ctype.size(ctx), 8), getattr(ctype, "signed", True))
-        return (8, True)
-
     def raw_safe(operand, prev) -> bool:
         kind = type(operand)
         if kind is Temp:
@@ -143,7 +165,7 @@ def analyze_slots(function: Function, ctx, fast_noprov: bool) -> dict[int, tuple
             # "never written" (reading it raises either way).
             return prev.get(operand.index, True) is not None
         if kind is Const:
-            return const_type(operand) is not None
+            return _const_type(operand.ctype, ctx) is not None
         return False
 
     def writer_type(instr, prev) -> tuple[int, bool] | None:
@@ -160,13 +182,13 @@ def analyze_slots(function: Function, ctx, fast_noprov: bool) -> dict[int, tuple
                     or not all(raw_safe(a, prev) for a in instr.args)):
                 return None
             return target
-        if op is Opcode.UNOP:
+        if op is Opcode.UNOP or op is Opcode.BITCAST:
             source = instr.args[0]
             if type(source) is Temp:
                 t = prev.get(source.index)
                 return t if isinstance(t, tuple) else None
             if type(source) is Const:
-                return const_type(source)
+                return _const_type(source.ctype, ctx)
             return None
         if op is Opcode.INTCAST:
             target = instr.ctype
@@ -175,21 +197,13 @@ def analyze_slots(function: Function, ctx, fast_noprov: bool) -> dict[int, tuple
             if not raw_safe(instr.args[0], prev):
                 return None
             return (min(target.size(ctx), 8), getattr(target, "signed", True))
-        if op is Opcode.BITCAST:
-            source = instr.args[0]
-            if type(source) is Temp:
-                t = prev.get(source.index)
-                return t if isinstance(t, tuple) else None
-            if type(source) is Const:
-                return const_type(source)
-            return None
         return None
 
-    instrs = [instr for instr in function.instrs if instr.dest is not None]
+    writers = [instr for instr in instrs if instr.dest is not None]
     prev: dict[int, tuple[int, bool] | None] = {}
-    for _ in range(len(instrs) + 1):
+    for _ in range(len(writers) + 1):
         cur: dict[int, tuple[int, bool] | None] = {}
-        for instr in instrs:
+        for instr in writers:
             t = writer_type(instr, prev)
             index = instr.dest.index
             if index in cur and cur[index] != t:
@@ -216,20 +230,18 @@ def raw_operand(operand, ctx, slot_types):
             return None
         return ("slot", operand.index + FRAME_RESERVED, t, str(operand))
     if kind is Const:
-        ctype = operand.ctype
-        if isinstance(ctype, PointerType):
+        t = _const_type(operand.ctype, ctx)
+        if t is None:
             return None
-        size = ctype.size(ctx) if isinstance(ctype, IntType) else 8
-        if isinstance(ctype, IntType) and ctype.is_pointer_sized:
-            return None
-        signed = getattr(ctype, "signed", True)
-        hoisted = IntVal(operand.value, bytes=min(size, 8), signed=signed)
-        return ("const", hoisted.value, (hoisted.bytes, hoisted.signed), None)
+        return ("const", IntVal(operand.value, *t).value, t, None)
     return None
 
 
-def _move_delta(instr, ctx, slot_types, inline_moves: bool, inline_field: bool):
-    """Delta descriptor when ``instr`` is an inlineable pointer move."""
+def move_delta(instr, raws: tuple, inline_moves: bool, inline_field: bool):
+    """Delta descriptor when ``instr`` is an inlineable pointer move.
+
+    ``raws`` are the instruction's :meth:`PredecodeArtifact.arg_raws`.
+    """
     op = instr.op
     if op is Opcode.FIELD:
         if not inline_field:
@@ -239,7 +251,7 @@ def _move_delta(instr, ctx, slot_types, inline_moves: bool, inline_field: bool):
         if not inline_moves:
             return None
         element_size = instr.attrs["element_size"] if op is Opcode.GEP else 1
-        raw = raw_operand(instr.args[1], ctx, slot_types)
+        raw = raws[1]
         if raw is None:
             return None
         if raw[0] == "const":
@@ -248,7 +260,7 @@ def _move_delta(instr, ctx, slot_types, inline_moves: bool, inline_field: bool):
     return None
 
 
-def compute_fusion(function: Function, ctx, slot_types, use_counts,
+def compute_fusion(instrs: list, arg_raws: list, use_counts,
                    inline_moves: bool, inline_field: bool) -> dict[int, tuple]:
     """Producer index -> ("mem", delta) or ("cmp",) pair-fusion decisions.
 
@@ -258,7 +270,6 @@ def compute_fusion(function: Function, ctx, slot_types, use_counts,
     costs up front, so the decisions are part of the observable charging
     protocol.
     """
-    instrs = function.instrs
     fused: dict[int, tuple] = {}
     i = 0
     while i < len(instrs) - 1:
@@ -269,7 +280,7 @@ def compute_fusion(function: Function, ctx, slot_types, use_counts,
                 and nxt.args and type(nxt.args[0]) is Temp
                 and nxt.args[0].index == dest.index):
             if nxt.op is Opcode.LOAD or nxt.op is Opcode.STORE:
-                delta = _move_delta(instr, ctx, slot_types, inline_moves, inline_field)
+                delta = move_delta(instr, arg_raws[i], inline_moves, inline_field)
                 if delta is not None:
                     fused[i] = ("mem", delta)
                     i += 2
@@ -284,67 +295,45 @@ def compute_fusion(function: Function, ctx, slot_types, use_counts,
 
 
 # ---------------------------------------------------------------------------
-# Generic block descriptors
+# Per-pc descriptors, costs and raw handlers
 # ---------------------------------------------------------------------------
 
 
-def _generic_descs_and_costs(function: Function, ctx, slot_types, fused,
-                             labels, timing: tuple[int, int, int], scratch: int,
-                             fast_noprov: bool):
-    """Per-instruction (descriptor, cost) lists for the block planner.
+def _descriptors(instrs: list, ctx, labels: dict, slot_types: dict,
+                 arg_raws: list, scratch: int, fast_noprov: bool) -> list:
+    """Per-pc descriptors for unfused instructions (the one classification).
 
-    Mirrors the binding step's cost rules exactly and classifies every entry
-    model-independently: raw-register work keeps its splice descriptor, every
+    Raw-register work (``label``, ``goto``, ``cjump_raw``, ``const_raw``,
+    ``copy_raw``, ``intcast_raw``, ``unop_raw``, ``binop_raw``,
+    ``cmp_raw``) gets a descriptor that touches nothing but the frame: the
+    block planner splices it as straight-line Python and
+    :func:`_raw_handler` builds its single-step closure.  Every
     model-specialized entry (memory op, call, alloca, pointer move, boxed
-    compare, ...) becomes a conservative closure-call slot — ``("ext", out)``
-    when it may trap (a charge point), ``("opaque", out)`` when no model's
-    hook can raise.  Flushing charges at every charge point is always exact:
-    single-step dispatch charges every entry before it runs.
+    compare, ...) becomes a conservative closure-call slot —
+    ``("ext", out)`` when it may trap (a charge point), ``("opaque", out)``
+    when no model's hook can raise — and None marks a terminal closure call
+    (boxed branch, valued return, unknown opcode).  Flushing charges at
+    every charge point is always exact: single-step dispatch charges every
+    entry before it runs.
     """
-    instrs = function.instrs
-    base_cost, branch_cost, call_cost = timing
     stop = len(instrs)
     descs: list = []
-    costs: list = []
-
-    for index, instr in enumerate(instrs):
+    for instr, raws in zip(instrs, arg_raws):
         op = instr.op
-        dest = instr.dest.index + FRAME_RESERVED if instr.dest is not None else None
-        dest_type = slot_types.get(instr.dest.index) if instr.dest is not None else None
+        dest = dest_type = None
+        if instr.dest is not None:
+            dest = instr.dest.index + FRAME_RESERVED
+            dest_type = slot_types.get(instr.dest.index)
         out = dest if dest is not None else scratch
-        cost = base_cost
         desc = None
-        fusion = fused.get(index)
-
-        if fusion is not None:
-            if fusion[0] == "mem":
-                # Fused pointer-move + memory pair: both halves' costs are
-                # charged up front (matching the binding step exactly); the
-                # pair handler is a closure-call charge point that writes
-                # the consumer's destination.
-                cost = base_cost + base_cost
-                consumer = instrs[index + 1]
-                if consumer.op is Opcode.LOAD:
-                    cdest = (consumer.dest.index + FRAME_RESERVED
-                             if consumer.dest is not None else scratch)
-                    desc = ("ext", cdest)
-                else:
-                    desc = ("ext", None)
-            else:
-                # Fused cmp+cjump: a branch, so it terminates any block.
-                cost = base_cost + branch_cost
-                desc = None
-        elif op is Opcode.LABEL or op is Opcode.NOP:
-            cost = 0
+        if op is Opcode.LABEL or op is Opcode.NOP:
             desc = ("label",)
         elif op is Opcode.JUMP:
-            cost = branch_cost
             desc = ("goto", labels[instr.attrs["target"]])
         elif op is Opcode.CJUMP:
-            cost = branch_cost
             then_pc = labels[instr.attrs["then"]]
             else_pc = labels[instr.attrs["else"]]
-            raw = raw_operand(instr.args[0], ctx, slot_types)
+            raw = raws[0]
             if raw is not None and raw[0] == "slot":
                 desc = ("cjump_raw", raw[1], raw[3], then_pc, else_pc)
             elif raw is not None:
@@ -353,16 +342,13 @@ def _generic_descs_and_costs(function: Function, ctx, slot_types, fused,
             if not instr.args:
                 desc = ("goto", stop)
         elif op is Opcode.BINOP:
-            desc = _generic_binop_desc(instr, ctx, slot_types, dest_type, out,
-                                       fast_noprov)
+            desc = _binop_desc(instr, ctx, raws, dest_type, out, fast_noprov)
         elif op is Opcode.CMP:
-            desc = _generic_cmp_desc(instr, ctx, slot_types, dest_type, out)
+            desc = _cmp_desc(instr, raws, dest_type, out)
         elif op is Opcode.UNOP:
-            desc = _generic_unop_desc(instr, ctx, slot_types, dest_type, out)
-        elif op is Opcode.INTCAST:
-            desc = _generic_intcast_desc(instr, ctx, slot_types, dest_type, out)
-        elif op is Opcode.BITCAST:
-            desc = _generic_bitcast_desc(instr, ctx, slot_types, dest_type, out)
+            desc = _unop_desc(instr, raws, dest_type, out)
+        elif op is Opcode.INTCAST or op is Opcode.BITCAST:
+            desc = _cast_desc(instr, ctx, raws[0], dest_type, out)
         elif op in (Opcode.GEP, Opcode.PTRADD, Opcode.FIELD,
                     Opcode.PTRTOINT, Opcode.INTTOPTR):
             # Pointer moves and conversions: no model's hook for these raises
@@ -370,50 +356,47 @@ def _generic_descs_and_costs(function: Function, ctx, slot_types, fused,
             # closure calls.
             desc = ("opaque", out)
         elif op is Opcode.CALL:
-            cost = call_cost
             desc = ("ext", dest)
         elif op in (Opcode.LOAD, Opcode.ALLOCA, Opcode.PTRDIFF):
             desc = ("ext", out)
         elif op is Opcode.STORE:
             desc = ("ext", None)
-        # anything else (unknown opcode): terminal closure call (desc None).
-
         descs.append(desc)
-        costs.append(cost)
-    return descs, costs
+    return descs
 
 
-def _generic_binop_desc(instr, ctx, slot_types, dest_type, out, fast_noprov):
+def _binop_desc(instr, ctx, raws, dest_type, out, fast_noprov):
     operator = instr.attrs["operator"]
     is_division = operator in ("/", "%")
     if operator not in INT_BINOPS and not is_division:
         return None  # unknown operator: the handler raises
-    if is_division or not fast_noprov:
-        # Division by zero is a program-level trap, and an overridden
-        # provenance hook must see every operand (and may itself raise):
-        # both make the binding step's handler a closure-call charge point.
+    if not fast_noprov:
+        # An overridden provenance hook must see every operand (and may
+        # itself raise): the binding step's handler is a charge point.
         return ("ext", out)
-    raw_left = raw_operand(instr.args[0], ctx, slot_types)
-    raw_right = raw_operand(instr.args[1], ctx, slot_types)
+    raw_left, raw_right = raws
+    if raw_left is None or raw_right is None:
+        # The boxed path cannot trap under fast_noprov, except by dividing.
+        return ("ext", out) if is_division else ("opaque", out)
     target = instr.ctype
     width = min(target.size(ctx), 8) if target is not None else 8
     signed = getattr(target, "signed", True)
     pointer_sized = isinstance(target, IntType) and target.is_pointer_sized
-    if raw_left is None or raw_right is None:
-        return ("opaque", out)  # boxed path: non-trapping under fast_noprov
     lkind, lpayload, _lt, llabel = raw_left
     rkind, rpayload, _rt, rlabel = raw_right
     dest_mode = 0 if dest_type is not None else 2 if pointer_sized else 1
-    return ("binop_raw", lkind, lpayload, llabel, rkind, rpayload, rlabel,
-            operator, width, signed, dest_mode, out)
+    raw = ("binop_raw", lkind, lpayload, llabel, rkind, rpayload, rlabel,
+           operator, width, signed, dest_mode, out)
+    # Division by zero traps, so raw division is a charge point in blocks
+    # that carries the raw descriptor of its single-step handler.
+    return ("ext", out, raw) if is_division else raw
 
 
-def _generic_cmp_desc(instr, ctx, slot_types, dest_type, out):
+def _cmp_desc(instr, raws, dest_type, out):
     operator = instr.attrs["operator"]
     if operator not in CMP_FUNCS:
         return None
-    raw_left = raw_operand(instr.args[0], ctx, slot_types)
-    raw_right = raw_operand(instr.args[1], ctx, slot_types)
+    raw_left, raw_right = raws
     if raw_left is None or raw_right is None:
         # Boxed comparison may consult the model's ptr_compare hook:
         # conservatively a charge point.
@@ -424,13 +407,15 @@ def _generic_cmp_desc(instr, ctx, slot_types, dest_type, out):
             operator, dest_type is not None, out)
 
 
-def _generic_unop_desc(instr, ctx, slot_types, dest_type, out):
+def _unop_desc(instr, raws, dest_type, out):
     negate = instr.attrs["operator"] == "neg"
-    raw = raw_operand(instr.args[0], ctx, slot_types)
+    raw = raws[0]
     if raw is not None and raw[0] == "slot" and dest_type is not None:
         _, slot, (swidth, ssigned), label = raw
         return ("unop_raw", slot, label, negate, swidth, ssigned, out)
     if raw is not None and dest_type is not None:
+        # Constant operand: fold at compile time (same wrapping as
+        # IntVal.with_value).
         _, const_value, (swidth, ssigned), _label = raw
         const_raw = IntVal(-const_value if negate else ~const_value,
                            swidth, ssigned).value
@@ -438,29 +423,183 @@ def _generic_unop_desc(instr, ctx, slot_types, dest_type, out):
     return ("ext", out)  # may trap on a pointer operand
 
 
-def _generic_intcast_desc(instr, ctx, slot_types, dest_type, out):
-    target = instr.ctype
-    width = min(target.size(ctx), 8)
-    signed = getattr(target, "signed", True)
-    raw = raw_operand(instr.args[0], ctx, slot_types)
-    if raw is not None and raw[0] == "slot" and dest_type is not None:
-        _, slot, (swidth, ssigned), label = raw
-        if (swidth, ssigned) == (width, signed):
-            return ("copy_raw", slot, label, out)
-        return ("intcast_raw", slot, label, width, signed, out)
-    if raw is not None and dest_type is not None:
+def _cast_desc(instr, ctx, raw, dest_type, out):
+    if raw is None or dest_type is None:
+        return ("opaque", out)
+    if instr.op is Opcode.BITCAST:
+        # An unboxed destination was given the source's exact type.
+        width, signed = raw[2]
+    else:
+        width = min(instr.ctype.size(ctx), 8)
+        signed = getattr(instr.ctype, "signed", True)
+    if raw[0] == "const":
         return ("const_raw", IntVal(raw[1], width, signed).value, out)
-    return ("opaque", out)
+    if raw[2] == (width, signed):
+        return ("copy_raw", raw[1], raw[3], out)
+    return ("intcast_raw", raw[1], raw[3], width, signed, out)
 
 
-def _generic_bitcast_desc(instr, ctx, slot_types, dest_type, out):
-    raw = raw_operand(instr.args[0], ctx, slot_types)
-    if raw is not None and raw[0] == "slot" and dest_type is not None:
-        _, slot, _, label = raw
-        return ("copy_raw", slot, label, out)
-    if raw is not None and dest_type is not None:
-        return ("const_raw", raw[1], out)
-    return ("opaque", out)
+def _costs(instrs: list, fused: dict, timing: tuple[int, int, int]) -> list:
+    """Per-pc cycle costs the dispatch loop charges before each handler.
+
+    A fused pair charges both halves up front at its producer pc; the
+    consumer keeps its own (unreachable) entry so pc layout is unchanged.
+    """
+    base_cost, branch_cost, call_cost = timing
+    costs = []
+    for instr in instrs:
+        op = instr.op
+        if op is Opcode.LABEL or op is Opcode.NOP:
+            costs.append(0)
+        elif op is Opcode.JUMP or op is Opcode.CJUMP:
+            costs.append(branch_cost)
+        elif op is Opcode.CALL:
+            costs.append(call_cost)
+        else:
+            costs.append(base_cost)
+    for index, fusion in fused.items():
+        costs[index] = base_cost + (base_cost if fusion[0] == "mem" else branch_cost)
+    return costs
+
+
+def _wrapping(width: int, signed: bool) -> tuple:
+    """(mask, sign_min or None, modulus) for inline two's-complement wrapping."""
+    return MASKS[width], (SIGN_MIN[width] if signed else None), MODULI[width]
+
+
+def _raw_handler(desc: tuple, next_pc: int):
+    """The single-step handler for one raw-register descriptor.
+
+    Raw handlers read and write nothing but the frame, so every machine of a
+    layout shares them (see :meth:`PredecodeArtifact.raw_handlers`).
+    """
+    kind = desc[0]
+    if kind == "ext" and len(desc) == 3:
+        desc = desc[2]  # raw division
+        kind = desc[0]
+    if kind == "label" or kind == "goto":
+        target = next_pc if kind == "label" else desc[1]
+        return lambda frame: target
+    if kind == "cjump_raw":
+        _, slot, label, then_pc, else_pc = desc
+
+        def handler(frame, slot=slot, label=label, then_pc=then_pc, else_pc=else_pc):
+            condition = frame[slot]
+            if type(condition) is int:
+                return then_pc if condition else else_pc
+            raise InterpreterError(f"use of undefined temporary {label}")
+        return handler
+    if kind == "const_raw":
+        _, const_raw, out = desc
+
+        def handler(frame, const_raw=const_raw, out=out, next_pc=next_pc):
+            frame[out] = const_raw
+            return next_pc
+        return handler
+    if kind == "copy_raw":
+        _, slot, label, out = desc
+
+        def handler(frame, slot=slot, label=label, out=out, next_pc=next_pc):
+            value = frame[slot]
+            if type(value) is not int:
+                raise InterpreterError(f"use of undefined temporary {label}")
+            frame[out] = value
+            return next_pc
+        return handler
+    if kind == "intcast_raw":
+        _, slot, label, width, signed, out = desc
+        mask, sign_min, modulus = _wrapping(width, signed)
+
+        def handler(frame, slot=slot, label=label, mask=mask, sign_min=sign_min,
+                    modulus=modulus, out=out, next_pc=next_pc):
+            value = frame[slot]
+            if type(value) is not int:
+                raise InterpreterError(f"use of undefined temporary {label}")
+            value &= mask
+            if sign_min is not None and value >= sign_min:
+                value -= modulus
+            frame[out] = value
+            return next_pc
+        return handler
+    if kind == "unop_raw":
+        _, slot, label, negate, width, signed, out = desc
+        mask, sign_min, modulus = _wrapping(width, signed)
+
+        def handler(frame, slot=slot, label=label, negate=negate, mask=mask,
+                    sign_min=sign_min, modulus=modulus, out=out, next_pc=next_pc):
+            value = frame[slot]
+            if type(value) is not int:
+                raise InterpreterError(f"use of undefined temporary {label}")
+            value = (-value if negate else ~value) & mask
+            if sign_min is not None and value >= sign_min:
+                value -= modulus
+            frame[out] = value
+            return next_pc
+        return handler
+    if kind == "binop_raw":
+        (_, lkind, lpayload, llabel, rkind, rpayload, rlabel,
+         operator, width, signed, dest_mode, out) = desc
+        # Fully unboxed arithmetic: raw ints in, wrapping inlined from the
+        # mask tables; the result is boxed (through the intern pool) only
+        # when the destination slot is boxed.
+        fast_op = INT_BINOPS.get(operator) or partial(divide, operator == "/")
+        mask, sign_min, modulus = _wrapping(width, signed)
+        table = intern_table(width, signed) if dest_mode == 1 else None
+        pointer_sized = dest_mode == 2
+
+        def handler(frame, fast_op=fast_op, mask=mask, sign_min=sign_min, modulus=modulus,
+                    table=table, out=out, next_pc=next_pc):
+            if lkind == "slot":
+                a = frame[lpayload]
+                if type(a) is not int:
+                    raise InterpreterError(f"use of undefined temporary {llabel}")
+            else:
+                a = lpayload
+            if rkind == "slot":
+                b = frame[rpayload]
+                if type(b) is not int:
+                    raise InterpreterError(f"use of undefined temporary {rlabel}")
+            else:
+                b = rpayload
+            wrapped = fast_op(a, b) & mask
+            if sign_min is not None and wrapped >= sign_min:
+                wrapped -= modulus
+            if table is None:
+                if pointer_sized:
+                    frame[out] = IntVal(wrapped, width, signed, None, True)
+                else:
+                    frame[out] = wrapped
+            elif INTERN_MIN <= wrapped <= INTERN_MAX:
+                frame[out] = table[wrapped - INTERN_MIN]
+            else:
+                frame[out] = IntVal(wrapped, width, signed)
+            return next_pc
+        return handler
+    if kind == "cmp_raw":
+        (_, lkind, lpayload, llabel, rkind, rpayload, rlabel,
+         operator, raw_dest, out) = desc
+        compare = CMP_FUNCS[operator]
+
+        def handler(frame, compare=compare, out=out, raw_dest=raw_dest, next_pc=next_pc):
+            if lkind == "slot":
+                a = frame[lpayload]
+                if type(a) is not int:
+                    raise InterpreterError(f"use of undefined temporary {llabel}")
+            else:
+                a = lpayload
+            if rkind == "slot":
+                b = frame[rpayload]
+                if type(b) is not int:
+                    raise InterpreterError(f"use of undefined temporary {rlabel}")
+            else:
+                b = rpayload
+            if raw_dest:
+                frame[out] = 1 if compare(a, b) else 0
+            else:
+                frame[out] = TRUE_I32 if compare(a, b) else FALSE_I32
+            return next_pc
+        return handler
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -468,24 +607,21 @@ def _generic_bitcast_desc(instr, ctx, slot_types, dest_type, out):
 # ---------------------------------------------------------------------------
 
 
-class BlockPlan:
-    """One shared superinstruction: cached code plus its binding manifest."""
+class BlockPlan(NamedTuple):
+    """One shared superinstruction: its handler factory plus binding manifest."""
 
-    __slots__ = ("start", "entries", "n_ir", "code", "consts", "handler_indices")
-
-    def __init__(self, start: int, entries: int, n_ir: int, code,
-                 consts: dict, handler_indices: tuple[int, ...]) -> None:
-        self.start = start
-        self.entries = entries
-        self.n_ir = n_ir
-        self.code = code
-        #: model-independent bindings (intern tables, charge tuples, TRUE/FALSE).
-        self.consts = consts
-        #: handler list indices a binding step must supply as ``h<k>``.
-        self.handler_indices = handler_indices
+    start: int
+    entries: int
+    n_ir: int
+    #: ``make(B) -> handler`` (:func:`repro.interp.hotgen.block_make`).
+    make: object
+    #: model-independent bindings (intern tables, charge tuples, TRUE/FALSE).
+    consts: dict
+    #: handler list indices a binding step must supply as ``h<k>``.
+    handler_indices: tuple
 
 
-def _plan_blocks(function: Function, descs: list, costs: list, fused: dict,
+def _plan_blocks(name: str, descs: list, costs: list, fused: dict,
                  labels: dict, profiled: bool) -> list[BlockPlan]:
     """Segment into basic blocks and emit a shared plan per eligible run.
 
@@ -520,16 +656,16 @@ def _plan_blocks(function: Function, descs: list, costs: list, fused: dict,
             span = members
             next_pc = (members[-1] + (2 if members[-1] in fused else 1)) if members else pc + 1
         if len(span) >= 2:
-            plans.append(_emit_generic_block(function, descs, costs, fused,
+            plans.append(_emit_generic_block(name, descs, costs, fused,
                                              members, terminal, next_pc, profiled))
         pc = next_pc
     return plans
 
 
-def _emit_generic_block(function: Function, descs: list, costs: list,
+def _emit_generic_block(name: str, descs: list, costs: list,
                         fused: dict, members: list, terminal: int | None,
                         fall_to: int, profiled: bool) -> BlockPlan:
-    """Generate and compile the model-independent source for one block.
+    """Generate the model-independent source for one block and its factory.
 
     Counters stay exact through *charge groups*: pure entries (which cannot
     trap and touch nothing but the frame) run immediately but defer their
@@ -698,40 +834,41 @@ def _emit_generic_block(function: Function, descs: list, costs: list,
     names += [f"h{k}" for k in indices]
     if profiled:
         names.append("BC")
-    source = block_source(lines, names)
-    code = block_code(source, f"{function.name}+{start}@shared")
-    return BlockPlan(start, len(span), n_ir, code, consts, indices)
+    make = block_make(block_source(lines, names), f"{name}+{start}")
+    return BlockPlan(start, len(span), n_ir, make, consts, indices)
 
 
 # ---------------------------------------------------------------------------
-# The artifact and its cache
+# The artifact and its counters
 # ---------------------------------------------------------------------------
 
 
 class PredecodeArtifact:
     """Everything about one IR function derivable from IR + pointer layout."""
 
-    __slots__ = ("function", "ctx", "instrs", "ninstrs", "mutations",
-                 "labels", "use_counts", "nregs", "nallocas", "scratch",
-                 "_slot_types", "_fusions", "_plans", "_arg_raws")
+    __slots__ = ("name", "ctx", "instrs", "ninstrs", "mutations",
+                 "labels", "use_counts", "nregs", "alloca_slots", "scratch",
+                 "_slot_types", "_fusions", "_plans", "_arg_raws",
+                 "_descs", "_costs", "_raw_handlers")
 
     def __init__(self, function: Function, ctx) -> None:
-        self.function = function
+        self.name = function.name
         self.ctx = ctx
         #: snapshots of the instruction stream the artifact was computed
-        #: from; the cache verifies list identity, length *and* the
-        #: function's in-place mutation counter on every hit, so replacing
-        #: ``function.instrs`` or re-running an optimizer pass (which bumps
-        #: the counter via ``invalidate_label_index``) invalidates
+        #: from; :func:`get_artifact` verifies list identity, length *and*
+        #: the function's in-place mutation counter on every call, so
+        #: replacing ``function.instrs`` or re-running an optimizer pass
+        #: (which bumps the counter via ``invalidate_label_index``) replaces
         #: everything derived from it.
         self.instrs = function.instrs
         self.ninstrs = len(function.instrs)
         self.mutations = function.mutations
         self.labels = function.label_index()
         max_temp = -1
-        nallocas = 0
+        #: pc -> alloca slot index, assigned in pc order.
+        alloca_slots: dict[int, int] = {}
         use_counts: dict[int, int] = {}
-        for instr in function.instrs:
+        for pc, instr in enumerate(function.instrs):
             if instr.dest is not None and instr.dest.index > max_temp:
                 max_temp = instr.dest.index
             for arg in instr.args:
@@ -740,35 +877,38 @@ class PredecodeArtifact:
                         max_temp = arg.index
                     use_counts[arg.index] = use_counts.get(arg.index, 0) + 1
             if instr.op is Opcode.ALLOCA:
-                nallocas += 1
+                alloca_slots[pc] = len(alloca_slots)
         self.use_counts = use_counts
         # One extra frame slot beyond the temps: a scratch slot for
         # dest-less ops.
         self.nregs = max_temp + 2
-        self.nallocas = nallocas
+        self.alloca_slots = alloca_slots
         self.scratch = max_temp + 1 + FRAME_RESERVED
         self._slot_types: dict[bool, dict] = {}
         self._fusions: dict[tuple, dict] = {}
         self._plans: dict[tuple, list[BlockPlan]] = {}
         self._arg_raws: dict[bool, list[tuple]] = {}
+        self._descs: dict[bool, list] = {}
+        self._costs: dict[tuple, list[int]] = {}
+        self._raw_handlers: dict[bool, list] = {}
 
     def slot_types(self, fast_noprov: bool) -> dict[int, tuple[int, bool]]:
         """The slot-type fixpoint, memoized per provenance-hook policy."""
         cached = self._slot_types.get(fast_noprov)
         if cached is None:
-            cached = analyze_slots(self.function, self.ctx, fast_noprov)
+            cached = analyze_slots(self.instrs, self.ctx, fast_noprov)
             self._slot_types[fast_noprov] = cached
         return cached
 
     def arg_raws(self, fast_noprov: bool) -> list[tuple]:
         """Per-instruction raw-operand descriptors (:func:`raw_operand`),
-        memoized so the per-machine binding step stops recomputing them."""
+        memoized so the per-machine binding step never recomputes them."""
         cached = self._arg_raws.get(fast_noprov)
         if cached is None:
             slot_types = self.slot_types(fast_noprov)
             ctx = self.ctx
             cached = [tuple(raw_operand(arg, ctx, slot_types) for arg in instr.args)
-                      for instr in self.function.instrs]
+                      for instr in self.instrs]
             self._arg_raws[fast_noprov] = cached
         return cached
 
@@ -778,10 +918,45 @@ class PredecodeArtifact:
         key = (inline_moves, inline_field, fast_noprov)
         cached = self._fusions.get(key)
         if cached is None:
-            cached = compute_fusion(self.function, self.ctx,
-                                    self.slot_types(fast_noprov),
+            cached = compute_fusion(self.instrs, self.arg_raws(fast_noprov),
                                     self.use_counts, inline_moves, inline_field)
             self._fusions[key] = cached
+        return cached
+
+    def descriptors(self, fast_noprov: bool) -> list:
+        """The per-pc descriptor table (:func:`_descriptors`), unfused."""
+        cached = self._descs.get(fast_noprov)
+        if cached is None:
+            cached = _descriptors(self.instrs, self.ctx, self.labels,
+                                  self.slot_types(fast_noprov),
+                                  self.arg_raws(fast_noprov), self.scratch,
+                                  fast_noprov)
+            self._descs[fast_noprov] = cached
+        return cached
+
+    def costs(self, timing: tuple[int, int, int], inline_moves: bool,
+              inline_field: bool, fast_noprov: bool) -> list[int]:
+        """Per-pc cycle costs, memoized per (timing, fusion policy).
+
+        Read-only: every machine of the policy dispatches from this list.
+        """
+        key = (timing, inline_moves, inline_field, fast_noprov)
+        cached = self._costs.get(key)
+        if cached is None:
+            cached = _costs(self.instrs,
+                            self.fusion(inline_moves, inline_field, fast_noprov),
+                            timing)
+            self._costs[key] = cached
+        return cached
+
+    def raw_handlers(self, fast_noprov: bool) -> list:
+        """Per-pc shared single-step handlers for raw-register descriptors
+        (None at every other pc), memoized per provenance-hook policy."""
+        cached = self._raw_handlers.get(fast_noprov)
+        if cached is None:
+            cached = [None if desc is None else _raw_handler(desc, pc + 1)
+                      for pc, desc in enumerate(self.descriptors(fast_noprov))]
+            self._raw_handlers[fast_noprov] = cached
         return cached
 
     def block_plans(self, timing: tuple[int, int, int], fast_noprov: bool,
@@ -797,76 +972,64 @@ class PredecodeArtifact:
         key = (timing, fast_noprov, profiled, inline_moves, inline_field)
         cached = self._plans.get(key)
         if cached is None:
-            slot_types = self.slot_types(fast_noprov)
             fused = self.fusion(inline_moves, inline_field, fast_noprov)
-            descs, costs = _generic_descs_and_costs(
-                self.function, self.ctx, slot_types, fused, self.labels,
-                timing, self.scratch, fast_noprov)
-            cached = _plan_blocks(self.function, descs, costs, fused,
+            descs = list(self.descriptors(fast_noprov))
+            for index, fusion in fused.items():
+                # A fused pointer-move + memory pair is a closure-call
+                # charge point writing the consumer's destination; a fused
+                # cmp + cjump is a branch, so it terminates its block.
+                consumer = self.instrs[index + 1]
+                if fusion[0] != "mem":
+                    descs[index] = None
+                elif consumer.op is Opcode.LOAD:
+                    descs[index] = ("ext", consumer.dest.index + FRAME_RESERVED
+                                    if consumer.dest is not None else self.scratch)
+                else:
+                    descs[index] = ("ext", None)
+            costs = self.costs(timing, inline_moves, inline_field, fast_noprov)
+            cached = _plan_blocks(self.name, descs, costs, fused,
                                   self.labels, profiled)
             self._plans[key] = cached
         return cached
 
 
-#: bound on cached artifacts; sweeps touch each program's functions for a
-#: burst of seven machines and never again, so a small LRU is plenty.
-CACHE_LIMIT = 512
+class ArtifactStats:
+    """Process-wide counters over :func:`get_artifact` calls; ``evictions``
+    counts stale artifacts replaced on their function (its instructions
+    were replaced or mutated in place)."""
 
+    __slots__ = ("hits", "misses", "evictions")
 
-class ArtifactCache:
-    """Process-level LRU of :class:`PredecodeArtifact` keyed by function."""
-
-    __slots__ = ("entries", "maxsize", "hits", "misses", "evictions")
-
-    def __init__(self, maxsize: int = CACHE_LIMIT) -> None:
-        self.entries: OrderedDict[tuple, PredecodeArtifact] = OrderedDict()
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, function: Function, ctx) -> PredecodeArtifact:
-        """The artifact for ``function`` under ``ctx``'s pointer layout.
-
-        Keys use ``id(function)`` plus the layout; the stored entry keeps a
-        strong reference to the function and is verified by identity, so a
-        recycled ``id`` (or a same-name function from another module) can
-        never alias a stale artifact.
-        """
-        key = (id(function), ctx.pointer_bytes, ctx.pointer_align)
-        artifact = self.entries.get(key)
-        if (artifact is not None and artifact.function is function
-                and artifact.ctx is ctx
-                and artifact.instrs is function.instrs
-                and artifact.ninstrs == len(function.instrs)
-                and artifact.mutations == function.mutations):
-            self.hits += 1
-            self.entries.move_to_end(key)
-            return artifact
-        self.misses += 1
-        artifact = PredecodeArtifact(function, ctx)
-        self.entries[key] = artifact
-        self.entries.move_to_end(key)
-        while len(self.entries) > self.maxsize:
-            self.entries.popitem(last=False)
-            self.evictions += 1
-        return artifact
+    def __init__(self) -> None:
+        self.clear()
 
     def clear(self) -> None:
-        self.entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.hits = self.misses = self.evictions = 0
 
     def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self.entries)}
+        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
 
-#: the process-level artifact cache every machine compiles through.
-ARTIFACTS = ArtifactCache()
+#: the process-level artifact counters (the artifacts live on their functions).
+ARTIFACTS = ArtifactStats()
 
 
 def get_artifact(function: Function, ctx) -> PredecodeArtifact:
-    """Module-level convenience wrapper over :data:`ARTIFACTS`."""
-    return ARTIFACTS.get(function, ctx)
+    """The artifact for ``function`` under ``ctx``'s pointer layout.
+
+    Returns the artifact stored on the function when it is still current —
+    same layout context, same instruction list of the same length, no
+    in-place mutation since — and otherwise builds and stores a fresh one.
+    """
+    artifact = function._artifact
+    if (artifact is not None and artifact.ctx is ctx
+            and artifact.instrs is function.instrs
+            and artifact.ninstrs == len(function.instrs)
+            and artifact.mutations == function.mutations):
+        ARTIFACTS.hits += 1
+        return artifact
+    ARTIFACTS.misses += 1
+    if artifact is not None:
+        ARTIFACTS.evictions += 1
+    artifact = function._artifact = PredecodeArtifact(function, ctx)
+    return artifact

@@ -15,15 +15,15 @@ practice a workload produces a few dozen shapes.
 
 The module also owns the generated-source plumbing the block planner sits
 on: :func:`block_source` wraps emitted body lines into ``make(B) -> handler``
-source, :func:`block_code` caches compilation by source text, and
-:func:`bind_block` instantiates a handler from a cached code object — which
-is all a machine pays per superinstruction (:mod:`repro.interp.artifact`
-stores the code objects on the predecode artifact; see
-``docs/pipeline.md``).
+source, and :func:`block_make` compiles and executes each distinct source
+once per process.  A machine then pays one ``make(bindings)`` call per
+superinstruction (:mod:`repro.interp.artifact` stores the factories on the
+predecode artifact's block plans; see ``docs/pipeline.md``).
 """
 
 from __future__ import annotations
 
+import re
 import struct
 
 from repro.common.errors import InterpreterError
@@ -41,9 +41,6 @@ _PACKERS = {key: struct.Struct("<" + code).pack_into
 
 #: shape -> compiled ``make(b)`` function.
 _MAKERS: dict[tuple, object] = {}
-
-#: ("load"/"store", shape) -> raw handler body lines, built once per shape.
-_BODIES: dict[tuple, list] = {}
 
 #: names unpacked from the binding dict into ``make`` locals; the handler
 #: closure only captures the ones its generated body actually references.
@@ -182,10 +179,7 @@ def _emit_timing(lines, collect_timing, inline_cache, is_write):
 
 def load_maker(shape: tuple):
     """``make(b) -> handler`` for a LOAD of the given shape."""
-    make = _MAKERS.get(shape)
-    if make is not None:
-        return make
-    return _compile(shape, load_body(shape))
+    return _MAKERS.get(shape) or _compile(shape, load_body(shape))
 
 
 def load_body(shape: tuple) -> list:
@@ -195,9 +189,6 @@ def load_body(shape: tuple) -> list:
              inline_cache, uses_shadow, memo, inline_reconcile, n_appliers)
     with kind in {"ptr", "psint", "raw", "box"}.
     """
-    cached = _BODIES.get(("load", shape))
-    if cached is not None:
-        return cached
     (kind, pslot_inline, dkind, extra, check_kind, collect_timing,
      inline_cache, uses_shadow, memo, inline_reconcile, n_appliers,
      fast_mem) = shape
@@ -299,16 +290,12 @@ def load_body(shape: tuple) -> list:
                 "            frame[out] = IntVal(raw, bytes=8, signed=signed, pointer_sized=True)",
             ]
     lines.append("        return next_pc")
-    _BODIES[("load", shape)] = lines
     return lines
 
 
 def store_maker(shape: tuple):
     """``make(b) -> handler`` for a STORE of the given shape."""
-    make = _MAKERS.get(shape)
-    if make is not None:
-        return make
-    return _compile(shape, store_body(shape))
+    return _MAKERS.get(shape) or _compile(shape, store_body(shape))
 
 
 def store_body(shape: tuple) -> list:
@@ -320,9 +307,6 @@ def store_body(shape: tuple) -> list:
     with kind in {"ptr", "scalar"}; value_mode in (0 const, 1 raw slot,
     2 boxed reader) for scalar stores (ptr stores always use the reader).
     """
-    cached = _BODIES.get(("store", shape))
-    if cached is not None:
-        return cached
     (kind, pslot_inline, dkind, extra, check_kind, collect_timing,
      inline_cache, clear_shadow, uses_shadow, value_mode, coerce,
      wide_span, fast_mem) = shape
@@ -404,15 +388,18 @@ def store_body(shape: tuple) -> list:
             "            write_small(address, size, raw)",
         ]
     lines.append("        return next_pc")
-    _BODIES[("store", shape)] = lines
     return lines
 
 
-#: block source text -> compiled code object.  Artifacts rebuilt for the same
-#: function (a recompiled module, an artifact evicted from the LRU) regenerate
-#: byte-identical sources, and ``compile()`` dominates planning cost — the
-#: cache turns every rebuild after the first into a cheap ``exec``.
-_BLOCK_CODE: dict[str, object] = {}
+#: generated source text -> its exec'd ``make(B)`` factory (block plans and
+#: the per-shape handlers above).  Artifacts rebuilt for the same function
+#: (a recompiled module, a mutated function) regenerate byte-identical
+#: sources, and ``compile()`` dominates planning cost.  The module body is a
+#: single ``def`` and ``make`` only *reads* its globals, so one namespace per
+#: source is safe to share across machines.  The memo is process-level, not
+#: per artifact, because a ``make`` and its exec namespace form a reference
+#: cycle.
+_BLOCKS: dict[str, object] = {}
 
 
 def block_source(body_lines: list, names: list) -> str:
@@ -430,62 +417,24 @@ def block_source(body_lines: list, names: list) -> str:
             + "\n".join(body_lines) + "\n    return handler\n")
 
 
-def block_code(source: str, tag: str):
-    """The compiled code object for block ``source``, cached by source text.
+def block_make(source: str, tag: str):
+    """The ``make(B)`` factory for block ``source``, compiled once per process.
 
-    Re-planning the same function (a recompiled module, an evicted artifact)
-    skips ``compile()``, which otherwise dominates planning time; the block
-    plans in :mod:`repro.interp.artifact` store these code objects directly,
-    so a cross-machine rebind never recompiles at all.
+    A machine then pays one ``make(bindings)`` call per superinstruction
+    (:mod:`repro.interp.artifact` stores the factories on its block plans).
     """
-    code = _BLOCK_CODE.get(source)
-    if code is None:
-        code = compile(source, f"<block {tag}>", "exec")
-        _BLOCK_CODE[source] = code
-    return code
-
-
-#: code object -> its exec'd ``make``.  A block's generated module body is a
-#: single ``def`` and ``make`` only *reads* its globals, so one namespace per
-#: code object is safe to share across machines; rebinding the same plan for
-#: another machine is then a dict hit plus one ``make(bindings)`` call, with
-#: no per-bind ``exec`` at all.
-_BLOCK_MAKES: dict = {}
-
-
-def block_maker(code):
-    """The ``make(B)`` factory for a compiled block, exec'd once per process."""
-    make = _BLOCK_MAKES.get(code)
+    make = _BLOCKS.get(source)
     if make is None:
         namespace = dict(_GLOBALS)
-        exec(code, namespace)
-        make = _BLOCK_MAKES[code] = namespace["make"]
+        exec(compile(source, f"<block {tag}>", "exec"), namespace)
+        make = _BLOCKS[source] = namespace["make"]
     return make
 
 
-def bind_block(code, bindings: dict):
-    """Instantiate a block handler from a compiled ``make(B)`` code object.
-
-    This is the whole per-machine cost of a superinstruction: one
-    memoized :func:`block_maker` lookup plus a closure construction over the
-    per-machine ``bindings``.
-    """
-    return block_maker(code)(bindings)
-
-
 def _compile(shape: tuple, body_lines: list) -> object:
-    import re
-
     body = "\n".join(body_lines)
     # Bind every name the body references as a keyword default, so the
     # handler reads them with LOAD_FAST instead of closure-cell lookups.
-    used = [name for name in _BINDING_NAMES
-            if re.search(rf"\b{name}\b", body)]
-    signature = "    def handler(frame, " + ", ".join(
-        f"{name}=b[{name!r}]" for name in used) + "):"
-    source = "def make(b):\n" + signature + "\n" + body + "\n    return handler\n"
-    namespace = dict(_GLOBALS)
-    exec(compile(source, f"<hotgen {shape}>", "exec"), namespace)
-    make = namespace["make"]
-    _MAKERS[shape] = make
+    used = [name for name in _BINDING_NAMES if re.search(rf"\b{name}\b", body)]
+    make = _MAKERS[shape] = block_make(block_source(body_lines, used), f"hotgen {shape}")
     return make

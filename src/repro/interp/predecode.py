@@ -4,12 +4,12 @@ The original interpreter walked every :class:`~repro.minic.ir.Instr` through a
 chain of ``if op is Opcode.X`` tests, re-resolving ``attrs`` dict entries,
 label maps and operand kinds on every execution.  Compilation is now split in
 two: the **model-independent half** (decode facts, the slot-type fixpoint,
-fusion decisions, shared superinstruction plans) lives in
-:mod:`repro.interp.artifact` behind a process-level cache keyed by
-``(function, pointer layout)``, and this module is the **binding step** that
-closes a cached artifact over one concrete machine's model, memory, cache and
-timing state (``docs/pipeline.md`` has the full picture).  Binding a function
-produces a flat list of per-instruction closures ("handlers"):
+fusion decisions, the per-pc descriptor table and costs, shared raw-register
+handlers and superinstruction plans) lives in :mod:`repro.interp.artifact`,
+stored on the IR function itself, and this module is the **binding step**
+that closes the artifact over one concrete machine's model, memory, cache
+and timing state (``docs/pipeline.md`` has the full picture).  Binding a
+function produces a flat list of per-instruction closures ("handlers"):
 
 * label targets are resolved to instruction indices at compile time, so a
   branch is just ``return target_index``;
@@ -19,12 +19,17 @@ produces a flat list of per-instruction closures ("handlers"):
   an integer :class:`Const` becomes a hoisted immutable value, a
   :class:`GlobalRef` becomes a name lookup (kept at run time because the GC
   may rewrite globals between runs);
-* per-instruction cycle costs are precomputed into a parallel ``costs`` list;
+* per-instruction cycle costs come precomputed from the artifact as a
+  parallel ``costs`` list;
+* raw-register work (labels, gotos, unboxed casts, arithmetic and compares)
+  takes the artifact's shared frame-only handlers, built once per layout
+  rather than once per machine;
 * temporaries live in a flat preallocated register list instead of a dict.
 
-**Unboxed registers.**  A compile-time fixpoint analysis
-(:func:`_analyze_slots`) identifies register slots that can only ever hold
-*provenance-free scalar integers* of one static ``(width, signedness)``.
+**Unboxed registers.**  The artifact's fixpoint analysis
+(:func:`~repro.interp.artifact.analyze_slots`) identifies register slots that
+can only ever hold *provenance-free scalar integers* of one static
+``(width, signedness)``.
 Those slots carry raw Python ints instead of :class:`IntVal` boxes: loads,
 arithmetic, comparisons and casts between them never allocate — width
 wrapping happens inline with the precomputed mask tables from
@@ -54,19 +59,10 @@ models where it is a pure function of the raw address.
 
 **Basic-block superinstructions.**  On top of the per-instruction handlers,
 every machine binds the artifact's cached **block plans**
-(:meth:`~repro.interp.artifact.PredecodeArtifact.block_plans`): each
-straight-line run of two or more entries is one generated handler in which
-raw-register arithmetic/compare/cast work is spliced as straight-line Python
-and every model-specialized entry (memory ops, pointer moves, calls) is a
-closure call to its per-instruction handler, without a dispatch round-trip.
-Instruction counts and cycle costs are batched per **charge group**: pure
-entries run immediately but defer their charges, and every trap-capable
-entry flushes the deferred charges plus its own *before* it executes, so the
-counters at any trap equal exactly what single-step dispatch would have
-charged; a batch that would overrun the instruction budget is replayed
-entry-by-entry (:func:`_budget_replay`) and raises at the precise
-single-step trap point.
-
+(:meth:`~repro.interp.artifact.PredecodeArtifact.block_plans`), which batch
+charges per charge group and call this module's handlers for every
+model-specialized entry; :func:`_budget_replay` reproduces the exact
+single-step trap point when a batch would overrun the instruction budget.
 Binding is **tiered**: a function binds its block plans only at its
 ``HOT_CALL_THRESHOLD``-th call, so code that runs once (the differential
 sweep, a workload's ``main``) stays single-step and never pays block
@@ -85,19 +81,22 @@ not round-trip Python's allocator for the register file or the alloca list.
 
 from __future__ import annotations
 
-from repro.common.errors import InterpreterError, UndefinedBehaviorError
+from functools import partial
+
+from repro.common.errors import InterpreterError
 from repro.interp.artifact import (
     CMP_FUNCS as _CMP_FUNCS,
     FRAME_RESERVED as _FRAME_RESERVED,
     INT_BINOPS as _INT_BINOPS,
+    divide,
     get_artifact,
+    move_delta,
 )
 from repro.interp.intrinsics import INTRINSICS
 from repro.interp.models.base import MemoryModel
 from repro.interp.models.mpx import MpxModel
 from repro.interp.models.pdp11 import Pdp11Model
 from repro.interp.hotgen import (
-    bind_block,
     load_maker,
     packer_for,
     store_maker,
@@ -109,9 +108,7 @@ from repro.interp.values import (
     INTERN_MAX,
     INTERN_MIN,
     MASKS,
-    MODULI,
     PERM_ALL,
-    SIGN_MIN,
     TRUE_I32,
     IntVal,
     PtrVal,
@@ -137,11 +134,6 @@ HOT_CALL_THRESHOLD = 2
 _ARGS, _ALLOCAS, _RET = 0, 1, 2
 
 _ADDRESS_MASK = (1 << 64) - 1
-
-#: interned comparison results for boxed destinations (canonical instances
-#: shared with the block plans; see values.TRUE_I32/FALSE_I32).
-_TRUE = TRUE_I32
-_FALSE = FALSE_I32
 
 #: models whose load_pointer_without_metadata is a pure function of the raw
 #: address (no allocator lookup), so the resulting PtrVal can be memoised.
@@ -261,6 +253,17 @@ def _reader(machine, operand, slot_types):
     raise InterpreterError(f"cannot evaluate operand {operand!r}")
 
 
+def _boxed_operand(machine, operand, slot_types):
+    """(mode, src, label): 0 = boxed Temp slot, 1 = hoisted value, 2 = reader."""
+    if type(operand) is Temp and operand.index not in slot_types:
+        return 0, operand.index + _FRAME_RESERVED, str(operand)
+    if type(operand) is Const:
+        hoisted = _const_value(machine, operand)
+        if hoisted is not None:
+            return 1, hoisted, None
+    return 2, _reader(machine, operand, slot_types), None
+
+
 def _ptr_reader(machine, operand, slot_types):
     """An operand accessor that coerces integers to pointers (``_pointer_operand``)."""
     int_to_ptr = machine.model.int_to_ptr
@@ -321,17 +324,17 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     """Bind ``function``'s predecode artifact to one concrete machine.
 
     The model-independent half (decode facts, slot-type fixpoint, fusion,
-    shared block plans) comes from the process-level artifact cache
-    (:mod:`repro.interp.artifact`); this function closes it over the
-    machine's model, memory, cache and timing state.
+    costs, raw-register handlers, shared block plans) comes from the
+    function's artifact (:func:`~repro.interp.artifact.get_artifact`); this
+    function closes the rest over the machine's model, memory, cache and
+    timing state.
     """
     instrs = function.instrs
     artifact = get_artifact(function, machine.ctx)
     labels = artifact.labels
     timing = machine.config.timing
     base_cost = timing.base_instruction_cost
-    branch_cost = timing.branch_cost
-    call_cost = timing.call_cost
+    charges = (base_cost, timing.branch_cost, timing.call_cost)
     stop = len(instrs)
 
     # A model that overrides the provenance hook must see every operand, so
@@ -459,27 +462,9 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     def reader(operand):
         return _reader(machine, operand, slot_types)
 
-    # Raw-operand descriptors come precomputed from the artifact (the same
-    # list every other machine of this layout binds against); the id-keyed
-    # map lets the operand-shaped call sites below stay unchanged.
+    # Per-instruction raw-operand descriptors, precomputed on the artifact
+    # (the same list every other machine of this layout binds against).
     arg_raw_lists = artifact.arg_raws(fast_noprov)
-    raw_by_operand: dict[int, tuple | None] = {}
-    for instr_raws, instr_ in zip(arg_raw_lists, instrs):
-        for arg_, desc_ in zip(instr_.args, instr_raws):
-            raw_by_operand[id(arg_)] = desc_
-
-    def raw_operand(operand):
-        return raw_by_operand[id(operand)]
-
-    def boxed_operand(operand):
-        """(mode, src, label): 0 = boxed Temp slot, 1 = hoisted value, 2 = reader."""
-        if type(operand) is Temp and operand.index not in slot_types:
-            return 0, operand.index + _FRAME_RESERVED, str(operand)
-        if type(operand) is Const:
-            hoisted = _const_value(machine, operand)
-            if hoisted is not None:
-                return 1, hoisted, None
-        return 2, reader(operand), None
 
     # ------------------------------------------------------------------
     # Pair-fusion prepass (memoized on the artifact)
@@ -491,6 +476,10 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     # charges both halves' costs up front, so a different map would move the
     # cycle counter observed at a budget trap on the consumer half.
     fused = artifact.fusion(inline_moves, inline_field, fast_noprov)
+    # Per-pc costs and the shared raw-register handlers come from the
+    # artifact's descriptor table, the same one the block planner reads.
+    costs = artifact.costs(charges, inline_moves, inline_field, fast_noprov)
+    raw_handlers = artifact.raw_handlers(fast_noprov)
 
     # ------------------------------------------------------------------
     # Memory-op generators (source-specialized; see repro.interp.hotgen)
@@ -569,7 +558,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                  mem_unpack is not None)
         return load_maker(shape)(b)
 
-    def gen_store(instr, ptr_operand, delta, extra, next_pc):
+    def gen_store(instr, raws, ptr_operand, delta, extra, next_pc):
         """Handler for a STORE; ``delta``/``extra`` = fused producer."""
         ctype = instr.ctype
         pslot, pcoerce = ptr_parts(ptr_operand)
@@ -587,7 +576,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             def read_value(frame, param_index=param_index):
                 return frame[_ARGS][param_index]
         elif (isinstance(ctype, PointerType) or _is_pointer_sized_int(ctype)
-              or raw_operand(instr.args[1]) is None):
+              or raws[1] is None):
             read_value = reader(instr.args[1])
         else:
             read_value = None
@@ -611,7 +600,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         b["size"] = size
         b["size_m1"] = size - 1
         b["size_mask"] = MASKS[size] if size <= 8 else (1 << (8 * size)) - 1
-        raw_desc = raw_operand(instr.args[1]) if param_index is None else None
+        raw_desc = raws[1] if param_index is None else None
         coerce_flag = False
         if raw_desc is not None:
             vkind, vpayload, (vwidth, _vs), vlabel = raw_desc
@@ -638,15 +627,14 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                  value_mode, coerce_flag, False, mem_pack is not None)
         return store_maker(shape)(b)
 
-    def gen_cmp_branch(cmp_instr, cjump_instr):
+    def gen_cmp_branch(cmp_instr, raws, cjump_instr):
         """Fused CMP+CJUMP: compare and branch in one handler."""
         operator = cmp_instr.attrs["operator"]
         compare = _CMP_FUNCS[operator]
         then_pc = labels[cjump_instr.attrs["then"]]
         else_pc = labels[cjump_instr.attrs["else"]]
         ptr_compare = model.ptr_compare
-        raw_left = raw_operand(cmp_instr.args[0])
-        raw_right = raw_operand(cmp_instr.args[1])
+        raw_left, raw_right = raws
         if raw_left is not None and raw_right is not None:
             lkind, lpayload, _lt, llabel = raw_left
             rkind, rpayload, _rt, rlabel = raw_right
@@ -675,8 +663,8 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
             return handler
 
-        lmode, lsrc, llabel = boxed_operand(cmp_instr.args[0])
-        rmode, rsrc, rlabel = boxed_operand(cmp_instr.args[1])
+        lmode, lsrc, llabel = _boxed_operand(machine, cmp_instr.args[0], slot_types)
+        rmode, rsrc, rlabel = _boxed_operand(machine, cmp_instr.args[1], slot_types)
 
         def handler(frame, lmode=lmode, lsrc=lsrc, llabel=llabel, rmode=rmode,
                     rsrc=rsrc, rlabel=rlabel, compare=compare,
@@ -717,113 +705,80 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     # Main compilation loop
     # ------------------------------------------------------------------
 
-    # ALLOCA register slots are assigned in pc order.
-    alloca_slots: dict[int, int] = {}
-    for _pc, _instr in enumerate(instrs):
-        if _instr.op is Opcode.ALLOCA:
-            alloca_slots[_pc] = len(alloca_slots)
-
     def build(index: int):
-        """Bind one pc: ``(handler, cost)``."""
+        """Bind one pc's handler (its cost comes from the artifact)."""
+        fusion = fused.get(index)
+        if fusion is not None:
+            consumer = instrs[index + 1]
+            if fusion[0] == "cmp":
+                return gen_cmp_branch(instrs[index], arg_raw_lists[index], consumer)
+            if consumer.op is Opcode.LOAD:
+                consumer_out = (consumer.dest.index + _FRAME_RESERVED
+                                if consumer.dest is not None else scratch)
+                return gen_load(consumer, instrs[index].args[0], fusion[1], True,
+                                index + 2, consumer_out)
+            return gen_store(consumer, arg_raw_lists[index + 1], instrs[index].args[0],
+                             fusion[1], True, index + 2)
+
+        handler = raw_handlers[index]
+        if handler is not None:
+            return handler
+
         instr = instrs[index]
         op = instr.op
         next_pc = index + 1
         dest = instr.dest.index + _FRAME_RESERVED if instr.dest is not None else None
         dest_type = slot_types.get(instr.dest.index) if instr.dest is not None else None
-        cost = base_cost
-        handler = None
-        fusion = fused.get(index)
 
-        if fusion is not None:
-            consumer = instrs[index + 1]
-            if fusion[0] == "mem":
-                cost = base_cost + base_cost  # both halves, charged up front
-                delta = fusion[1]
-                if consumer.op is Opcode.LOAD:
-                    consumer_out = (consumer.dest.index + _FRAME_RESERVED
-                                    if consumer.dest is not None else scratch)
-                    handler = gen_load(consumer, instr.args[0], delta, True,
-                                       index + 2, consumer_out)
-                else:
-                    handler = gen_store(consumer, instr.args[0], delta, True, index + 2)
-            else:
-                cost = base_cost + branch_cost  # both halves, charged up front
-                handler = gen_cmp_branch(instr, consumer)
-            return handler, cost
-
-        if op is Opcode.LABEL or op is Opcode.NOP:
-            cost = 0
-            handler = _make_fallthrough(next_pc)
-
-        elif op is Opcode.JUMP:
-            cost = branch_cost
-            handler = _make_fallthrough(labels[instr.attrs["target"]])
-
-        elif op is Opcode.CJUMP:
-            cost = branch_cost
+        if op is Opcode.CJUMP:
             then_pc = labels[instr.attrs["then"]]
             else_pc = labels[instr.attrs["else"]]
-            raw = raw_operand(instr.args[0])
-            if raw is not None and raw[0] == "slot":
-                _, slot, _, label = raw
+            read_cond = reader(instr.args[0])
 
-                def handler(frame, slot=slot, label=label, then_pc=then_pc, else_pc=else_pc):
-                    condition = frame[slot]
-                    if type(condition) is int:
-                        return then_pc if condition else else_pc
-                    raise InterpreterError(f"use of undefined temporary {label}")
-            elif raw is not None:
-                handler = _make_fallthrough(then_pc if raw[1] else else_pc)
-            else:
-                read_cond = reader(instr.args[0])
-
-                def handler(frame, read_cond=read_cond, then_pc=then_pc, else_pc=else_pc):
-                    condition = read_cond(frame)
-                    if type(condition) is IntVal:
-                        return then_pc if condition.value != 0 else else_pc
-                    return else_pc if condition.is_null else then_pc
+            def handler(frame, read_cond=read_cond, then_pc=then_pc, else_pc=else_pc):
+                condition = read_cond(frame)
+                if type(condition) is IntVal:
+                    return then_pc if condition.value != 0 else else_pc
+                return else_pc if condition.is_null else then_pc
 
         elif op is Opcode.RET:
-            if instr.args:
-                # Raw operands are boxed here: the return value crosses back
-                # into the caller's (untyped) destination slot.
-                operand = instr.args[0]
-                if type(operand) is Temp:
-                    slot = operand.index + _FRAME_RESERVED
-                    label = str(operand)
-                    slot_type = slot_types.get(operand.index)
-                    if slot_type is None:
-                        def handler(frame, slot=slot, label=label, stop=stop):
-                            value = frame[slot]
-                            if value is UNDEF:
-                                raise InterpreterError(f"use of undefined temporary {label}")
-                            frame[_RET] = value
-                            return stop
-                    else:
-                        width, signed = slot_type
-                        table = intern_table(width, signed)
-
-                        def handler(frame, slot=slot, label=label, width=width,
-                                    signed=signed, table=table, stop=stop):
-                            value = frame[slot]
-                            if type(value) is not int:
-                                raise InterpreterError(f"use of undefined temporary {label}")
-                            if INTERN_MIN <= value <= INTERN_MAX:
-                                frame[_RET] = table[value - INTERN_MIN]
-                            else:
-                                frame[_RET] = IntVal(value, width, signed)
-                            return stop
+            # Raw operands are boxed here: the return value crosses back
+            # into the caller's (untyped) destination slot.
+            operand = instr.args[0]
+            if type(operand) is Temp:
+                slot = operand.index + _FRAME_RESERVED
+                label = str(operand)
+                slot_type = slot_types.get(operand.index)
+                if slot_type is None:
+                    def handler(frame, slot=slot, label=label, stop=stop):
+                        value = frame[slot]
+                        if value is UNDEF:
+                            raise InterpreterError(f"use of undefined temporary {label}")
+                        frame[_RET] = value
+                        return stop
                 else:
-                    read_value = reader(instr.args[0])
+                    width, signed = slot_type
+                    table = intern_table(width, signed)
 
-                    def handler(frame, read_value=read_value, stop=stop):
-                        frame[_RET] = read_value(frame)
+                    def handler(frame, slot=slot, label=label, width=width,
+                                signed=signed, table=table, stop=stop):
+                        value = frame[slot]
+                        if type(value) is not int:
+                            raise InterpreterError(f"use of undefined temporary {label}")
+                        if INTERN_MIN <= value <= INTERN_MAX:
+                            frame[_RET] = table[value - INTERN_MIN]
+                        else:
+                            frame[_RET] = IntVal(value, width, signed)
                         return stop
             else:
-                handler = _make_fallthrough(stop)
+                read_value = reader(instr.args[0])
+
+                def handler(frame, read_value=read_value, stop=stop):
+                    frame[_RET] = read_value(frame)
+                    return stop
 
         elif op is Opcode.ALLOCA:
-            slot = alloca_slots[index]
+            slot = artifact.alloca_slots[index]
             size = instr.attrs.get("size", 8)
             alloc_type = instr.attrs.get("alloc_type")
             alignment = max(8, alloc_type.alignment(ctx) if alloc_type is not None else 8)
@@ -866,17 +821,16 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                                dest if dest is not None else scratch)
 
         elif op is Opcode.STORE:
-            handler = gen_store(instr, instr.args[0], _NO_DELTA, False, next_pc)
+            handler = gen_store(instr, arg_raw_lists[index], instr.args[0], _NO_DELTA,
+                                False, next_pc)
 
         elif op is Opcode.GEP or op is Opcode.PTRADD:
             element_size = instr.attrs["element_size"] if op is Opcode.GEP else 1
             out = dest if dest is not None else scratch
             pslot, pcoerce = ptr_parts(instr.args[0])
-            raw = raw_operand(instr.args[1])
-            if inline_moves and raw is not None:
-                dkind, d1, d2, dlabel = ((1, raw[1] * element_size, 0, None)
-                                         if raw[0] == "const"
-                                         else (2, raw[1], element_size, raw[3]))
+            delta = move_delta(instr, arg_raw_lists[index], inline_moves, inline_field)
+            if delta is not None:
+                dkind, d1, d2, dlabel = delta
 
                 def handler(frame, pslot=pslot, pcoerce=pcoerce, dkind=dkind, d1=d1,
                             d2=d2, dlabel=dlabel, out=out, next_pc=next_pc):
@@ -1000,39 +954,18 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             appliers = (_qualifier_appliers(machine, instr.ctype)
                         if isinstance(instr.ctype, PointerType) else ())
             out = dest if dest is not None else scratch
-            raw = raw_operand(instr.args[0])
-            if raw is not None and raw[0] == "slot" and dest_type is not None:
-                # Raw pass-through: the analysis gave the destination the
-                # source's exact type, so the register value is unchanged.
-                _, slot, _, label = raw
+            read_value = reader(instr.args[0])
 
-                def handler(frame, slot=slot, label=label, out=out, next_pc=next_pc):
-                    value = frame[slot]
-                    if type(value) is not int:
-                        raise InterpreterError(f"use of undefined temporary {label}")
-                    frame[out] = value
-                    return next_pc
-            elif raw is not None and dest_type is not None:
-                # Constant source with an unboxed destination: the raw
-                # register value is the constant itself, known at compile time.
-                const_raw = raw[1]
-
-                def handler(frame, const_raw=const_raw, out=out, next_pc=next_pc):
-                    frame[out] = const_raw
-                    return next_pc
-            else:
-                read_value = reader(instr.args[0])
-
-                def handler(frame, read_value=read_value, deconst=deconst, appliers=appliers,
-                            out=out, next_pc=next_pc):
-                    value = read_value(frame)
-                    if type(value) is PtrVal:
-                        if deconst is not None:
-                            value = deconst(value)
-                        for apply in appliers:
-                            value = apply(value)
-                    frame[out] = value
-                    return next_pc
+            def handler(frame, read_value=read_value, deconst=deconst, appliers=appliers,
+                        out=out, next_pc=next_pc):
+                value = read_value(frame)
+                if type(value) is PtrVal:
+                    if deconst is not None:
+                        value = deconst(value)
+                    for apply in appliers:
+                        value = apply(value)
+                frame[out] = value
+                return next_pc
 
         elif op is Opcode.INTCAST:
             target = instr.ctype
@@ -1040,140 +973,64 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             signed = getattr(target, "signed", True)
             pointer_sized = _is_pointer_sized_int(target)
             out = dest if dest is not None else scratch
-            raw = raw_operand(instr.args[0])
-            if raw is not None and raw[0] == "slot" and dest_type is not None:
-                # Raw-to-raw conversion: inline table-driven masking, no box.
-                _, slot, (swidth, ssigned), label = raw
-                mask = MASKS[width]
-                sign_min = SIGN_MIN[width] if signed else None
-                modulus = MODULI[width]
-                identity = (swidth, ssigned) == (width, signed)
+            read_value = reader(instr.args[0])
 
-                def handler(frame, slot=slot, label=label, identity=identity, mask=mask,
-                            sign_min=sign_min, modulus=modulus, out=out, next_pc=next_pc):
-                    value = frame[slot]
-                    if type(value) is not int:
-                        raise InterpreterError(f"use of undefined temporary {label}")
-                    if not identity:
-                        value &= mask
-                        if sign_min is not None and value >= sign_min:
-                            value -= modulus
-                    frame[out] = value
-                    return next_pc
-            elif raw is not None and dest_type is not None:
-                # Constant source with an unboxed destination: fold the
-                # conversion at compile time.
-                const_raw = IntVal(raw[1], width, signed).value
-
-                def handler(frame, const_raw=const_raw, out=out, next_pc=next_pc):
-                    frame[out] = const_raw
-                    return next_pc
-            else:
-                read_value = reader(instr.args[0])
-
-                def handler(frame, read_value=read_value, width=width, signed=signed,
-                            pointer_sized=pointer_sized, out=out, next_pc=next_pc):
-                    value = read_value(frame)
-                    if type(value) is PtrVal:
-                        frame[out] = ptr_to_int(value, bytes=width, signed=signed,
-                                                pointer_sized=pointer_sized)
-                    elif (value.bytes == width and value.signed == signed
-                          and value.pointer_sized == pointer_sized):
-                        frame[out] = value  # no-op conversion: IntVal is immutable
-                    else:
-                        frame[out] = value.converted(bytes=width, signed=signed,
-                                                     pointer_sized=pointer_sized)
-                    return next_pc
+            def handler(frame, read_value=read_value, width=width, signed=signed,
+                        pointer_sized=pointer_sized, out=out, next_pc=next_pc):
+                value = read_value(frame)
+                if type(value) is PtrVal:
+                    frame[out] = ptr_to_int(value, bytes=width, signed=signed,
+                                            pointer_sized=pointer_sized)
+                elif (value.bytes == width and value.signed == signed
+                      and value.pointer_sized == pointer_sized):
+                    frame[out] = value  # no-op conversion: IntVal is immutable
+                else:
+                    frame[out] = value.converted(bytes=width, signed=signed,
+                                                 pointer_sized=pointer_sized)
+                return next_pc
 
         elif op is Opcode.BINOP:
             handler = _make_binop(machine, instr, dest if dest is not None else scratch,
                                   dest_type, slot_types, next_pc, propagate_provenance,
-                                  ptr_to_int, arg_raw_lists[index], fast_noprov)
+                                  ptr_to_int, fast_noprov)
 
         elif op is Opcode.UNOP:
             negate = instr.attrs["operator"] == "neg"
             out = dest if dest is not None else scratch
-            raw = raw_operand(instr.args[0])
-            if raw is not None and raw[0] == "slot" and dest_type is not None:
-                _, slot, (swidth, ssigned), label = raw
-                mask = MASKS[swidth]
-                sign_min = SIGN_MIN[swidth] if ssigned else None
-                modulus = MODULI[swidth]
+            read_value = reader(instr.args[0])
 
-                def handler(frame, slot=slot, label=label, negate=negate, mask=mask,
-                            sign_min=sign_min, modulus=modulus, out=out, next_pc=next_pc):
-                    value = frame[slot]
-                    if type(value) is not int:
-                        raise InterpreterError(f"use of undefined temporary {label}")
-                    value = (-value if negate else ~value) & mask
-                    if sign_min is not None and value >= sign_min:
-                        value -= modulus
-                    frame[out] = value
-                    return next_pc
-            elif raw is not None and dest_type is not None:
-                # Constant operand with an unboxed destination: fold at
-                # compile time (same wrapping as IntVal.with_value).
-                _, const_value, (swidth, ssigned), _label = raw
-                const_raw = IntVal(-const_value if negate else ~const_value,
-                                   swidth, ssigned).value
-
-                def handler(frame, const_raw=const_raw, out=out, next_pc=next_pc):
-                    frame[out] = const_raw
-                    return next_pc
-            else:
-                read_value = reader(instr.args[0])
-
-                def handler(frame, read_value=read_value, negate=negate, out=out, next_pc=next_pc):
-                    value = read_value(frame)
-                    if type(value) is not IntVal:
-                        raise InterpreterError("unary arithmetic on a pointer value")
-                    frame[out] = value.with_value(-value.value if negate else ~value.value,
-                                                  provenance=None)
-                    return next_pc
+            def handler(frame, read_value=read_value, negate=negate, out=out, next_pc=next_pc):
+                value = read_value(frame)
+                if type(value) is not IntVal:
+                    raise InterpreterError("unary arithmetic on a pointer value")
+                frame[out] = value.with_value(-value.value if negate else ~value.value,
+                                              provenance=None)
+                return next_pc
 
         elif op is Opcode.CMP:
             handler = _make_cmp(machine, instr, dest if dest is not None else scratch,
-                                dest_type, slot_types, next_pc, inline_ptrcmp,
-                                arg_raw_lists[index])
+                                dest_type, slot_types, next_pc, inline_ptrcmp)
 
         elif op is Opcode.CALL:
-            cost = call_cost
             handler = _make_call(machine, instr, dest, slot_types, next_pc)
 
         else:
             def handler(frame, op=op):
                 raise InterpreterError(f"unsupported IR opcode {op}")
 
-        return handler, cost
+        return handler
 
-    nallocas = len(alloca_slots)
-    handlers: list = []
-    costs = []
-    for i in range(stop):
-        handler, cost = build(i)
-        handlers.append(handler)
-        costs.append(cost)
-    code = CompiledFunction(function, handlers, costs, nregs, nallocas)
+    handlers = [build(i) for i in range(stop)]
+    code = CompiledFunction(function, handlers, costs, nregs, len(artifact.alloca_slots))
     if SUPERINSTRUCTIONS and stop > 1:
         # Tiered binding: most functions of a one-shot program run once or
         # twice, where block binding never amortizes.  The dispatch loop
         # installs the artifact's cached plans when the function proves hot
         # (see AbstractMachine._execute).
-        def install(code, machine=machine, function=function,
-                    handlers=handlers, costs=costs, artifact=artifact,
-                    timing=(base_cost, branch_cost, call_cost),
-                    fast_noprov=fast_noprov, inline_moves=inline_moves,
-                    inline_field=inline_field):
-            _install_shared_blocks(machine, function, code, handlers,
-                                   costs, artifact, timing, fast_noprov,
-                                   inline_moves, inline_field)
-
-        code.pending_blocks = install
+        code.pending_blocks = partial(
+            _install_shared_blocks, machine, function.name, handlers, costs,
+            artifact, charges, fast_noprov, inline_moves, inline_field)
     return code
-
-
-def _make_fallthrough(next_pc: int):
-    return lambda frame: next_pc
 
 
 # ---------------------------------------------------------------------------
@@ -1202,42 +1059,42 @@ def _budget_replay(machine, cost_seq: tuple, fname: str):
         f"instruction budget of {machine.max_instructions} exhausted in {fname}")
 
 
-def _install_shared_blocks(machine, function: Function, code: CompiledFunction,
-                           handlers: list, costs: list, artifact,
-                           timing: tuple[int, int, int], fast_noprov: bool,
-                           inline_moves: bool, inline_field: bool) -> None:
+def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
+                           artifact, timing: tuple[int, int, int], fast_noprov: bool,
+                           inline_moves: bool, inline_field: bool,
+                           code: CompiledFunction) -> None:
     """Instantiate the artifact's shared superinstruction plans for one machine.
 
-    The plans (segmentation, generated source, compiled code objects) are
+    The plans (segmentation, generated source, ``make`` factories) are
     model-independent and cached on the artifact; this binding step only
     builds the per-machine namespace — the ``h<k>`` handler closures, the
     machine itself, the budget-replay helper and (when enabled) the profile
-    counter — and ``exec``-utes the cached code object.  No source is
-    generated and nothing is ``compile()``-d per machine.
+    counter — and calls the plan's ``make``.  No source is generated and
+    nothing is ``compile()``-d or ``exec``-uted per machine.
     """
     profiled = machine.block_profile is not None
     for plan in artifact.block_plans(timing, fast_noprov, profiled,
                                      inline_moves, inline_field):
         b = dict(plan.consts)
         b["machine"] = machine
-        b["fname"] = function.name
+        b["fname"] = fname
         b["budget_replay"] = _budget_replay
         for k in plan.handler_indices:
             b[f"h{k}"] = handlers[k]
         if profiled:
             counter = [0]
-            machine.block_profile[(function.name, plan.start)] = {
+            machine.block_profile[(fname, plan.start)] = {
                 "count": counter, "entries": plan.entries, "ir": plan.n_ir}
             b["BC"] = counter
-        handler = bind_block(plan.code, b)
+        handler = plan.make(b)
         code.block_fallbacks[plan.start] = code.paired[plan.start]
         code.paired[plan.start] = (handler, costs[plan.start])
         code.blocks.append((plan.start, plan.entries, plan.n_ir))
 
 
 def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
-                propagate_provenance, ptr_to_int, arg_raws, fast_noprov: bool):
-    """Compile a BINOP.
+                propagate_provenance, ptr_to_int, fast_noprov: bool):
+    """Compile a boxed BINOP (raw binops are shared artifact handlers).
 
     ``fast_noprov``: the model keeps the base provenance hook (no source ->
     None), so the hook may be skipped for provenance-free operands; a model
@@ -1249,11 +1106,11 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
     width = min(target.size(ctx), 8) if target is not None else 8
     signed = getattr(target, "signed", True)
     pointer_sized = _is_pointer_sized_int(target)
-    is_division = operator in ("/", "%")
     fast_op = _INT_BINOPS.get(operator)
-    is_div_op = operator == "/"
+    if fast_op is None and operator in ("/", "%"):
+        fast_op = partial(divide, operator == "/")
 
-    if fast_op is None and not is_division:
+    if fast_op is None:
         read_left = _reader(machine, instr.args[0], slot_types)
         read_right = _reader(machine, instr.args[1], slot_types)
 
@@ -1263,68 +1120,10 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
             raise InterpreterError(f"unknown binary operator {operator!r}")
         return handler
 
-    raw_left, raw_right = arg_raws
-    if raw_left is not None and raw_right is not None and fast_noprov:
-        # Fully unboxed arithmetic: raw ints in, raw int out (when the
-        # destination slot is unboxed too), wrapping inlined from the mask
-        # tables.  No IntVal is ever constructed on this path.
-        mask = MASKS[width]
-        sign_min = SIGN_MIN[width] if signed else None
-        modulus = MODULI[width]
-        lkind, lpayload, _lt, llabel = raw_left
-        rkind, rpayload, _rt, rlabel = raw_right
-        table = None if (dest_type is not None or pointer_sized) else intern_table(width, signed)
-
-        def handler(frame, fast_op=fast_op, mask=mask, sign_min=sign_min, modulus=modulus,
-                    table=table, out=out, next_pc=next_pc):
-            if lkind == "slot":
-                a = frame[lpayload]
-                if type(a) is not int:
-                    raise InterpreterError(f"use of undefined temporary {llabel}")
-            else:
-                a = lpayload
-            if rkind == "slot":
-                b = frame[rpayload]
-                if type(b) is not int:
-                    raise InterpreterError(f"use of undefined temporary {rlabel}")
-            else:
-                b = rpayload
-            if is_division:
-                if b == 0:
-                    raise UndefinedBehaviorError("integer division by zero")
-                quotient = abs(a) // abs(b)
-                signed_quotient = quotient if (a >= 0) == (b >= 0) else -quotient
-                raw = signed_quotient if is_div_op else a - signed_quotient * b
-            else:
-                raw = fast_op(a, b)
-            wrapped = raw & mask
-            if sign_min is not None and wrapped >= sign_min:
-                wrapped -= modulus
-            if table is None:
-                if pointer_sized:
-                    frame[out] = IntVal(wrapped, width, signed, None, True)
-                else:
-                    frame[out] = wrapped
-            elif INTERN_MIN <= wrapped <= INTERN_MAX:
-                frame[out] = table[wrapped - INTERN_MIN]
-            else:
-                frame[out] = IntVal(wrapped, width, signed)
-            return next_pc
-
-        return handler
-
     # Generic path: inline boxed Temp reads (the common case — e.g. summing
     # call results) and fall back to reader closures for everything else.
-    def binop_operand(operand):
-        if type(operand) is Temp and operand.index not in slot_types:
-            return 0, operand.index + _FRAME_RESERVED, str(operand)
-        hoisted = _const_value(machine, operand) if type(operand) is Const else None
-        if hoisted is not None:
-            return 1, hoisted, None
-        return 2, _reader(machine, operand, slot_types), None
-
-    lmode, lsrc, llabel = binop_operand(instr.args[0])
-    rmode, rsrc, rlabel = binop_operand(instr.args[1])
+    lmode, lsrc, llabel = _boxed_operand(machine, instr.args[0], slot_types)
+    rmode, rsrc, rlabel = _boxed_operand(machine, instr.args[1], slot_types)
     table = intern_table(width, signed) if (not pointer_sized and fast_noprov) else None
 
     def handler(frame, lmode=lmode, lsrc=lsrc, llabel=llabel, rmode=rmode,
@@ -1349,16 +1148,7 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
             left = ptr_to_int(left, bytes=8, signed=False, pointer_sized=True)
         if type(right) is not IntVal:
             right = ptr_to_int(right, bytes=8, signed=False, pointer_sized=True)
-        a = left.value
-        b = right.value
-        if is_division:
-            if b == 0:
-                raise UndefinedBehaviorError("integer division by zero")
-            quotient = abs(a) // abs(b)
-            signed_quotient = quotient if (a >= 0) == (b >= 0) else -quotient
-            raw = signed_quotient if is_div_op else a - signed_quotient * b
-        else:
-            raw = fast_op(a, b)
+        raw = fast_op(left.value, right.value)
         if fast_noprov and left.provenance is None and right.provenance is None:
             if table is not None and INTERN_MIN <= raw <= INTERN_MAX:
                 boxed = table[raw - INTERN_MIN]
@@ -1378,8 +1168,8 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
 
 
 def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
-              inline_ptrcmp: bool, arg_raws):
-    """Compile a CMP."""
+              inline_ptrcmp: bool):
+    """Compile a boxed CMP (raw compares are shared artifact handlers)."""
     operator = instr.attrs["operator"]
     compare = _CMP_FUNCS.get(operator)
     ptr_compare = machine.model.ptr_compare
@@ -1393,33 +1183,7 @@ def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
             raise KeyError(operator)
         return handler
 
-    raw_left, raw_right = arg_raws
     raw_dest = dest_type is not None
-    if raw_left is not None and raw_right is not None:
-        lkind, lpayload, _lt, llabel = raw_left
-        rkind, rpayload, _rt, rlabel = raw_right
-
-        def handler(frame, compare=compare, out=out, raw_dest=raw_dest, next_pc=next_pc):
-            if lkind == "slot":
-                a = frame[lpayload]
-                if type(a) is not int:
-                    raise InterpreterError(f"use of undefined temporary {llabel}")
-            else:
-                a = lpayload
-            if rkind == "slot":
-                b = frame[rpayload]
-                if type(b) is not int:
-                    raise InterpreterError(f"use of undefined temporary {rlabel}")
-            else:
-                b = rpayload
-            if raw_dest:
-                frame[out] = 1 if compare(a, b) else 0
-            else:
-                frame[out] = _TRUE if compare(a, b) else _FALSE
-            return next_pc
-
-        return handler
-
     read_left = _reader(machine, instr.args[0], slot_types)
     read_right = _reader(machine, instr.args[1], slot_types)
 
@@ -1436,7 +1200,7 @@ def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
         if raw_dest:
             frame[out] = 1 if result else 0
         else:
-            frame[out] = _TRUE if result else _FALSE
+            frame[out] = TRUE_I32 if result else FALSE_I32
         return next_pc
 
     return handler

@@ -135,10 +135,13 @@ class Function:
     _label_cache: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
     _label_cache_key: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     #: bumped by :meth:`invalidate_label_index` — i.e. whenever a pass
-    #: mutates ``instrs`` in place — so downstream caches keyed on this
-    #: function (the predecode-artifact cache) can detect mutation even when
-    #: the list object and its length are unchanged.
+    #: mutates ``instrs`` in place — so state derived from this function
+    #: (its predecode artifact) can detect mutation even when the list
+    #: object and its length are unchanged.
     mutations: int = field(default=0, init=False, repr=False, compare=False)
+    #: the interpreter's predecode artifact for this function, owned and
+    #: revalidated by :func:`repro.interp.artifact.get_artifact`.
+    _artifact: object = field(default=None, init=False, repr=False, compare=False)
 
     def label_index(self) -> dict[str, int]:
         """Map label names to instruction indices (cached).

@@ -148,7 +148,7 @@ def _cache_rate(status: dict) -> str | None:
     hits = cache.get("artifact.hits", 0)
     misses = cache.get("artifact.misses", 0)
     if hits + misses:
-        return f"lru {100.0 * hits / (hits + misses):.0f}%"
+        return f"artifact {100.0 * hits / (hits + misses):.0f}%"
     return None
 
 

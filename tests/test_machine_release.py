@@ -18,6 +18,7 @@ import gc
 import types
 
 from repro.difftest import DifferentialRunner, generate_program
+from repro.interp.artifact import PredecodeArtifact
 from repro.interp.machine import AbstractMachine, scrub_trap
 from repro.interp.models import PAPER_MODEL_ORDER
 from repro.interp.predecode import CompiledFunction
@@ -26,8 +27,23 @@ from repro.minic.typesys import CType, StructField
 #: front-end objects allowed to stay cyclic: a self-referential struct
 #: (``struct node { struct node *next; }``) points back at itself through
 #: its field list (``StructType`` -> ``StructField`` -> ``PointerType``), and
-#: the collector also reclaims the member types only that cycle reaches.
+#: the collector also reclaims what only that cycle reaches (member types,
+#: the struct's layout cache).
 FRONT_END_CYCLES = (CType, StructField, list)
+
+
+def _front_end_reach(garbage: list) -> set:
+    """ids of the garbage reachable from the front-end type cycles."""
+    in_garbage = {id(obj) for obj in garbage}
+    stack = [obj for obj in garbage if isinstance(obj, (CType, StructField))]
+    seen: set = set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        stack.extend(ref for ref in gc.get_referents(obj) if id(ref) in in_garbage)
+    return seen
 
 
 def _arm_fault(machine, _model_name) -> None:
@@ -72,9 +88,31 @@ def test_mini_sweep_leaves_no_cyclic_machine_garbage():
               if isinstance(obj, (AbstractMachine, CompiledFunction,
                                   types.FunctionType))]
     assert not leaked, f"{len(leaked)} cyclic machine objects: {sorted(set(leaked))}"
+    front_end = _front_end_reach(garbage)
     other = {type(obj).__name__ for obj in garbage
-             if not isinstance(obj, FRONT_END_CYCLES)}
+             if not isinstance(obj, FRONT_END_CYCLES) and id(obj) not in front_end}
     assert not other, f"unexpected cyclic garbage: {sorted(other)}"
+
+
+def test_artifacts_die_with_their_functions():
+    """A predecode artifact lives on its IR function and holds no reference
+    back to it, so dropping a finished run's module frees every artifact by
+    reference counting — no process-level cache keeps them."""
+    gc.collect()
+    alive = [obj for obj in gc.get_objects() if isinstance(obj, PredecodeArtifact)]
+    before = {id(obj) for obj in alive}
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = DifferentialRunner(analyze=False).run_source(CHAINED_TRAP)
+        assert len(out.results) == len(PAPER_MODEL_ORDER)
+        del out
+        left = [obj for obj in gc.get_objects()
+                if isinstance(obj, PredecodeArtifact) and id(obj) not in before]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert not left, f"{len(left)} artifacts outlived their module"
 
 
 def _chain_tracebacks(exc) -> list:

@@ -1,8 +1,8 @@
 """Guardrails for the predecode-artifact cache and shared block binding.
 
 ``interp/predecode.py::compile_function`` is split into a model-independent
-artifact (``interp/artifact.py``, cached process-wide per ``(function,
-pointer layout)``) plus a per-machine binding step, with shared
+artifact (``interp/artifact.py``, stored on the IR function it describes)
+plus a per-machine binding step, with shared
 superinstruction plans bound lazily once a function proves hot.  These tests
 pin the three contracts that make the split safe:
 
@@ -189,7 +189,7 @@ def test_mini_sweep_with_cold_and_warm_cache_classifies_identically() -> None:
 
 
 def test_artifact_identity_is_verified_not_assumed() -> None:
-    """A cache key can only be reused by the very same function object."""
+    """An artifact is only ever reused by the very function it lives on."""
     model = get_model("pdp11")
     module = compile_for_model(HOT_SOURCE, model)
     function = module.functions["accumulate"]

@@ -29,7 +29,7 @@ from repro.interp.models import PAPER_MODEL_ORDER, get_model
 
 
 @pytest.fixture(autouse=True)
-def bind_blocks_at_first_call(monkeypatch):
+def blocks_at_first_call(monkeypatch):
     """Every function binds its block plans on its first call."""
     monkeypatch.setattr(machine_module, "HOT_CALL_THRESHOLD", 1)
 

@@ -397,7 +397,7 @@ def _status(**overrides):
 def test_render_status_line_contents():
     line = render_status_line(_status())
     assert "5/10" in line and "50.0%" in line
-    assert "2.5 prog/s" in line and "lru 80%" in line
+    assert "2.5 prog/s" in line and "artifact 80%" in line
     assert "workers 1/1" in line
 
 

@@ -253,7 +253,7 @@ def test_sharded_sweep_trailers_aggregate_through_merge(
 
 
 def test_worker_cache_stats_cross_the_fork_boundary(tmp_path):
-    """Satellite 2: with jobs > 0 the LRU counters come from the workers'
+    """With jobs > 0 the artifact counters come from the workers'
     registries via the result queue, not the supervisor's zeros."""
     outcome, _ = _run(tmp_path, jobs=2, collect_stats=True, status_interval=0)
     counters = outcome.telemetry["counters"]
@@ -262,32 +262,24 @@ def test_worker_cache_stats_cross_the_fork_boundary(tmp_path):
 
 
 def test_artifact_cache_reports_evictions():
-    from repro.interp.artifact import ArtifactCache
+    """An eviction is a stale artifact replaced on its function: mutating
+    the function in place counts exactly one."""
+    from repro.core.api import compile_for_model
+    from repro.interp.artifact import ARTIFACTS, get_artifact
+    from repro.interp.models import get_model
 
-    class _Fn:  # minimal stand-in: identity-keyed, never revalidated
-        def __init__(self):
-            self.instrs = []
-            self.mutations = 0
-            self.name = "f"
-
-        def label_index(self):
-            return {}
-
-    class _Ctx:
-        pointer_bytes = 8
-        pointer_align = 8
-
-    cache = ArtifactCache(maxsize=2)
-    ctx = _Ctx()
-    functions = [_Fn() for _ in range(4)]
-    for function in functions:
-        cache.get(function, ctx)
-    stats = cache.stats()
-    assert stats["evictions"] == 2
-    assert stats["entries"] == 2
-    cache.clear()
-    assert cache.stats() == {"hits": 0, "misses": 0, "evictions": 0,
-                             "entries": 0}
+    module = compile_for_model("int main(void) { return 0; }", get_model("pdp11"))
+    function = module.functions["main"]
+    ARTIFACTS.clear()
+    first = get_artifact(function, module.context)
+    assert get_artifact(function, module.context) is first
+    function.invalidate_label_index()  # what an in-place optimizer pass does
+    replaced = get_artifact(function, module.context)
+    assert replaced is not first
+    assert get_artifact(function, module.context) is replaced
+    assert ARTIFACTS.stats() == {"hits": 2, "misses": 2, "evictions": 1}
+    ARTIFACTS.clear()
+    assert ARTIFACTS.stats() == {"hits": 0, "misses": 0, "evictions": 0}
 
 
 # ---------------------------------------------------------------------------
