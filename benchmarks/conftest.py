@@ -7,8 +7,8 @@ on a simulated memory hierarchy), so each benchmark:
 * runs the experiment exactly once via ``benchmark.pedantic`` (the runs are
   seconds long; statistical repetition happens inside the simulation), and
 * writes the regenerated table to ``results/<experiment>.txt`` so the
-  paper-vs-measured comparison is easy to archive (EXPERIMENTS.md points at
-  these files).
+  paper-vs-measured comparison is easy to archive (the files are committed,
+  and an unchanged simulation leaves them byte-identical).
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ cheri_v3 models on the same 16 KB L1 / 64 KB L2 hierarchy and are compared
 in simulated cycles.  Expected shape: CHERI ≥ MIPS for every kernel, with
 the overhead concentrated in the allocation-heavy tree kernels.  (The scaled
 tree sizes sit near the cache-size boundary, so the relative overhead for
-treeadd is larger than the paper's FPGA numbers; see EXPERIMENTS.md.)
+treeadd is larger than the paper's FPGA numbers: ~96% in
+``results/fig1_olden.txt``.)
 """
 
 from __future__ import annotations

@@ -254,8 +254,7 @@ class IrGenerator:
             variadic=node.variadic,
             line=node.line,
         )
-        last_line = _last_line(node.body) if node.body else node.line
-        function.source_lines = max(1, last_line - node.line + 1)
+        function.source_lines = max(1, _function_last_line(node) - node.line + 1)
         self.module.functions[node.name] = function
         self._function = function
         self._scope = _Scope(self._globals_scope)
@@ -896,6 +895,21 @@ class IrGenerator:
             self._function = saved_function
             self._temp_counter = saved_counter
         return None, ctype
+
+
+def _function_last_line(node: ast.FunctionDef) -> int:
+    """The last source line of a function, walked once per body.
+
+    Callers lower one parsed AST once per pointer layout, so the answer is
+    kept on the node beside the body it was computed from; replacing the
+    body recomputes it.  Lowered ASTs are not edited in place (the reducer
+    edits copies of generator ASTs and re-parses their rendered source).
+    """
+    memo = node.__dict__.get("_last_line_memo")
+    if memo is None or memo[0] is not node.body:
+        memo = (node.body, _last_line(node.body) if node.body else node.line)
+        node._last_line_memo = memo
+    return memo[1]
 
 
 def _last_line(node: ast.Node) -> int:

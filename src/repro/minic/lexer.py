@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 from repro.common.errors import LexError
 
@@ -45,20 +44,50 @@ _PUNCTUATORS = (
     "(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: One token per match: leading trivia (whitespace, ``//`` and ``/* */``
+#: comments, ``#`` lines starting at column 1), then an identifier or keyword
+#: (group 1) or a punctuator (group 2, longest first; an unterminated ``/*``
+#: is not one).  When neither group matches, the character after the trivia
+#: starts a number, string or char literal, an unterminated comment, an error
+#: or the end of input.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|^#[^\n]*)*"
+    r"(?:([A-Za-z_][A-Za-z0-9_]*)|(?!/\*)(" + "|".join(map(re.escape, _PUNCTUATORS)) + "))?",
+    re.MULTILINE | re.DOTALL,
+)
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
 _OCT_RE = re.compile(r"0[0-7]+")
 _DEC_RE = re.compile(r"[0-9]+")
 _INT_SUFFIX_RE = re.compile(r"[uUlL]*")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    value: int | str | None
-    line: int
-    column: int
+    """One lexeme with its 1-based source coordinates; compared by value."""
+
+    __slots__ =("kind", "text", "value", "line", "column")
+
+    def __init__(self, kind: TokenKind, text: str, value: int | str | None,
+                 line: int, column: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.line = line
+        self.column = column
+
+    def _key(self) -> tuple:
+        return (self.kind, self.text, self.value, self.line, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Token(kind={self.kind!r}, text={self.text!r}, value={self.value!r}, "
+                f"line={self.line!r}, column={self.column!r})")
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
@@ -71,7 +100,15 @@ class Token:
 
 
 class Lexer:
-    """Single-pass tokenizer."""
+    """Single-pass tokenizer.
+
+    Identifiers, keywords, punctuators and trivia come from one
+    :data:`_TOKEN_RE` match each; line and column are derived from the
+    newlines between consecutive token starts.  Numbers, string and char
+    literals and every error go through the per-kind methods below, which
+    read ``_pos``/``_line``/``_column`` (set to the token start) and leave
+    ``_pos`` just past the token.
+    """
 
     def __init__(self, source: str) -> None:
         self._source = source
@@ -80,77 +117,63 @@ class Lexer:
         self._column = 1
 
     def tokenize(self) -> list[Token]:
+        src = self._source
+        size = len(src)
+        match = _TOKEN_RE.match
+        count = src.count
+        keywords = KEYWORDS
+        ident_kind, keyword_kind, punct_kind = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
         tokens: list[Token] = []
+        append = tokens.append
+        pos = 0
+        line = 1
+        line_start = 0  # offset of the first character of ``line``
+        counted = 0     # newlines before this offset are already in ``line``
         while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+            found = match(src, pos)
+            group = found.lastindex
+            if group:
+                start, pos = found.span(group)
+            else:
+                start = pos = found.end()
+            newlines = count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = src.rfind("\n", counted, start) + 1
+            counted = start
+            column = start - line_start + 1
+            if group == 1:
+                text = found.group(1)
+                append(Token(keyword_kind if text in keywords else ident_kind,
+                             text, text, line, column))
+            elif group == 2:
+                text = found.group(2)
+                append(Token(punct_kind, text, text, line, column))
+            else:
+                self._pos, self._line, self._column = start, line, column
+                if start >= size:
+                    append(Token(TokenKind.EOF, "", None, line, column))
+                    return tokens
+                append(self._lex_other())
+                pos = self._pos
 
     # ------------------------------------------------------------------
 
     def _error(self, message: str) -> LexError:
         return LexError(message, line=self._line, column=self._column)
 
-    def _advance(self, count: int) -> None:
-        for _ in range(count):
-            if self._pos < len(self._source) and self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        src = self._source
-        while self._pos < len(src):
-            ch = src[self._pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif src.startswith("//", self._pos):
-                while self._pos < len(src) and src[self._pos] != "\n":
-                    self._advance(1)
-            elif src.startswith("/*", self._pos):
-                end = src.find("*/", self._pos + 2)
-                if end < 0:
-                    raise self._error("unterminated block comment")
-                self._advance(end + 2 - self._pos)
-            elif ch == "#" and self._column == 1:
-                # preprocessor-style line: skipped (no preprocessor in mini-C)
-                while self._pos < len(src) and src[self._pos] != "\n":
-                    self._advance(1)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        if self._pos >= len(self._source):
-            return Token(TokenKind.EOF, "", None, self._line, self._column)
-        line, column = self._line, self._column
+    def _lex_other(self) -> Token:
+        """A token the master regex leaves to per-kind code, or an error."""
         src = self._source
         ch = src[self._pos]
-
-        ident = _IDENT_RE.match(src, self._pos)
-        if ident:
-            text = ident.group(0)
-            self._advance(len(text))
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            return Token(kind, text, text, line, column)
-
         if ch.isdigit():
-            return self._lex_number(line, column)
-
+            return self._lex_number(self._line, self._column)
         if ch == '"':
-            return self._lex_string(line, column)
-
+            return self._lex_string(self._line, self._column)
         if ch == "'":
-            return self._lex_char(line, column)
-
-        for punct in _PUNCTUATORS:
-            if src.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, punct, line, column)
-
+            return self._lex_char(self._line, self._column)
+        if src.startswith("/*", self._pos):
+            raise self._error("unterminated block comment")
         raise self._error(f"unexpected character {ch!r}")
 
     def _lex_number(self, line: int, column: int) -> Token:
@@ -162,10 +185,7 @@ class Lexer:
             match = pattern.match(src, self._pos)
             if match:
                 text = match.group(0)
-                self._advance(len(text))
-                suffix = _INT_SUFFIX_RE.match(src, self._pos)
-                if suffix and suffix.group(0):
-                    self._advance(len(suffix.group(0)))
+                self._pos = _INT_SUFFIX_RE.match(src, match.end()).end()
                 return Token(TokenKind.INT, text, int(text, base), line, column)
         raise self._error("malformed number literal")
 
@@ -206,7 +226,7 @@ class Lexer:
         if pos >= len(src):
             raise self._error("unterminated string literal")
         text = "".join(out)
-        self._advance(pos + 1 - self._pos)
+        self._pos = pos + 1
         return Token(TokenKind.STRING, text, text, line, column)
 
     def _lex_char(self, line: int, column: int) -> Token:
@@ -225,5 +245,5 @@ class Lexer:
         pos += 1
         if pos >= len(src) or src[pos] != "'":
             raise self._error("unterminated character literal")
-        self._advance(pos + 1 - self._pos)
+        self._pos = pos + 1
         return Token(TokenKind.CHAR, chr(value), value, line, column)

@@ -38,6 +38,8 @@ _BINARY_PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 
+_UNARY_OPS = {"-", "+", "!", "~", "*", "&"}
+
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
 _TYPE_KEYWORDS = {
@@ -45,6 +47,23 @@ _TYPE_KEYWORDS = {
     "struct", "union", "const", "volatile", "__capability", "__input", "__output",
     "static", "extern", "register", "inline",
 }
+
+_POINTER_QUALIFIER_KEYWORDS = {"const", "volatile", "__capability", "__input", "__output"}
+
+#: Enum member reads and flag arithmetic go through the enum machinery; the
+#: parser tests kinds on every token and qualifiers on every declaration, so
+#: it binds the members and combinations it uses once.
+_NO_QUALIFIERS = Qualifiers.NONE
+#: qualifiers that stay on a declaration's base type
+_BASE_QUALIFIERS = Qualifiers.CONST | Qualifiers.VOLATILE
+#: qualifiers the declarator applies to the pointer a following ``*`` makes
+_POINTER_LEVEL_QUALIFIERS = (
+    Qualifiers.CAPABILITY | Qualifiers.INPUT | Qualifiers.OUTPUT | Qualifiers.CONST
+)
+_IDENT, _KEYWORD, _PUNCT, _INT, _CHAR, _STRING, _EOF = (
+    TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT, TokenKind.INT,
+    TokenKind.CHAR, TokenKind.STRING, TokenKind.EOF,
+)
 
 #: maximum combined statement/expression nesting depth.  The recursive
 #: descent uses a handful of CPython frames per level, so unguarded input
@@ -65,8 +84,18 @@ class Parser:
     """A hand-written recursive-descent parser."""
 
     def __init__(self, source: str, context: TypeContext) -> None:
-        self._tokens = Lexer(source).tokenize()
+        tokens = Lexer(source).tokenize()
+        self._tokens = tokens
+        #: per-token test key: the text of a punctuator or keyword, else None.
+        #: Punctuator and keyword spellings are disjoint, so ``self._key ==
+        #: "{"`` is ``is_punct("{")`` and ``self._key == "if"`` is
+        #: ``is_keyword("if")`` for the current token, as plain reads.
+        self._keys = [token.text if token.kind is _PUNCT or token.kind is _KEYWORD else None
+                      for token in tokens]
+        self._last = len(tokens) - 1  # the EOF token
         self._pos = 0
+        self._tok = tokens[0]
+        self._key = self._keys[0]
         self._ctx = context
         self._depth = 0
 
@@ -80,42 +109,37 @@ class Parser:
     # Token helpers
     # ------------------------------------------------------------------
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
     def _peek(self, offset: int = 1) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[min(self._pos + offset, self._last)]
 
     def _advance(self) -> Token:
-        token = self._current
-        if token.kind is not TokenKind.EOF:
-            self._pos += 1
+        """Consume the current token (EOF is never consumed)."""
+        token = self._tok
+        pos = self._pos
+        if pos < self._last:
+            pos += 1
+            self._pos = pos
+            self._tok = self._tokens[pos]
+            self._key = self._keys[pos]
         return token
 
     def _error(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self._current
+        token = token or self._tok
         return ParseError(f"{message} (got {token.text!r})", line=token.line, column=token.column)
 
     def _expect_punct(self, text: str) -> Token:
-        if not self._current.is_punct(text):
+        if self._key != text:
             raise self._error(f"expected {text!r}")
         return self._advance()
 
     def _expect_ident(self) -> Token:
-        if self._current.kind is not TokenKind.IDENT:
+        if self._tok.kind is not _IDENT:
             raise self._error("expected identifier")
         return self._advance()
 
-    def _accept_punct(self, text: str) -> bool:
-        if self._current.is_punct(text):
-            self._advance()
-            return True
-        return False
-
-    def _accept_keyword(self, text: str) -> bool:
-        if self._current.is_keyword(text):
+    def _accept(self, text: str) -> bool:
+        """Consume the current token if it is punctuator or keyword ``text``."""
+        if self._key == text:
             self._advance()
             return True
         return False
@@ -125,57 +149,56 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _starts_type(self, token: Token | None = None) -> bool:
-        token = token or self._current
-        if token.kind is TokenKind.KEYWORD and token.text in _TYPE_KEYWORDS:
-            return True
-        if token.kind is TokenKind.IDENT and self._ctx.lookup_typedef(token.text) is not None:
-            return True
-        return False
+        token = token or self._tok
+        kind = token.kind
+        if kind is _KEYWORD:
+            return token.text in _TYPE_KEYWORDS
+        return kind is _IDENT and self._ctx.lookup_typedef(token.text) is not None
 
     def _parse_declaration_specifiers(self) -> CType:
         """Parse qualifiers + a base type (no declarator)."""
-        qualifiers = Qualifiers.NONE
+        qualifiers = _NO_QUALIFIERS
         signedness: bool | None = None
         base: CType | None = None
         long_count = 0
         saw_int_keyword = False
 
         while True:
-            token = self._current
-            if token.is_keyword("const"):
+            key = self._key
+            if key == "const":
                 qualifiers |= Qualifiers.CONST
-            elif token.is_keyword("volatile"):
+            elif key == "volatile":
                 qualifiers |= Qualifiers.VOLATILE
-            elif token.is_keyword("__capability"):
+            elif key == "__capability":
                 qualifiers |= Qualifiers.CAPABILITY
-            elif token.is_keyword("__input"):
+            elif key == "__input":
                 qualifiers |= Qualifiers.INPUT | Qualifiers.CAPABILITY
-            elif token.is_keyword("__output"):
+            elif key == "__output":
                 qualifiers |= Qualifiers.OUTPUT | Qualifiers.CAPABILITY
-            elif token.is_keyword("static") or token.is_keyword("extern") \
-                    or token.is_keyword("register") or token.is_keyword("inline"):
+            elif key == "static" or key == "extern" \
+                    or key == "register" or key == "inline":
                 pass  # storage classes accepted and ignored
-            elif token.is_keyword("unsigned"):
+            elif key == "unsigned":
                 signedness = False
-            elif token.is_keyword("signed"):
+            elif key == "signed":
                 signedness = True
-            elif token.is_keyword("void"):
+            elif key == "void":
                 base = VoidType()
-            elif token.is_keyword("char"):
+            elif key == "char":
                 base = IntType(bytes=1, signed=True, name="char")
-            elif token.is_keyword("short"):
+            elif key == "short":
                 base = IntType(bytes=2, signed=True, name="short")
-            elif token.is_keyword("int"):
+            elif key == "int":
                 saw_int_keyword = True
-            elif token.is_keyword("long"):
+            elif key == "long":
                 long_count += 1
-            elif token.is_keyword("struct") or token.is_keyword("union"):
+            elif key == "struct" or key == "union":
                 self._advance()
-                base = self._parse_struct_type(is_union=token.text == "union")
+                base = self._parse_struct_type(is_union=key == "union")
                 continue
-            elif token.kind is TokenKind.IDENT and base is None and long_count == 0 \
+            elif self._tok.kind is _IDENT and base is None and long_count == 0 \
                     and not saw_int_keyword and signedness is None:
-                typedef = self._ctx.lookup_typedef(token.text)
+                typedef = self._ctx.lookup_typedef(self._tok.text)
                 if typedef is None:
                     break
                 base = typedef
@@ -201,28 +224,28 @@ class Parser:
                 is_pointer_sized=base.is_pointer_sized,
             )
         if qualifiers and not isinstance(base, PointerType):
-            base = base.with_qualifiers(qualifiers & (Qualifiers.CONST | Qualifiers.VOLATILE))
+            base = base.with_qualifiers(qualifiers & _BASE_QUALIFIERS)
         # Pointer-level qualifiers (__capability, __input, __output) are applied
         # by the declarator when a '*' follows; remember them on the side.
-        self._pending_pointer_qualifiers = qualifiers & (
-            Qualifiers.CAPABILITY | Qualifiers.INPUT | Qualifiers.OUTPUT | Qualifiers.CONST
+        self._pending_pointer_qualifiers = (
+            qualifiers & _POINTER_LEVEL_QUALIFIERS if qualifiers else _NO_QUALIFIERS
         )
         return base
 
     def _parse_struct_type(self, *, is_union: bool) -> StructType:
         tag = ""
-        if self._current.kind is TokenKind.IDENT:
+        if self._tok.kind is _IDENT:
             tag = self._advance().text
         struct = self._ctx.struct(tag or f"__anon_{self._pos}", is_union=is_union)
-        if self._current.is_punct("{"):
+        if self._key == "{":
             self._advance()
             fields: list[StructField] = []
-            while not self._current.is_punct("}"):
+            while self._key != "}":
                 base = self._parse_declaration_specifiers()
                 while True:
                     ctype, name, _ = self._parse_declarator(base)
                     fields.append(StructField(name=name, ctype=ctype))
-                    if not self._accept_punct(","):
+                    if not self._accept(","):
                         break
                 self._expect_punct(";")
             self._expect_punct("}")
@@ -232,13 +255,11 @@ class Parser:
     def _parse_declarator(self, base: CType) -> tuple[CType, str, int]:
         """Parse ``* ... name [N]`` and return (type, name, line)."""
         ctype = base
-        pointer_quals = getattr(self, "_pending_pointer_qualifiers", Qualifiers.NONE)
-        while self._current.is_punct("*"):
+        pointer_quals = getattr(self, "_pending_pointer_qualifiers", _NO_QUALIFIERS)
+        while self._key == "*":
             self._advance()
-            quals = Qualifiers.NONE
-            while self._current.is_keyword("const") or self._current.is_keyword("volatile") \
-                    or self._current.is_keyword("__capability") or self._current.is_keyword("__input") \
-                    or self._current.is_keyword("__output"):
+            quals = _NO_QUALIFIERS
+            while self._key in _POINTER_QUALIFIER_KEYWORDS:
                 keyword = self._advance().text
                 if keyword == "const":
                     quals |= Qualifiers.CONST
@@ -249,18 +270,18 @@ class Parser:
                 elif keyword == "__output":
                     quals |= Qualifiers.OUTPUT | Qualifiers.CAPABILITY
             ctype = PointerType(pointee=ctype, qualifiers=quals | pointer_quals)
-            pointer_quals = Qualifiers.NONE
-        name_token = self._current
+            pointer_quals = _NO_QUALIFIERS
+        name_token = self._tok
         name = ""
-        if name_token.kind is TokenKind.IDENT:
+        if name_token.kind is _IDENT:
             name = self._advance().text
-        while self._current.is_punct("["):
+        while self._key == "[":
             self._advance()
-            if self._current.is_punct("]"):
+            if self._key == "]":
                 count = 0
             else:
-                count_token = self._current
-                if count_token.kind is not TokenKind.INT:
+                count_token = self._tok
+                if count_token.kind is not _INT:
                     raise self._error("array size must be an integer literal")
                 count = int(count_token.value)
                 self._advance()
@@ -280,19 +301,19 @@ class Parser:
 
     def parse_translation_unit(self) -> ast.TranslationUnit:
         unit = ast.TranslationUnit()
-        while self._current.kind is not TokenKind.EOF:
-            if self._accept_keyword("typedef"):
+        while self._tok.kind is not _EOF:
+            if self._accept("typedef"):
                 base = self._parse_declaration_specifiers()
                 ctype, name, _ = self._parse_declarator(base)
                 self._expect_punct(";")
                 self._ctx.typedef(name, ctype)
                 continue
-            line = self._current.line
+            line = self._tok.line
             base = self._parse_declaration_specifiers()
-            if self._accept_punct(";"):
+            if self._accept(";"):
                 continue  # bare struct/union definition
             ctype, name, decl_line = self._parse_declarator(base)
-            if self._current.is_punct("("):
+            if self._key == "(":
                 unit.functions.append(self._parse_function(ctype, name, line))
             else:
                 self._parse_global_tail(unit, ctype, name, decl_line, base)
@@ -308,13 +329,13 @@ class Parser:
     ) -> None:
         while True:
             declaration = ast.Declaration(name=name, ctype=ctype, is_global=True, line=line)
-            if self._accept_punct("="):
-                if self._current.is_punct("{"):
+            if self._accept("="):
+                if self._key == "{":
                     declaration.array_initializer = self._parse_brace_initializer()
                 else:
                     declaration.initializer = self._parse_assignment()
             unit.declarations.append(declaration)
-            if self._accept_punct(","):
+            if self._accept(","):
                 ctype, name, line = self._parse_declarator(base)
                 continue
             self._expect_punct(";")
@@ -323,9 +344,9 @@ class Parser:
     def _parse_brace_initializer(self) -> list[ast.Expr]:
         self._expect_punct("{")
         values: list[ast.Expr] = []
-        while not self._current.is_punct("}"):
+        while self._key != "}":
             values.append(self._parse_assignment())
-            if not self._accept_punct(","):
+            if not self._accept(","):
                 break
         self._expect_punct("}")
         return values
@@ -334,12 +355,12 @@ class Parser:
         self._expect_punct("(")
         params: list[ast.Parameter] = []
         variadic = False
-        if not self._current.is_punct(")"):
-            if self._current.is_keyword("void") and self._peek().is_punct(")"):
+        if self._key != ")":
+            if self._key == "void" and self._peek().is_punct(")"):
                 self._advance()
             else:
                 while True:
-                    if self._current.is_punct("..."):
+                    if self._key == "...":
                         self._advance()
                         variadic = True
                         break
@@ -348,10 +369,10 @@ class Parser:
                     if isinstance(param_type, ArrayType):
                         param_type = PointerType(pointee=param_type.element)
                     params.append(ast.Parameter(name=param_name, ctype=param_type, line=param_line))
-                    if not self._accept_punct(","):
+                    if not self._accept(","):
                         break
         self._expect_punct(")")
-        if self._accept_punct(";"):
+        if self._accept(";"):
             # Forward declaration / prototype: record nothing (intrinsics and
             # later definitions provide the body).
             return ast.FunctionDef(name=name, return_type=return_type, params=params,
@@ -368,7 +389,7 @@ class Parser:
     def _parse_block(self) -> ast.Block:
         start = self._expect_punct("{")
         block = ast.Block(line=start.line)
-        while not self._current.is_punct("}"):
+        while self._key != "}":
             block.statements.append(self._parse_statement())
         self._expect_punct("}")
         return block
@@ -381,35 +402,36 @@ class Parser:
             self._depth -= 1
 
     def _parse_statement_inner(self) -> ast.Stmt:
-        token = self._current
-        if token.is_punct("{"):
+        token = self._tok
+        key = self._key
+        if key == "{":
             return self._parse_block()
-        if token.is_keyword("if"):
+        if key == "if":
             return self._parse_if()
-        if token.is_keyword("while"):
+        if key == "while":
             return self._parse_while()
-        if token.is_keyword("for"):
+        if key == "for":
             return self._parse_for()
-        if token.is_keyword("do"):
+        if key == "do":
             return self._parse_do_while()
-        if token.is_keyword("return"):
+        if key == "return":
             self._advance()
             value = None
-            if not self._current.is_punct(";"):
+            if self._key != ";":
                 value = self._parse_expression()
             self._expect_punct(";")
             return ast.Return(value=value, line=token.line)
-        if token.is_keyword("break"):
+        if key == "break":
             self._advance()
             self._expect_punct(";")
             return ast.Break(line=token.line)
-        if token.is_keyword("continue"):
+        if key == "continue":
             self._advance()
             self._expect_punct(";")
             return ast.Continue(line=token.line)
-        if self._starts_type(token) and not token.is_keyword("sizeof"):
+        if self._starts_type(token) and key != "sizeof":
             return self._parse_local_declaration()
-        if token.is_punct(";"):
+        if key == ";":
             self._advance()
             return ast.ExprStmt(expr=None, line=token.line)
         expr = self._parse_expression()
@@ -417,19 +439,19 @@ class Parser:
         return ast.ExprStmt(expr=expr, line=token.line)
 
     def _parse_local_declaration(self) -> ast.Stmt:
-        line = self._current.line
+        line = self._tok.line
         base = self._parse_declaration_specifiers()
         statements: list[ast.Stmt] = []
         while True:
             ctype, name, decl_line = self._parse_declarator(base)
             declaration = ast.Declaration(name=name, ctype=ctype, line=decl_line)
-            if self._accept_punct("="):
-                if self._current.is_punct("{"):
+            if self._accept("="):
+                if self._key == "{":
                     declaration.array_initializer = self._parse_brace_initializer()
                 else:
                     declaration.initializer = self._parse_assignment()
             statements.append(declaration)
-            if not self._accept_punct(","):
+            if not self._accept(","):
                 break
         self._expect_punct(";")
         if len(statements) == 1:
@@ -443,7 +465,7 @@ class Parser:
         self._expect_punct(")")
         then_branch = self._parse_statement()
         else_branch = None
-        if self._accept_keyword("else"):
+        if self._accept("else"):
             else_branch = self._parse_statement()
         return ast.If(condition=condition, then_branch=then_branch, else_branch=else_branch, line=token.line)
 
@@ -459,7 +481,7 @@ class Parser:
         """``do body while (cond);`` desugared to ``body; while (cond) body;``."""
         token = self._advance()
         body = self._parse_statement()
-        if not self._accept_keyword("while"):
+        if not self._accept("while"):
             raise self._error("expected 'while' after do-body")
         self._expect_punct("(")
         condition = self._parse_expression()
@@ -472,20 +494,20 @@ class Parser:
         token = self._advance()
         self._expect_punct("(")
         init: ast.Stmt | None = None
-        if not self._current.is_punct(";"):
+        if self._key != ";":
             if self._starts_type():
                 init = self._parse_local_declaration()
             else:
-                init = ast.ExprStmt(expr=self._parse_expression(), line=self._current.line)
+                init = ast.ExprStmt(expr=self._parse_expression(), line=self._tok.line)
                 self._expect_punct(";")
         else:
             self._advance()
         condition = None
-        if not self._current.is_punct(";"):
+        if self._key != ";":
             condition = self._parse_expression()
         self._expect_punct(";")
         step = None
-        if not self._current.is_punct(")"):
+        if self._key != ")":
             step = self._parse_expression()
         self._expect_punct(")")
         body = self._parse_statement()
@@ -500,16 +522,15 @@ class Parser:
 
     def _parse_assignment(self) -> ast.Expr:
         left = self._parse_conditional()
-        token = self._current
-        if token.kind is TokenKind.PUNCT and token.text in _ASSIGN_OPS:
-            self._advance()
+        if self._key in _ASSIGN_OPS:
+            token = self._advance()
             value = self._parse_assignment()
             return ast.Assign(op=token.text, target=left, value=value, line=token.line)
         return left
 
     def _parse_conditional(self) -> ast.Expr:
         condition = self._parse_binary(0)
-        if self._current.is_punct("?"):
+        if self._key == "?":
             token = self._advance()
             then_value = self._parse_expression()
             self._expect_punct(":")
@@ -522,13 +543,10 @@ class Parser:
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
         left = self._parse_unary()
         while True:
-            token = self._current
-            if token.kind is not TokenKind.PUNCT:
-                return left
-            precedence = _BINARY_PRECEDENCE.get(token.text)
+            precedence = _BINARY_PRECEDENCE.get(self._key)
             if precedence is None or precedence < min_precedence:
                 return left
-            self._advance()
+            token = self._advance()
             right = self._parse_binary(precedence + 1)
             left = ast.Binary(op=token.text, left=left, right=right, line=token.line)
 
@@ -540,25 +558,26 @@ class Parser:
             self._depth -= 1
 
     def _parse_unary_inner(self) -> ast.Expr:
-        token = self._current
-        if token.kind is TokenKind.PUNCT and token.text in ("-", "+", "!", "~", "*", "&"):
+        token = self._tok
+        key = self._key
+        if key in _UNARY_OPS:
             self._advance()
             operand = self._parse_unary()
             return ast.Unary(op=token.text, operand=operand, line=token.line)
-        if token.is_punct("++") or token.is_punct("--"):
+        if key == "++" or key == "--":
             self._advance()
             operand = self._parse_unary()
             return ast.IncDec(op=token.text, operand=operand, is_prefix=True, line=token.line)
-        if token.is_keyword("sizeof"):
+        if key == "sizeof":
             self._advance()
-            if self._current.is_punct("(") and self._starts_type(self._peek()):
+            if self._key == "(" and self._starts_type(self._peek()):
                 self._expect_punct("(")
                 target_type = self._parse_type_name()
                 self._expect_punct(")")
                 return ast.SizeofType(target_type=target_type, line=token.line)
             operand = self._parse_unary()
             return ast.SizeofExpr(operand=operand, line=token.line)
-        if token.is_punct("(") and self._starts_type(self._peek()):
+        if key == "(" and self._starts_type(self._peek()):
             self._advance()
             target_type = self._parse_type_name()
             self._expect_punct(")")
@@ -569,36 +588,37 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            token = self._current
-            if token.is_punct("["):
+            token = self._tok
+            key = self._key
+            if key == "[":
                 self._advance()
                 index = self._parse_expression()
                 self._expect_punct("]")
                 expr = ast.Index(base=expr, index=index, line=token.line)
-            elif token.is_punct("."):
+            elif key == ".":
                 self._advance()
                 member = self._expect_ident().text
                 expr = ast.Member(base=expr, member=member, arrow=False, line=token.line)
-            elif token.is_punct("->"):
+            elif key == "->":
                 self._advance()
                 member = self._expect_ident().text
                 expr = ast.Member(base=expr, member=member, arrow=True, line=token.line)
-            elif token.is_punct("++") or token.is_punct("--"):
+            elif key == "++" or key == "--":
                 self._advance()
                 expr = ast.IncDec(op=token.text, operand=expr, is_prefix=False, line=token.line)
-            elif token.is_punct("(") and isinstance(expr, ast.Identifier) and expr.name == "offsetof":
+            elif key == "(" and isinstance(expr, ast.Identifier) and expr.name == "offsetof":
                 self._advance()
                 target_type = self._parse_type_name()
                 self._expect_punct(",")
                 member = self._expect_ident().text
                 self._expect_punct(")")
                 expr = ast.OffsetOf(target_type=target_type, member=member, line=token.line)
-            elif token.is_punct("(") and isinstance(expr, ast.Identifier):
+            elif key == "(" and isinstance(expr, ast.Identifier):
                 self._advance()
                 args: list[ast.Expr] = []
-                while not self._current.is_punct(")"):
+                while self._key != ")":
                     args.append(self._parse_assignment())
-                    if not self._accept_punct(","):
+                    if not self._accept(","):
                         break
                 self._expect_punct(")")
                 expr = ast.Call(callee=expr.name, args=args, line=token.line)
@@ -606,24 +626,24 @@ class Parser:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._current
-        if token.kind is TokenKind.INT:
+        token = self._tok
+        if token.kind is _INT:
             self._advance()
             return ast.IntLiteral(value=int(token.value), line=token.line)
-        if token.kind is TokenKind.CHAR:
+        if token.kind is _CHAR:
             self._advance()
             return ast.CharLiteral(value=int(token.value), line=token.line)
-        if token.kind is TokenKind.STRING:
+        if token.kind is _STRING:
             self._advance()
             # adjacent string literals concatenate
             text = str(token.value)
-            while self._current.kind is TokenKind.STRING:
+            while self._tok.kind is _STRING:
                 text += str(self._advance().value)
             return ast.StringLiteral(value=text, line=token.line)
-        if token.kind is TokenKind.IDENT:
+        if token.kind is _IDENT:
             self._advance()
             return ast.Identifier(name=token.text, line=token.line)
-        if token.is_punct("("):
+        if self._key == "(":
             self._advance()
             expr = self._parse_expression()
             self._expect_punct(")")

@@ -23,8 +23,9 @@ cost is paid per call and the number of calls grows linearly with the file,
 the overhead is flat across file sizes — the mechanism behind the paper's
 ~21% line.  The internal-state size is scaled down together with the rest of
 the workload (real zlib's deflate state is hundreds of kilobytes); the scale
-is chosen so the copy-to-compress ratio matches the paper's regime, and is
-recorded in EXPERIMENTS.md.
+(``_STATE_BYTES`` = 128 bytes) is chosen so the copy-to-compress ratio matches
+the paper's regime: ``results/fig4_zlib.txt`` shows ~25% copying overhead at
+every file size.
 """
 
 from __future__ import annotations

@@ -24,22 +24,36 @@ from repro.minic.irgen import compile_source
 # Lexical errors
 # ---------------------------------------------------------------------------
 
+#: name -> (source, message, line, column).  The coordinates are pinned: a
+#: diagnostic that drifts by one column is a front-end regression.
 LEX_CASES = {
-    "unterminated string": 'int main(void) { puts("abc); return 0; }',
-    "newline inside string": 'int main(void) { puts("abc\ndef"); return 0; }',
-    "\\x escape with no digits": r'int main(void) { puts("a\x"); return 0; }',
-    "unterminated block comment": "int main(void) { /* comment",
-    "hex literal with no digits": "int main(void) { int x = 0x; return x; }",
-    "unterminated char literal": "int main(void) { int c = 'a; return 0; }",
-    "unexpected character": "int main(void) { int x = 1 @ 2; return x; }",
+    "unterminated string": ('int main(void) { puts("abc); return 0; }',
+                            "unterminated string literal", 1, 23),
+    "newline inside string": ('int main(void) { puts("abc\ndef"); return 0; }',
+                              "unterminated string literal (newline in string)", 1, 23),
+    "\\x escape with no digits": (r'int main(void) { puts("a\x"); return 0; }',
+                                  "\\x escape with no hex digits", 1, 23),
+    "unterminated block comment": ("int main(void) { /* comment",
+                                   "unterminated block comment", 1, 18),
+    "hex literal with no digits": ("int main(void) { int x = 0x; return x; }",
+                                   "malformed hex literal (no digits after 0x)", 1, 26),
+    "unterminated char literal": ("int main(void) { int c = 'a; return 0; }",
+                                  "unterminated character literal", 1, 26),
+    "unexpected character": ("int main(void) { int x = 1 @ 2; return x; }",
+                             "unexpected character '@'", 1, 28),
 }
 
 
-@pytest.mark.parametrize("source", LEX_CASES.values(), ids=LEX_CASES.keys())
-def test_lexical_errors_are_structured(source):
+def _assert_diagnostic(error, message, line, column):
+    assert (str(error), error.line, error.column) == (
+        f"{message} (line {line}, col {column})", line, column)
+
+
+@pytest.mark.parametrize("source,message,line,column", LEX_CASES.values(), ids=LEX_CASES.keys())
+def test_lexical_errors_are_structured(source, message, line, column):
     with pytest.raises(LexError) as excinfo:
         compile_source(source)
-    assert excinfo.value.line is not None
+    _assert_diagnostic(excinfo.value, message, line, column)
 
 
 def test_hex_escape_is_masked_to_a_byte():
@@ -51,19 +65,42 @@ def test_hex_escape_is_masked_to_a_byte():
 # Syntactic errors, including resource limits
 # ---------------------------------------------------------------------------
 
+#: name -> (source, message, line, column), pinned like LEX_CASES.
 PARSE_CASES = {
-    "missing semicolon": "int main(void) { int x = 1 return x; }",
-    "missing close paren": "int main(void) { return (1 + 2; }",
-    "array size must be literal": "int main(void) { int n = 4; int a[n]; return 0; }",
-    "bare expression at top level": "1 + 2;",
-    "do without while": "int main(void) { do { } return 0; }",
+    "missing semicolon": ("int main(void) { int x = 1 return x; }",
+                          "expected ';' (got 'return')", 1, 28),
+    "missing close paren": ("int main(void) { return (1 + 2; }",
+                            "expected ')' (got ';')", 1, 31),
+    "array size must be literal": ("int main(void) { int n = 4; int a[n]; return 0; }",
+                                   "array size must be an integer literal (got 'n')", 1, 35),
+    "bare expression at top level": ("1 + 2;", "expected a type (got '1')", 1, 1),
+    "do without while": ("int main(void) { do { } return 0; }",
+                         "expected 'while' after do-body (got 'return')", 1, 25),
 }
 
 
-@pytest.mark.parametrize("source", PARSE_CASES.values(), ids=PARSE_CASES.keys())
-def test_parse_errors_are_structured(source):
-    with pytest.raises(ParseError):
+@pytest.mark.parametrize("source,message,line,column", PARSE_CASES.values(),
+                         ids=PARSE_CASES.keys())
+def test_parse_errors_are_structured(source, message, line, column):
+    with pytest.raises(ParseError) as excinfo:
         compile_source(source)
+    _assert_diagnostic(excinfo.value, message, line, column)
+
+
+def test_diagnostics_on_later_lines_count_lines_and_columns():
+    """Coordinates past the first line: comments, ``#`` lines and tabs."""
+    source = ("#include <stdio.h>\n"
+              "/* a comment\n   spanning lines */\n"
+              "int main(void) {\n"
+              "\tint x = 1; // trailing\n"
+              "\treturn x $ 2;\n"
+              "}\n")
+    with pytest.raises(LexError) as excinfo:
+        compile_source(source)
+    _assert_diagnostic(excinfo.value, "unexpected character '$'", 6, 11)
+    with pytest.raises(ParseError) as excinfo:
+        compile_source(source.replace("$", ")"))
+    _assert_diagnostic(excinfo.value, "expected ';' (got ')')", 6, 11)
 
 
 @pytest.mark.parametrize("payload", [
@@ -122,7 +159,8 @@ def test_type_errors_are_structured(source):
 
 def test_every_malformed_case_raises_a_compilation_error():
     """The oracle-facing contract: CompilationError or nothing."""
-    for source in [*LEX_CASES.values(), *PARSE_CASES.values(), *TYPE_CASES.values()]:
+    sources = [case[0] for case in (*LEX_CASES.values(), *PARSE_CASES.values())]
+    for source in [*sources, *TYPE_CASES.values()]:
         try:
             compile_source(source)
         except CompilationError:

@@ -441,3 +441,26 @@ class TestSharedAstLayouts:
         from repro.interp.machine import AbstractMachine
         result = AbstractMachine(compile_unit(unit, context=ctx8), "pdp11").run()
         assert result.exit_code == 0 and result.checkpoints == [7]
+
+    def test_function_last_line_is_walked_once_per_body(self, monkeypatch):
+        import copy
+
+        from repro.minic import irgen
+        from repro.minic.parser import parse
+
+        walks = []
+        real_last_line = irgen._last_line
+        monkeypatch.setattr(irgen, "_last_line",
+                            lambda node: walks.append(node) or real_last_line(node))
+        unit, _ = parse(self.SOURCE)
+        main = unit.functions[0]
+        narrow = irgen.compile_unit(unit)
+        wide = irgen.compile_unit(unit, pointer_bytes=32, pointer_align=32)
+        # `main` spans lines 3-7 of SOURCE (its last node is the return)
+        assert narrow.functions["main"].source_lines == wide.functions["main"].source_lines == 5
+        first_body = main.body
+        assert [node is first_body for node in walks].count(True) == 1
+        main.body = copy.deepcopy(first_body)  # a new body is walked again
+        assert irgen.compile_unit(unit).functions["main"].source_lines == 5
+        assert [node is first_body for node in walks].count(True) == 1
+        assert [node is main.body for node in walks].count(True) == 1
