@@ -3,21 +3,21 @@
 
 ``run_difftest`` (unless ``--status-interval 0``) atomically rewrites
 ``<journal>.status.json`` every few seconds while sweeping.  This script
-renders one or many of those documents — one per host shard of a
-multi-host sweep — as a terminal dashboard: progress bars, throughput and
-ETA, per-worker liveness with straggler flags, cache hit rates, and every
-recovery incident.  Reads are always safe: the writer replaces the file
+renders one or many of those documents (one per sweep, plus a total row
+when there are several) as a terminal dashboard: progress bars, throughput
+and ETA, per-worker liveness with straggler flags, cache hit rates, and
+every recovery incident.  Reads are always safe: the writer replaces the file
 atomically, so a reader can never observe a torn document.
 
 Usage::
 
     PYTHONPATH=src python scripts/sweep_status.py results/difftest_journal.jsonl
-    PYTHONPATH=src python scripts/sweep_status.py shard*.jsonl.status.json --watch 2
-    PYTHONPATH=src python scripts/sweep_status.py shard*.jsonl --check-complete
+    PYTHONPATH=src python scripts/sweep_status.py sweep*/difftest_journal.jsonl.status.json --watch 2
+    PYTHONPATH=src python scripts/sweep_status.py sweep*/difftest_journal.jsonl --check-complete
 
 Arguments may be status files or journal paths (``.status.json`` is
 appended when the argument does not already end with it).  ``--watch SEC``
-refreshes until every shard reports done; ``--check-complete`` exits
+refreshes until every sweep reports done; ``--check-complete`` exits
 non-zero unless every status document exists and reports ``done`` (the CI
 telemetry-smoke job uses it as its completion assertion).
 """
@@ -73,10 +73,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="status files, or journal paths "
                              "(.status.json is appended)")
     parser.add_argument("--watch", type=float, default=None, metavar="SEC",
-                        help="refresh every SEC seconds until all shards "
+                        help="refresh every SEC seconds until all sweeps "
                              "report done")
     parser.add_argument("--no-detail", action="store_true",
-                        help="one summary line per shard (no worker or "
+                        help="one summary line per sweep (no worker or "
                              "recovery rows)")
     parser.add_argument("--check-complete", action="store_true",
                         help="exit non-zero unless every status document "

@@ -204,7 +204,7 @@ class UndefinedBehaviorError(InterpreterError):
 
 
 class ServiceError(ReproError):
-    """The sharded difftest service could not satisfy a request: a resume
+    """The difftest sweep service could not satisfy a request: a resume
     journal from a different sweep, an unusable worker pool, or an injection
     spec that does not fit the corpus."""
 
@@ -213,12 +213,3 @@ class JournalError(ServiceError):
     """A sweep journal is unreadable beyond torn-tail recovery: missing or
     wrong header, or a corrupt line in the *interior* of the file (a torn
     final line is recovered automatically, not reported here)."""
-
-
-class MergeError(ServiceError):
-    """A multi-host journal merge cannot produce a trustworthy result:
-    header identity mismatch across the input journals, an index gap (a
-    shard is incomplete), an overlap (one index claimed by two journals), or
-    two journals that disagree on the same cell record.  The merge refuses
-    loudly rather than pick arbitrarily — the merged artifacts must be
-    provably identical to a single-host serial run or not exist at all."""

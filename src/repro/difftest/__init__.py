@@ -22,9 +22,9 @@ cross-layer litmus sweeps:
   pool of worker subprocesses (timeouts, respawn, quarantine), journaled by
   :mod:`repro.difftest.journal` for ``--resume``, with deliberate failures
   supplied by :mod:`repro.difftest.faultinject`;
-* :mod:`repro.difftest.merge` recombines per-host ``--host-shard`` journals
-  into one verified record set, and :mod:`repro.difftest.output` renders
-  the sweep artifacts identically for the single-host and merged paths.
+* :mod:`repro.difftest.output` renders the sweep artifacts from the
+  journal's records, so serial, parallel and resumed sweeps write the same
+  bytes.
 
 ``scripts/run_difftest.py`` is the command-line entry point;
 ``tests/test_difftest.py`` pins a 64-program sweep as a regression oracle
@@ -40,7 +40,6 @@ from repro.difftest.generator import (
 )
 from repro.difftest.faultinject import Fault, FaultPlan, parse_inject_spec
 from repro.difftest.journal import JournalWriter, load_journal
-from repro.difftest.merge import MergedSweep, merge_journals
 from repro.difftest.oracle import (
     CATEGORIES,
     cell_record,
@@ -81,8 +80,6 @@ __all__ = [
     "parse_inject_spec",
     "JournalWriter",
     "load_journal",
-    "MergedSweep",
-    "merge_journals",
     "SweepOutcome",
     "SweepService",
 ]

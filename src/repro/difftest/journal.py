@@ -5,9 +5,9 @@ sweep's identity (corpus seed, program count, model list, budget, generator
 version, analysis flag); every line after it is one completed program's
 :func:`~repro.difftest.oracle.cell_record` — except *stats trailers*
 (:data:`STATS_KIND` lines appended at session completion under ``--stats``),
-which carry telemetry snapshots and are collected separately on load so
-``--resume`` and the multi-host merge can aggregate per-shard stats without
-ever confusing them with records.  The format is line-oriented
+which carry telemetry snapshots and are collected separately on load so a
+resumed sweep keeps every session's stats without ever confusing them with
+records.  The format is line-oriented
 JSON so a torn final line — the only corruption an append-crash can produce
 — is detectable and recoverable without touching the completed records
 before it.
@@ -45,10 +45,10 @@ JOURNAL_VERSION = 1
 
 #: discriminator for stats-trailer lines: at sweep completion (with
 #: ``--stats``) the service appends one line carrying its session's
-#: telemetry snapshot, so ``--resume`` and ``merge_journals`` can aggregate
-#: per-shard stats later.  Trailers are *not* records: they carry no
-#: program index, resume may leave them mid-file (each session appends its
-#: own), and they never influence the sweep artifacts.
+#: telemetry snapshot, so a resumed sweep keeps every session's stats.
+#: Trailers are *not* records: they carry no program index, resume may
+#: leave them mid-file (each session appends its own), and they never
+#: influence the sweep artifacts.
 STATS_KIND = "repro-difftest-stats"
 
 
@@ -61,17 +61,8 @@ def _dump_line(payload: dict) -> bytes:
 
 
 def make_header(*, seed: int, count: int, models, budget: int,
-                generator_version: int, analyze: bool,
-                host_shard: tuple[int, int] | None = None) -> dict:
-    """The sweep-identity header written as the journal's first line.
-
-    ``host_shard`` is ``(i, n)`` when this journal holds the deterministic
-    interleaved slice ``index % n == i`` of the program stream (one host of
-    a multi-host sweep; see ``scripts/merge_journals.py``), or None for a
-    whole-sweep journal.  ``count`` is always the *full* sweep size — the
-    shard never changes the sweep's identity, only which indices this
-    journal may contain.
-    """
+                generator_version: int, analyze: bool) -> dict:
+    """The sweep-identity header written as the journal's first line."""
     return {
         "kind": JOURNAL_KIND,
         "version": JOURNAL_VERSION,
@@ -81,7 +72,6 @@ def make_header(*, seed: int, count: int, models, budget: int,
         "budget": budget,
         "generator_version": generator_version,
         "analyze": analyze,
-        "host_shard": list(host_shard) if host_shard else None,
     }
 
 

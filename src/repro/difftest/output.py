@@ -1,18 +1,14 @@
-"""Sweep-artifact construction shared by the single-host and merge paths.
+"""Sweep-artifact construction for ``scripts/run_difftest.py``.
 
-``scripts/run_difftest.py`` (one host, or one shard of a multi-host sweep)
-and ``scripts/merge_journals.py`` (recombining per-host shard journals) must
-emit byte-identical ``table5_differential_matrix.txt`` and
-``difftest_corpus.json`` for the same sweep — that bit-identity is the
-acceptance contract of the multi-host story, and it only holds if both
-entry points build the artifacts through literally the same code.  This
-module is that code: metadata, matrix text, corpus document, divergence
-reductions, and the final writes.
+A sweep must emit byte-identical ``table5_differential_matrix.txt`` and
+``difftest_corpus.json`` whatever its worker count, retries, injected
+faults or ``--resume`` boundaries.  This module builds them: metadata,
+matrix text, corpus document, divergence reductions, and the final writes.
 
 Everything here consumes the journal's ``cell_record`` dicts, never live
 :class:`~repro.difftest.runner.ProgramResult` objects: records are what
-survive process boundaries, journal files and host boundaries, so they are
-the only currency the merged path can possibly share with the direct path.
+survive process boundaries and journal files, so a resumed sweep and an
+uninterrupted one hand this module the same input.
 """
 
 from __future__ import annotations
@@ -66,10 +62,10 @@ def compute_reductions(records, *, seed: int, models, budget: int,
     """Delta-debug the first ``limit`` divergent records into minimal sources.
 
     Reduction replays programs live (regenerated from ``(seed, index)`` —
-    records carry no sources by design), so it runs wherever the full record
-    set exists: the single-host supervisor, or the merge host.  Quarantined
-    cells (``error:engine``/``error:timeout``) have nothing to replay and
-    are skipped.
+    records carry no sources by design), so it runs once the supervisor
+    holds the full record set.  Quarantined cells
+    (``error:engine``/``error:timeout``) have nothing to replay and are
+    skipped.
 
     Each reduction also carries the static predictor's verdict for the
     *reduced* source under the divergent model, plus a

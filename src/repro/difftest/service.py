@@ -63,11 +63,8 @@ from repro.telemetry.trace import NULL_TRACER, TraceBuffer, TraceWriter, timed_s
 
 #: sweep-identity header fields that must match for ``--resume`` (the rest of
 #: the header — kind/version — is checked by the journal layer itself).
-#: ``host_shard`` is part of the identity: resuming shard 1/3's journal as
-#: shard 2/3 (or as a whole-sweep run) would silently skip or duplicate
-#: indices.
 _IDENTITY_FIELDS = ("seed", "count", "models", "budget", "generator_version",
-                    "analyze", "host_shard")
+                    "analyze")
 
 
 @dataclass
@@ -170,7 +167,7 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
 
 
 class SweepService:
-    """Supervisor for one sharded, journaled, fault-tolerant sweep."""
+    """Supervisor for one journaled, fault-tolerant sweep over worker processes."""
 
     #: supervisor poll interval while all workers are busy.
     POLL_SECONDS = 0.01
@@ -179,7 +176,6 @@ class SweepService:
                  budget: int = DEFAULT_BUDGET, analyze: bool = True,
                  jobs: int = 1, timeout: float = 30.0, retries: int = 2,
                  inject: FaultPlan | None = None, journal_path: str,
-                 host_shard: tuple[int, int] | None = None,
                  progress=None,
                  trace_path: str | None = None,
                  collect_stats: bool = False,
@@ -199,12 +195,6 @@ class SweepService:
             raise ServiceError(f"--timeout must be positive, got {timeout}")
         if retries < 0:
             raise ServiceError(f"--retries must be >= 0, got {retries}")
-        if host_shard is not None:
-            shard, nshards = host_shard
-            if nshards < 1 or not 0 <= shard < nshards:
-                raise ServiceError(
-                    f"--host-shard must be i/N with 0 <= i < N, got "
-                    f"{shard}/{nshards}")
         self.budget = budget
         self.analyze = analyze
         self.jobs = jobs
@@ -212,7 +202,6 @@ class SweepService:
         self.retries = retries
         self.inject = inject if inject else None
         self.journal_path = journal_path
-        self.host_shard = tuple(host_shard) if host_shard else None
         self.progress = progress
         if status_interval < 0:
             raise ServiceError(
@@ -235,19 +224,11 @@ class SweepService:
 
     # ------------------------------------------------------------------
 
-    def shard_indices(self) -> list[int]:
-        """The program indices this host runs: the full stream, or the
-        deterministic interleaved slice ``index % n == i`` of it."""
-        if self.host_shard is None:
-            return list(range(self.count))
-        shard, nshards = self.host_shard
-        return list(range(shard, self.count, nshards))
-
     def _header(self) -> dict:
         return make_header(seed=self.seed, count=self.count,
                            models=self.model_names, budget=self.budget,
                            generator_version=GENERATOR_VERSION,
-                           analyze=self.analyze, host_shard=self.host_shard)
+                           analyze=self.analyze)
 
     def _check_resume_header(self, found: dict, expected: dict) -> None:
         mismatched = [f"{name}: journal has {found.get(name)!r}, "
@@ -305,9 +286,7 @@ class SweepService:
     def run(self, *, resume: bool = False) -> SweepOutcome:
         """Execute (or finish) the sweep; records come back in index order."""
         header = self._header()
-        shard = self.shard_indices()
-        shard_set = set(shard)
-        target = len(shard)
+        target = self.count
         stats = {"completed": 0, "resumed": 0, "retries": 0, "quarantined": 0,
                  "respawns": 0, "timeouts": 0, "worker_errors": 0,
                  "engine_fallbacks": 0, "journal_recoveries": 0}
@@ -347,14 +326,14 @@ class SweepService:
                 stats["journal_recoveries"] += 1
                 self._report_torn_tail(state, registry, sup_tracer)
             completed = {index: record for index, record in state.records.items()
-                         if index in shard_set}
+                         if 0 <= index < target}
             stats["resumed"] = len(completed)
             writer = JournalWriter.append_to(self.journal_path)
         else:
             writer = JournalWriter.create(self.journal_path, header)
         writer.on_sync = journal_hook
 
-        pending = deque(index for index in shard
+        pending = deque(index for index in range(target)
                         if index not in completed)
         attempts: dict[int, int] = {}
         journal_fault = self.inject.journal_fault_index() if self.inject else None
@@ -467,7 +446,6 @@ class SweepService:
                 "journal": self.journal_path,
                 "seed": self.seed,
                 "count": self.count,
-                "host_shard": list(self.host_shard) if self.host_shard else None,
                 "target": target,
                 "completed": len(completed),
                 "resumed": stats["resumed"],
@@ -532,14 +510,14 @@ class SweepService:
                 if not progressed:
                     if not pending and all(w["current"] is None
                                            for w in workers.values()):
-                        missing = sorted(shard_set - set(completed))
+                        missing = sorted(set(range(target)) - set(completed))
                         raise ServiceError(
                             f"sweep stalled with no work in flight; missing "
                             f"indices {missing[:8]}")
                     time.sleep(self.POLL_SECONDS)
             # Sweep complete: persist this session's telemetry as a journal
-            # stats trailer so --resume and merge_journals can aggregate
-            # per-shard stats later (records and artifacts are unaffected).
+            # stats trailer, one per session, so a resumed sweep keeps every
+            # session's stats (records and artifacts are unaffected).
             if self.collect_stats:
                 writer.append_stats(self._stats_payload(stats, registry))
         finally:
@@ -570,7 +548,7 @@ class SweepService:
             # everything the summary report and the stats trailer need.
             telemetry = self._fold_stats(stats, registry)
         return SweepOutcome(
-            records=[completed[index] for index in shard],
+            records=[completed[index] for index in range(target)],
             stats=stats,
             telemetry=telemetry,
             incidents=list(self.incidents),
@@ -627,7 +605,6 @@ class SweepService:
         """The journal stats-trailer body (``journal.STATS_KIND`` line)."""
         return {
             "version": 1,
-            "host_shard": list(self.host_shard) if self.host_shard else None,
             "service": dict(stats),
             "metrics": self._fold_stats(stats, registry),
             "incidents": list(self.incidents),

@@ -16,7 +16,7 @@ oracle).  Two notions of correctness matter:
 
 Predictions are a pure function of ``(corpus seed, index, models, budget)``
 — they are *recomputed* at artifact-build time rather than journaled, so
-the sharded service, the multi-host merge and the serial sweep all produce
+the parallel service, a resumed sweep and the serial sweep all produce
 byte-identical annotations and matrices without any journal-format change.
 Cells the service quarantined (``error:engine`` / ``error:timeout``) are
 infrastructure outcomes with no dynamic verdict to validate against; they

@@ -1,9 +1,9 @@
 """Zero-dependency observability for the differential sweep pipeline.
 
-A 100k-program multi-host sweep through the service tier (workers,
-journals, disk cache) is a multi-hour run; without telemetry a stalled
-worker, a cold cache or a straggler shard is invisible until the final
-table prints.  This package is the cross-cutting layer that makes those
+A sweep through the service tier (worker subprocesses, a journal, retries
+and resumes) runs for minutes; without telemetry a stalled worker, a cold
+artifact cache or a straggler program is invisible until the final table
+prints.  This package is the cross-cutting layer that makes those
 runs operable, in three pieces that share one design rule — **telemetry
 never touches the artifacts**: trace timestamps, status files and stats
 trailers live beside the journal, and the Table-5 matrix + corpus JSON
@@ -21,13 +21,13 @@ stay byte-identical telemetry-on vs telemetry-off.
   atomically rewrites ``<journal>.status.json`` every few seconds
   (progress, per-worker liveness, throughput EMA, cache hit rates,
   stragglers, ETA) and ``scripts/sweep_status.py`` renders one or many
-  shard status files as a terminal dashboard.
+  status files as a terminal dashboard.
 
 Instrumented seams: the difftest service (completions, retries,
 quarantines, respawns, journal fsync batches + flush latency, torn-tail
 recoveries), the runner (generate/parse/lower/predecode/per-model
-execute/classify/reduce stage spans), the artifact LRU and disk cache
-(hits, misses, quarantines, lock contention — aggregated from worker
+execute/classify/reduce stage spans), the predecode-artifact counters
+(``cache.artifact.hits``/``misses``/``evictions`` — aggregated from worker
 subprocesses through the result queue, so fork can't zero them), and the
 staticcheck cross-validation.  See ``docs/observability.md`` for the full
 metric catalogue and span taxonomy.
@@ -42,7 +42,6 @@ from repro.telemetry.metrics import (
     format_summary,
     gauge,
     histogram,
-    merge_snapshots,
     registry,
     snapshot,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "format_summary",
     "gauge",
     "histogram",
-    "merge_snapshots",
     "registry",
     "snapshot",
     "StatusWriter",

@@ -11,10 +11,10 @@ Design constraints, in priority order:
 2. **JSON-safe snapshots.**  Worker subprocesses cannot share a registry
    with the supervisor (fork gives each child a private copy whose counts
    the parent never sees).  Instead everything aggregates through plain
-   dicts: :func:`snapshot` serializes a registry, :func:`merge_snapshots`
-   adds two snapshots, and the service ships per-program deltas through
-   its result queue — which is also what lets the journal stats trailer
-   and ``merge_journals`` recombine per-shard stats.
+   dicts: :func:`snapshot` serializes a registry, the service ships
+   per-program counter deltas through its result queue, and
+   :meth:`MetricsRegistry.absorb` adds them to the supervisor's registry.
+   The journal stats trailer stores one such snapshot per session.
 3. **Deterministic rendering.**  :func:`format_summary` sorts every
    section so two identical sweeps print identical reports.
 
@@ -199,66 +199,6 @@ class MetricsRegistry:
         """``{name: value}`` for counters under ``prefix`` (sorted)."""
         return {name: c.value for name, c in sorted(self._counters.items())
                 if name.startswith(prefix)}
-
-
-def merge_snapshots(left: dict, right: dict) -> dict:
-    """Combine two :meth:`MetricsRegistry.snapshot` dicts.
-
-    Counters and histogram counts add; gauges take the right-hand value
-    (last write wins); histograms with mismatched bounds raise — shards of
-    one sweep always run the same build, so a mismatch means the inputs do
-    not belong together.
-    """
-    merged = {
-        "counters": dict(left.get("counters", {})),
-        "gauges": dict(left.get("gauges", {})),
-        "histograms": {name: dict(h, bounds=list(h["bounds"]),
-                                  counts=list(h["counts"]))
-                       for name, h in left.get("histograms", {}).items()},
-    }
-    for name, value in right.get("counters", {}).items():
-        merged["counters"][name] = merged["counters"].get(name, 0) + value
-    merged["gauges"].update(right.get("gauges", {}))
-    for name, other in right.get("histograms", {}).items():
-        mine = merged["histograms"].get(name)
-        if mine is None:
-            merged["histograms"][name] = dict(other,
-                                              bounds=list(other["bounds"]),
-                                              counts=list(other["counts"]))
-            continue
-        if list(mine["bounds"]) != list(other["bounds"]):
-            raise ValueError(
-                f"histogram {name!r} bucket bounds differ between snapshots; "
-                "refusing to merge stats from different builds")
-        mine["counts"] = [a + b for a, b in zip(mine["counts"], other["counts"])]
-        mine["count"] += other["count"]
-        mine["sum"] += other["sum"]
-        for key, pick in (("min", min), ("max", max)):
-            values = [v for v in (mine[key], other[key]) if v is not None]
-            mine[key] = pick(values) if values else None
-    merged["counters"] = dict(sorted(merged["counters"].items()))
-    merged["gauges"] = dict(sorted(merged["gauges"].items()))
-    merged["histograms"] = dict(sorted(merged["histograms"].items()))
-    return merged
-
-
-def merge_trailer_snapshots(trailers: list[dict],
-                            base: dict | None = None) -> tuple[dict, int]:
-    """Fold journal stats trailers' ``metrics`` snapshots into one.
-
-    ``base`` seeds the fold (e.g. the merge host's own snapshot, so its
-    reduce/crossval stages join the shards' numbers).  Returns
-    ``(combined, folded)`` where ``folded`` counts the trailers that
-    carried a snapshot — 0 means the shards swept without ``--stats``.
-    """
-    combined = base if base is not None else {}
-    folded = 0
-    for trailer in trailers:
-        snap = trailer.get("metrics")
-        if snap:
-            combined = merge_snapshots(combined, snap)
-            folded += 1
-    return combined, folded
 
 
 def _format_seconds(value) -> str:

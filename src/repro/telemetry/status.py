@@ -1,11 +1,11 @@
 """Live sweep status: atomic status file + terminal dashboard rendering.
 
 While a sweep runs, the service rewrites ``<journal>.status.json`` every
-few seconds with everything an operator watching a multi-hour run needs:
+few seconds with everything an operator watching a long run needs:
 progress, per-worker liveness and current program, a throughput EMA with
 an ETA, cache hit rates, stragglers, and every recovery incident so far.
-``scripts/sweep_status.py`` renders one or many of these files (one per
-host shard) as a terminal dashboard.
+``scripts/sweep_status.py`` renders one or many of these files as a
+terminal dashboard.
 
 Atomicity is the load-bearing property: the file is rewritten via
 write-temp-then-``os.replace`` in the same directory, so a reader — or a
@@ -136,13 +136,6 @@ def _format_eta(seconds) -> str:
     return f"ETA {seconds / 3600:.1f}h"
 
 
-def _shard_label(status: dict) -> str:
-    shard = status.get("host_shard")
-    if shard:
-        return f"shard {shard[0]}/{shard[1]}"
-    return "sweep"
-
-
 def _cache_rate(status: dict) -> str | None:
     cache = status.get("cache") or {}
     hits = cache.get("artifact.hits", 0)
@@ -152,13 +145,13 @@ def _cache_rate(status: dict) -> str | None:
     return None
 
 
-def render_status_line(status: dict) -> str:
-    """One dashboard row for one shard's status document."""
+def render_status_line(status: dict, label: str = "sweep") -> str:
+    """One dashboard row for one status document."""
     target = status.get("target") or 0
     completed = status.get("completed", 0)
     fraction = completed / target if target else 0.0
     parts = [
-        f"{_shard_label(status):<11}",
+        f"{label:<11}",
         _bar(fraction),
         f"{completed}/{target}",
         f"{100.0 * fraction:5.1f}%",
@@ -181,7 +174,7 @@ def render_status_line(status: dict) -> str:
 
 
 def render_dashboard(statuses: list[dict], *, detail: bool = True) -> str:
-    """Render one or many shard status documents as a terminal dashboard."""
+    """Render one or many status documents as a terminal dashboard."""
     lines = []
     for status in statuses:
         lines.append(render_status_line(status))
@@ -214,7 +207,6 @@ def render_dashboard(statuses: list[dict], *, detail: bool = True) -> str:
         rates = [s.get("throughput_programs_per_s") for s in statuses]
         known = [r for r in rates if r is not None]
         total = {
-            "host_shard": None,
             "target": target,
             "completed": completed,
             "throughput_programs_per_s": sum(known) if known else None,
@@ -224,7 +216,7 @@ def render_dashboard(statuses: list[dict], *, detail: bool = True) -> str:
             remaining = target - completed
             total["eta_seconds"] = (remaining / total["throughput_programs_per_s"]
                                     if total["throughput_programs_per_s"] else None)
-        lines.append("-" * len(render_status_line(total)))
-        lines.append(render_status_line(total).replace("sweep      ",
-                                                       "total      "))
+        total_line = render_status_line(total, label="total")
+        lines.append("-" * len(total_line))
+        lines.append(total_line)
     return "\n".join(lines)

@@ -160,27 +160,12 @@ def test_resume_reports_torn_tail_recovery_on_stderr(tmp_path, capfd, reference)
     assert full.stats["completed"] == COUNT
 
 
-def test_host_shards_partition_and_rebuild_the_sweep(tmp_path, reference):
-    by_index = {}
-    for i in range(3):
-        outcome = _run(tmp_path, name=f"shard{i}.jsonl", host_shard=(i, 3))
-        indices = [record["index"] for record in outcome.records]
-        assert indices == list(range(i, COUNT, 3))
-        for record in outcome.records:
-            by_index[record["index"]] = record
-    _assert_bit_identical([by_index[i] for i in range(COUNT)], reference)
-
-
 def test_resume_rejects_journal_from_different_sweep(tmp_path):
     _run(tmp_path, jobs=1)
     with pytest.raises(ServiceError, match="different sweep"):
         _run(tmp_path, resume=True, seed=SEED + 1)
     with pytest.raises(ServiceError, match="different sweep"):
         _run(tmp_path, resume=True, count=COUNT + 5)
-    # host_shard is part of the sweep identity: resuming a whole-sweep
-    # journal as one shard of it would silently skip indices.
-    with pytest.raises(ServiceError, match="different sweep.*host_shard"):
-        _run(tmp_path, resume=True, host_shard=(0, 2))
     with pytest.raises(ServiceError, match="does not exist"):
         _run(tmp_path, name="never-written.jsonl", resume=True)
 
@@ -313,10 +298,6 @@ def test_service_argument_validation(tmp_path):
         SweepService(seed=0, count=4, retries=-1, journal_path=path)
     with pytest.raises(ServiceError, match="unknown models"):
         SweepService(seed=0, count=4, models=("pdp12",), journal_path=path)
-    with pytest.raises(ServiceError, match="--host-shard"):
-        SweepService(seed=0, count=4, host_shard=(3, 3), journal_path=path)
-    with pytest.raises(ServiceError, match="--host-shard"):
-        SweepService(seed=0, count=4, host_shard=(-1, 2), journal_path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     format_summary,
-    merge_snapshots,
 )
 from repro.telemetry.status import (
     STATUS_KIND,
@@ -151,76 +150,6 @@ def test_module_configure_swaps_registry():
     assert not metrics.enabled()
     assert metrics.counter("x") is NULL_COUNTER
     assert registry.counter("x").value == 1  # old registry untouched
-
-
-def test_merge_snapshots_adds_counters_and_histograms():
-    left = MetricsRegistry(enabled=True)
-    right = MetricsRegistry(enabled=True)
-    for registry, n in ((left, 1), (right, 2)):
-        registry.counter("c").inc(n)
-        registry.gauge("g").set(float(n))
-        hist = registry.histogram("h", bounds=(1.0, 2.0))
-        hist.observe(0.5 * n)
-        hist.observe(5.0)
-    merged = merge_snapshots(left.snapshot(), right.snapshot())
-    assert merged["counters"] == {"c": 3}
-    assert merged["gauges"] == {"g": 2.0}  # right wins
-    hist = merged["histograms"]["h"]
-    assert hist["counts"] == [2, 0, 2]
-    assert hist["count"] == 4
-    assert hist["sum"] == pytest.approx(0.5 + 1.0 + 10.0)
-    assert (hist["min"], hist["max"]) == (0.5, 5.0)
-
-
-def test_merge_snapshots_disjoint_and_empty():
-    left = MetricsRegistry(enabled=True)
-    left.counter("only_left").inc()
-    merged = merge_snapshots(left.snapshot(), {})
-    assert merged["counters"] == {"only_left": 1}
-    merged = merge_snapshots({}, left.snapshot())
-    assert merged["counters"] == {"only_left": 1}
-
-
-def test_merge_snapshots_refuses_mismatched_bounds():
-    left = MetricsRegistry(enabled=True)
-    right = MetricsRegistry(enabled=True)
-    left.histogram("h", bounds=(1.0,)).observe(0.5)
-    right.histogram("h", bounds=(2.0,)).observe(0.5)
-    with pytest.raises(ValueError, match="bucket bounds differ"):
-        merge_snapshots(left.snapshot(), right.snapshot())
-
-
-def test_merge_trailer_snapshots_folds_only_metrics_bearing_trailers():
-    shard_a = MetricsRegistry(enabled=True)
-    shard_a.counter("service.completed").inc(5)
-    shard_b = MetricsRegistry(enabled=True)
-    shard_b.counter("service.completed").inc(7)
-    trailers = [{"metrics": shard_a.snapshot()},
-                {"kind": "repro-difftest-stats"},  # swept without --stats
-                {"metrics": shard_b.snapshot()}]
-    combined, folded = metrics.merge_trailer_snapshots(trailers)
-    assert folded == 2
-    assert combined["counters"] == {"service.completed": 12}
-
-    merge_host = MetricsRegistry(enabled=True)
-    merge_host.counter("reduce.programs").inc(3)
-    combined, folded = metrics.merge_trailer_snapshots(
-        trailers, base=merge_host.snapshot())
-    assert folded == 2
-    assert combined["counters"] == {"reduce.programs": 3,
-                                    "service.completed": 12}
-
-    combined, folded = metrics.merge_trailer_snapshots([{}, {"metrics": {}}])
-    assert (combined, folded) == ({}, 0)
-
-
-def test_merge_snapshots_does_not_mutate_inputs():
-    left = MetricsRegistry(enabled=True)
-    left.histogram("h", bounds=(1.0,)).observe(0.5)
-    left_snap = left.snapshot()
-    before = json.dumps(left_snap, sort_keys=True)
-    merge_snapshots(left_snap, left_snap)
-    assert json.dumps(left_snap, sort_keys=True) == before
 
 
 def test_format_summary_sections_and_determinism():
@@ -381,7 +310,7 @@ def test_status_writer_throttles_by_interval(tmp_path):
 
 def _status(**overrides):
     base = {
-        "kind": STATUS_KIND, "version": 1, "host_shard": None,
+        "kind": STATUS_KIND, "version": 1,
         "target": 10, "completed": 5, "throughput_programs_per_s": 2.5,
         "eta_seconds": 2.0, "done": False,
         "workers": {"0": {"alive": True, "current_index": 7,
@@ -402,15 +331,14 @@ def test_render_status_line_contents():
 
 
 def test_render_dashboard_details_and_total():
-    shard0 = _status(host_shard=[0, 2])
-    shard1 = _status(
-        host_shard=[1, 2], completed=10, done=True,
+    running = _status()
+    finished = _status(
+        completed=10, done=True,
         workers={"0": {"alive": False, "current_index": None,
                        "respawns": 2, "straggler": False}},
         recoveries=[{"type": "torn_tail_recovery", "torn_index": 4,
                      "dropped_bytes": 12}])
-    text = render_dashboard([shard0, shard1])
-    assert "shard 0/2" in text and "shard 1/2" in text
+    text = render_dashboard([running, finished])
     assert "worker 0: program 7" in text
     assert "worker 0: dead" in text and "respawns 2" in text
     assert "recovery: torn_tail_recovery" in text

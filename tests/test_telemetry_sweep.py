@@ -5,7 +5,7 @@ The load-bearing property is bit-identity: a sweep with every telemetry
 surface enabled (trace + stats + status, serial or parallel, even under
 fault injection) must journal exactly the records a telemetry-off serial
 sweep produces.  Everything else — trace schema, status liveness, stats
-trailers, resume/merge aggregation, SIGKILL atomicity — is checked against
+trailers across resume, SIGKILL atomicity — is checked against
 those same sweeps.
 """
 
@@ -24,10 +24,8 @@ import pytest
 from repro.difftest import SweepService, parse_inject_spec
 from repro.difftest.generator import generate_corpus
 from repro.difftest.journal import load_journal
-from repro.difftest.merge import merge_journals
 from repro.difftest.oracle import cell_record, classify_sweep
 from repro.difftest.runner import DifferentialRunner
-from repro.telemetry import metrics
 from repro.telemetry.status import read_status, write_status
 
 SEED = 0
@@ -231,25 +229,6 @@ def test_torn_tail_resume_records_structured_incident(tmp_path, capsys):
     assert incident["dropped_bytes"] == len(b'{"index":3,"torn":')
     assert outcome.telemetry["counters"]["journal.torn_tail_recoveries"] == 1
     assert "recovered a torn tail" in capsys.readouterr().err
-
-
-def test_sharded_sweep_trailers_aggregate_through_merge(
-        tmp_path, reference_records):
-    for shard in (0, 1):
-        _run(tmp_path, name=f"shard{shard}.jsonl", host_shard=(shard, 2),
-             collect_stats=True, status_interval=0)
-    merged = merge_journals([str(tmp_path / "shard0.jsonl"),
-                             str(tmp_path / "shard1.jsonl")])
-    assert json.dumps(merged.records, sort_keys=True) == \
-        json.dumps(reference_records, sort_keys=True)
-    assert len(merged.stats_trailers) == 2
-    assert {tuple(t["host_shard"]) for t in merged.stats_trailers} == \
-        {(0, 2), (1, 2)}
-    combined = {}
-    for trailer in merged.stats_trailers:
-        combined = metrics.merge_snapshots(combined, trailer["metrics"])
-    assert combined["counters"]["service.completed"] == COUNT
-    assert combined["histograms"]["stage.parse"]["count"] == COUNT
 
 
 def test_worker_cache_stats_cross_the_fork_boundary(tmp_path):
