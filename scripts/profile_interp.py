@@ -15,7 +15,7 @@ Usage::
 
 ``--blocks`` reports per-block dispatch residency instead of cProfile rows:
 for every basic-block superinstruction, how often it ran, how many IR
-instructions each execution covers, and the share of all executed
+instructions (entries) each execution covers, and the share of all executed
 instructions it absorbed — i.e. where the dispatch loop no longer spends
 round-trips.  The machine records this only when profiling is requested, so
 benchmark runs stay instrumentation-free.
@@ -124,18 +124,18 @@ def _report_blocks(args, machine, result, elapsed: float) -> int:
     rows = []
     for (function, pc), info in profile.items():
         executions = info["count"][0]
-        covered = executions * info["ir"]
-        rows.append((covered, function, pc, info["entries"], info["ir"], executions))
+        covered = executions * info["entries"]
+        rows.append((covered, function, pc, info["entries"], executions))
     rows.sort(reverse=True)
     covered_total = sum(row[0] for row in rows)
     print(f"{args.workload}/{args.model}: {result.instructions} instructions in "
           f"{elapsed:.3f}s ({result.instructions / elapsed:,.0f} insns/s)")
     print(f"superinstruction residency: {covered_total}/{total} instructions "
           f"({covered_total / total:.1%}) ran inside {len(rows)} compiled blocks\n")
-    print(f"{'block':<28}{'entries':>8}{'ir':>5}{'execs':>12}{'insns':>12}{'share':>8}")
-    print("-" * 73)
-    for covered, function, pc, entries, n_ir, executions in rows[: args.top]:
-        print(f"{function + '+' + str(pc):<28}{entries:>8}{n_ir:>5}"
+    print(f"{'block':<28}{'entries':>8}{'execs':>12}{'insns':>12}{'share':>8}")
+    print("-" * 68)
+    for covered, function, pc, entries, executions in rows[: args.top]:
+        print(f"{function + '+' + str(pc):<28}{entries:>8}"
               f"{executions:>12}{covered:>12}{covered / total:>7.1%}")
     return 0
 

@@ -124,8 +124,8 @@ class DifferentialRunner:
                     out.analysis = analyze_module(module)
             for name in selected:
                 # Every model of this layout binds the same predecode
-                # artifact (slot analysis, fusion, raw handlers, block
-                # plans) instead of re-predecoding per machine.
+                # artifact (slot analysis, pointer-move deltas, raw
+                # handlers, block plans) instead of re-predecoding per machine.
                 with timed_span(tracer, sink, "stage.predecode", model=name):
                     machine = AbstractMachine(
                         module, get_model(name),

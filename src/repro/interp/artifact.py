@@ -6,15 +6,16 @@ IR and the pointer layout alone, independent of which memory model will
 execute it:
 
 * the instruction-stream facts (label index, register-file and alloca-slot
-  sizes, temp use counts);
+  sizes);
 * the **slot-type fixpoint** (:func:`analyze_slots`) that decides which
   register slots carry raw Python ints, and the per-operand raw descriptors
   derived from it (:meth:`PredecodeArtifact.arg_raws`);
-* the **pair-fusion** prepass (parameterized by the model's inline-move
-  policy flags, memoized per flag combination);
+* the **inline pointer-move deltas** (:func:`move_delta` for every
+  ``field``/``gep``/``ptradd`` the model's inline-move policy lets the
+  binding step construct inline, memoized per policy);
 * the **per-pc descriptor table**: the one classification of every pc as
   raw-register work (labels, gotos, raw casts, arithmetic and compares) or
-  a model-specialized entry, plus the per-policy **cycle-cost lists**; the
+  a model-specialized entry, plus the per-timing **cycle-cost lists**; the
   binding step and the block planner both read these;
 * the **raw handlers**: one frame-only closure per raw-register pc, built
   from the descriptor table and shared by every machine of the layout;
@@ -34,9 +35,10 @@ replaced); see ``docs/pipeline.md`` for the invalidation rules.  The
 per-machine *binding* step in :mod:`repro.interp.predecode` closes the
 artifact over one concrete machine's model, memory and cache state.
 
-Sharing is observationally safe by construction: the analysis inputs that
-vary per model (``fast_noprov``, the inline-move flags, the timing costs) are
-part of the memo keys, and blocks only change *charge batching granularity*
+Every pc is one descriptor, one handler and one charge.  Sharing is
+observationally safe by construction: the analysis inputs that vary per
+model (``fast_noprov``, the inline-move flags, the timing costs) are part of
+the memo keys, and blocks only change *charge batching granularity*
 — every trap-capable entry still flushes all deferred charges before it
 executes, so counters at any trap point equal single-step dispatch exactly
 (``tests/test_superinstructions.py`` and ``tests/test_predecode_cache.py``
@@ -260,40 +262,6 @@ def move_delta(instr, raws: tuple, inline_moves: bool, inline_field: bool):
     return None
 
 
-def compute_fusion(instrs: list, arg_raws: list, use_counts,
-                   inline_moves: bool, inline_field: bool) -> dict[int, tuple]:
-    """Producer index -> ("mem", delta) or ("cmp",) pair-fusion decisions.
-
-    The consumer at ``index + 1`` keeps its (unreachable) stand-alone handler
-    so pc layout is unchanged.  The block plans use the same fusion map as
-    the binding step for a given model — fused pairs charge both halves'
-    costs up front, so the decisions are part of the observable charging
-    protocol.
-    """
-    fused: dict[int, tuple] = {}
-    i = 0
-    while i < len(instrs) - 1:
-        instr = instrs[i]
-        nxt = instrs[i + 1]
-        dest = instr.dest
-        if (dest is not None and use_counts.get(dest.index, 0) == 1
-                and nxt.args and type(nxt.args[0]) is Temp
-                and nxt.args[0].index == dest.index):
-            if nxt.op is Opcode.LOAD or nxt.op is Opcode.STORE:
-                delta = move_delta(instr, arg_raws[i], inline_moves, inline_field)
-                if delta is not None:
-                    fused[i] = ("mem", delta)
-                    i += 2
-                    continue
-            elif (nxt.op is Opcode.CJUMP and instr.op is Opcode.CMP
-                  and instr.attrs["operator"] in CMP_FUNCS):
-                fused[i] = ("cmp",)
-                i += 2
-                continue
-        i += 1
-    return fused
-
-
 # ---------------------------------------------------------------------------
 # Per-pc descriptors, costs and raw handlers
 # ---------------------------------------------------------------------------
@@ -301,7 +269,7 @@ def compute_fusion(instrs: list, arg_raws: list, use_counts,
 
 def _descriptors(instrs: list, ctx, labels: dict, slot_types: dict,
                  arg_raws: list, scratch: int, fast_noprov: bool) -> list:
-    """Per-pc descriptors for unfused instructions (the one classification).
+    """Per-pc descriptors (the one classification).
 
     Raw-register work (``label``, ``goto``, ``cjump_raw``, ``const_raw``,
     ``copy_raw``, ``intcast_raw``, ``unop_raw``, ``binop_raw``,
@@ -439,12 +407,8 @@ def _cast_desc(instr, ctx, raw, dest_type, out):
     return ("intcast_raw", raw[1], raw[3], width, signed, out)
 
 
-def _costs(instrs: list, fused: dict, timing: tuple[int, int, int]) -> list:
-    """Per-pc cycle costs the dispatch loop charges before each handler.
-
-    A fused pair charges both halves up front at its producer pc; the
-    consumer keeps its own (unreachable) entry so pc layout is unchanged.
-    """
+def _costs(instrs: list, timing: tuple[int, int, int]) -> list:
+    """Per-pc cycle costs the dispatch loop charges before each handler."""
     base_cost, branch_cost, call_cost = timing
     costs = []
     for instr in instrs:
@@ -457,8 +421,6 @@ def _costs(instrs: list, fused: dict, timing: tuple[int, int, int]) -> list:
             costs.append(call_cost)
         else:
             costs.append(base_cost)
-    for index, fusion in fused.items():
-        costs[index] = base_cost + (base_cost if fusion[0] == "mem" else branch_cost)
     return costs
 
 
@@ -612,7 +574,6 @@ class BlockPlan(NamedTuple):
 
     start: int
     entries: int
-    n_ir: int
     #: ``make(B) -> handler`` (:func:`repro.interp.hotgen.block_make`).
     make: object
     #: model-independent bindings (intern tables, charge tuples, TRUE/FALSE).
@@ -621,8 +582,8 @@ class BlockPlan(NamedTuple):
     handler_indices: tuple
 
 
-def _plan_blocks(name: str, descs: list, costs: list, fused: dict,
-                 labels: dict, profiled: bool) -> list[BlockPlan]:
+def _plan_blocks(name: str, descs: list, costs: list, labels: dict,
+                 profiled: bool) -> list[BlockPlan]:
     """Segment into basic blocks and emit a shared plan per eligible run.
 
     A leader is pc 0, any label pc (the only possible branch targets), or
@@ -645,26 +606,21 @@ def _plan_blocks(name: str, descs: list, costs: list, fused: dict,
                 terminal = k
                 break
             members.append(k)
-            step = 2 if k in fused else 1
-            if len(members) >= BLOCK_LIMIT or k + step >= n or (k + step) in label_pcs:
+            k += 1
+            if len(members) >= BLOCK_LIMIT or k >= n or k in label_pcs:
                 break
-            k += step
-        if terminal is not None:
-            span = members + [terminal]
-            next_pc = terminal + (2 if terminal in fused else 1)
-        else:
-            span = members
-            next_pc = (members[-1] + (2 if members[-1] in fused else 1)) if members else pc + 1
+        span = members + [terminal] if terminal is not None else members
+        next_pc = span[-1] + 1 if span else pc + 1
         if len(span) >= 2:
-            plans.append(_emit_generic_block(name, descs, costs, fused,
-                                             members, terminal, next_pc, profiled))
+            plans.append(_emit_generic_block(name, descs, costs, members,
+                                             terminal, next_pc, profiled))
         pc = next_pc
     return plans
 
 
-def _emit_generic_block(name: str, descs: list, costs: list,
-                        fused: dict, members: list, terminal: int | None,
-                        fall_to: int, profiled: bool) -> BlockPlan:
+def _emit_generic_block(name: str, descs: list, costs: list, members: list,
+                        terminal: int | None, fall_to: int,
+                        profiled: bool) -> BlockPlan:
     """Generate the model-independent source for one block and its factory.
 
     Counters stay exact through *charge groups*: pure entries (which cannot
@@ -677,7 +633,6 @@ def _emit_generic_block(name: str, descs: list, costs: list,
     """
     span = members + [terminal] if terminal is not None else members
     start = span[0]
-    n_ir = sum(2 if k in fused else 1 for k in span)
 
     consts: dict = {}
     handler_indices: list[int] = []
@@ -835,7 +790,7 @@ def _emit_generic_block(name: str, descs: list, costs: list,
     if profiled:
         names.append("BC")
     make = block_make(block_source(lines, names), f"{name}+{start}")
-    return BlockPlan(start, len(span), n_ir, make, consts, indices)
+    return BlockPlan(start, len(span), make, consts, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +802,8 @@ class PredecodeArtifact:
     """Everything about one IR function derivable from IR + pointer layout."""
 
     __slots__ = ("name", "ctx", "instrs", "ninstrs", "mutations",
-                 "labels", "use_counts", "nregs", "alloca_slots", "scratch",
-                 "_slot_types", "_fusions", "_plans", "_arg_raws",
+                 "labels", "nregs", "alloca_slots", "scratch",
+                 "_slot_types", "_deltas", "_plans", "_arg_raws",
                  "_descs", "_costs", "_raw_handlers")
 
     def __init__(self, function: Function, ctx) -> None:
@@ -867,25 +822,21 @@ class PredecodeArtifact:
         max_temp = -1
         #: pc -> alloca slot index, assigned in pc order.
         alloca_slots: dict[int, int] = {}
-        use_counts: dict[int, int] = {}
         for pc, instr in enumerate(function.instrs):
             if instr.dest is not None and instr.dest.index > max_temp:
                 max_temp = instr.dest.index
             for arg in instr.args:
-                if type(arg) is Temp:
-                    if arg.index > max_temp:
-                        max_temp = arg.index
-                    use_counts[arg.index] = use_counts.get(arg.index, 0) + 1
+                if type(arg) is Temp and arg.index > max_temp:
+                    max_temp = arg.index
             if instr.op is Opcode.ALLOCA:
                 alloca_slots[pc] = len(alloca_slots)
-        self.use_counts = use_counts
         # One extra frame slot beyond the temps: a scratch slot for
         # dest-less ops.
         self.nregs = max_temp + 2
         self.alloca_slots = alloca_slots
         self.scratch = max_temp + 1 + FRAME_RESERVED
         self._slot_types: dict[bool, dict] = {}
-        self._fusions: dict[tuple, dict] = {}
+        self._deltas: dict[tuple, dict] = {}
         self._plans: dict[tuple, list[BlockPlan]] = {}
         self._arg_raws: dict[bool, list[tuple]] = {}
         self._descs: dict[bool, list] = {}
@@ -914,17 +865,22 @@ class PredecodeArtifact:
 
     def fusion(self, inline_moves: bool, inline_field: bool,
                fast_noprov: bool) -> dict[int, tuple]:
-        """Pair-fusion decisions, memoized per inline-policy combination."""
+        """pc -> :func:`move_delta` for every pointer move the binding step
+        constructs inline, memoized per inline-move policy."""
         key = (inline_moves, inline_field, fast_noprov)
-        cached = self._fusions.get(key)
+        cached = self._deltas.get(key)
         if cached is None:
-            cached = compute_fusion(self.instrs, self.arg_raws(fast_noprov),
-                                    self.use_counts, inline_moves, inline_field)
-            self._fusions[key] = cached
+            cached = {}
+            for pc, (instr, raws) in enumerate(zip(self.instrs,
+                                                   self.arg_raws(fast_noprov))):
+                delta = move_delta(instr, raws, inline_moves, inline_field)
+                if delta is not None:
+                    cached[pc] = delta
+            self._deltas[key] = cached
         return cached
 
     def descriptors(self, fast_noprov: bool) -> list:
-        """The per-pc descriptor table (:func:`_descriptors`), unfused."""
+        """The per-pc descriptor table (:func:`_descriptors`)."""
         cached = self._descs.get(fast_noprov)
         if cached is None:
             cached = _descriptors(self.instrs, self.ctx, self.labels,
@@ -934,19 +890,14 @@ class PredecodeArtifact:
             self._descs[fast_noprov] = cached
         return cached
 
-    def costs(self, timing: tuple[int, int, int], inline_moves: bool,
-              inline_field: bool, fast_noprov: bool) -> list[int]:
-        """Per-pc cycle costs, memoized per (timing, fusion policy).
+    def costs(self, timing: tuple[int, int, int]) -> list[int]:
+        """Per-pc cycle costs, memoized per timing.
 
-        Read-only: every machine of the policy dispatches from this list.
+        Read-only: every machine of the timing dispatches from this list.
         """
-        key = (timing, inline_moves, inline_field, fast_noprov)
-        cached = self._costs.get(key)
+        cached = self._costs.get(timing)
         if cached is None:
-            cached = _costs(self.instrs,
-                            self.fusion(inline_moves, inline_field, fast_noprov),
-                            timing)
-            self._costs[key] = cached
+            cached = self._costs[timing] = _costs(self.instrs, timing)
         return cached
 
     def raw_handlers(self, fast_noprov: bool) -> list:
@@ -960,36 +911,16 @@ class PredecodeArtifact:
         return cached
 
     def block_plans(self, timing: tuple[int, int, int], fast_noprov: bool,
-                    profiled: bool, inline_moves: bool,
-                    inline_field: bool) -> list[BlockPlan]:
-        """Superinstruction plans, memoized per (timing, policy).
-
-        The inline-move flags are part of the key because fusion must match
-        the binding step exactly (fused pairs change pc layout and charge
-        both halves up front); models sharing those flags — four of the
-        five 8-byte models — share one plan set.
-        """
-        key = (timing, fast_noprov, profiled, inline_moves, inline_field)
+                    profiled: bool) -> list[BlockPlan]:
+        """Superinstruction plans, memoized per (timing, provenance policy,
+        profiling): every model of a layout that shares those binds one plan
+        set, whatever its inline-move policy."""
+        key = (timing, fast_noprov, profiled)
         cached = self._plans.get(key)
         if cached is None:
-            fused = self.fusion(inline_moves, inline_field, fast_noprov)
-            descs = list(self.descriptors(fast_noprov))
-            for index, fusion in fused.items():
-                # A fused pointer-move + memory pair is a closure-call
-                # charge point writing the consumer's destination; a fused
-                # cmp + cjump is a branch, so it terminates its block.
-                consumer = self.instrs[index + 1]
-                if fusion[0] != "mem":
-                    descs[index] = None
-                elif consumer.op is Opcode.LOAD:
-                    descs[index] = ("ext", consumer.dest.index + FRAME_RESERVED
-                                    if consumer.dest is not None else self.scratch)
-                else:
-                    descs[index] = ("ext", None)
-            costs = self.costs(timing, inline_moves, inline_field, fast_noprov)
-            cached = _plan_blocks(self.name, descs, costs, fused,
-                                  self.labels, profiled)
-            self._plans[key] = cached
+            cached = self._plans[key] = _plan_blocks(
+                self.name, self.descriptors(fast_noprov), self.costs(timing),
+                self.labels, profiled)
         return cached
 
 

@@ -1,8 +1,8 @@
 """Source-specialized load/store handlers for the predecoded interpreter.
 
 The generic closure-based handlers in :mod:`repro.interp.predecode` branch on
-a dozen compile-time-constant flags (check policy, fused delta kind, cache
-inlining, destination representation, ...) on *every* execution.  This module
+a dozen compile-time-constant flags (check policy, cache inlining,
+destination representation, ...) on *every* execution.  This module
 generates straight-line Python source for each distinct flag combination — a
 "shape" — compiles it once per process, and instantiates per-instruction
 closures from the cached code object.  The generated bodies are the exact
@@ -45,7 +45,7 @@ _MAKERS: dict[tuple, object] = {}
 #: names unpacked from the binding dict into ``make`` locals; the handler
 #: closure only captures the ones its generated body actually references.
 _BINDING_NAMES = (
-    "pslot", "pcoerce", "d1", "d2", "dmsg", "base_cost", "check_access",
+    "pslot", "pcoerce", "check_access",
     "size", "size_m1", "line_shift", "nsets_mask", "nsets_shift", "assoc",
     "lat_l1", "lat_l2", "lat_dram", "l1_sets", "l1_stats", "l2_access",
     "hier", "hierarchy_access", "machine", "page_mask", "page_size",
@@ -56,7 +56,7 @@ _BINDING_NAMES = (
     "reconcile", "appliers", "table", "out", "next_pc", "signed",
     "read_value", "ptr_to_int", "coerce_bytes", "coerce_signed",
     "size_mask", "comb_mask", "const_raw", "vslot", "vmsg", "pad", "span",
-    "mem_unpack", "mem_pack", "fname",
+    "mem_unpack", "mem_pack",
 )
 
 
@@ -81,7 +81,7 @@ _GLOBALS = {
 }
 
 
-def _emit_prologue(lines, pslot_inline, dkind, extra):
+def _emit_prologue(lines, pslot_inline):
     if pslot_inline:
         lines += [
             "        pointer = frame[pslot]",
@@ -90,35 +90,13 @@ def _emit_prologue(lines, pslot_inline, dkind, extra):
         ]
     else:
         lines.append("        pointer = pcoerce(frame)")
-    if dkind == 0:
-        lines.append("        address = pointer.address")
-    elif dkind == 1:
-        lines.append("        address = (pointer.address + d1) & M64")
-    else:
-        lines += [
-            "        idx = frame[d1]",
-            "        if type(idx) is not int:",
-            "            raise InterpreterError(dmsg)",
-            "        address = (pointer.address + idx * d2) & M64",
-        ]
-    if extra:
-        # Fused second instruction: count it (and re-check the budget, like
-        # the dispatch loop would) before any observable effect.  Its base
-        # cycle cost is folded into the pair's costs[] entry, which the loop
-        # charges up front.
-        lines += [
-            "        machine.instructions = icount = machine.instructions + 1",
-            "        if icount > machine.max_instructions:",
-            "            raise InterpreterError(",
-            "                f'instruction budget of {machine.max_instructions} exhausted in {fname}')",
-        ]
+    lines.append("        address = pointer.address")
 
 
-def _emit_check(lines, check_kind, dkind, is_write):
+def _emit_check(lines, check_kind, is_write):
     perm = "2" if is_write else "1"
     flag = "True" if is_write else "False"
-    moved = ("pointer = PtrVal(address, pointer.base, pointer.length, "
-             "pointer.obj, pointer.perms, pointer.tag, pointer.checked)")
+    check = f"address = check_access(pointer, size, is_write={flag})"
     if check_kind == 1:
         lines += [
             "        obj = pointer.obj",
@@ -127,19 +105,12 @@ def _emit_check(lines, check_kind, dkind, is_write):
             "                and address + size <= pointer.base + pointer.length",
             "                and (obj is None or not obj.freed)",
             "                and not (address == 0 and obj is None)):",
+            f"            {check}",
         ]
-        if dkind:
-            lines.append(f"            {moved}")
-        lines.append(f"            address = check_access(pointer, size, is_write={flag})")
     elif check_kind == 2:
-        lines.append("        if address < 4096:")
-        if dkind:
-            lines.append(f"            {moved}")
-        lines.append(f"            address = check_access(pointer, size, is_write={flag})")
+        lines += ["        if address < 4096:", f"            {check}"]
     else:
-        if dkind:
-            lines.append(f"        {moved}")
-        lines.append(f"        address = check_access(pointer, size, is_write={flag})")
+        lines.append(f"        {check}")
 
 
 def _emit_timing(lines, collect_timing, inline_cache, is_write):
@@ -185,16 +156,15 @@ def load_maker(shape: tuple):
 def load_body(shape: tuple) -> list:
     """Raw handler body lines for a LOAD of the given shape.
 
-    shape = (kind, pslot_inline, dkind, extra, check_kind, collect_timing,
-             inline_cache, uses_shadow, memo, inline_reconcile, n_appliers)
+    shape = (kind, pslot_inline, check_kind, collect_timing, inline_cache,
+             uses_shadow, memo, inline_reconcile, n_appliers, fast_mem)
     with kind in {"ptr", "psint", "raw", "box"}.
     """
-    (kind, pslot_inline, dkind, extra, check_kind, collect_timing,
-     inline_cache, uses_shadow, memo, inline_reconcile, n_appliers,
-     fast_mem) = shape
+    (kind, pslot_inline, check_kind, collect_timing, inline_cache,
+     uses_shadow, memo, inline_reconcile, n_appliers, fast_mem) = shape
     lines = []
-    _emit_prologue(lines, pslot_inline, dkind, extra)
-    _emit_check(lines, check_kind, dkind, False)
+    _emit_prologue(lines, pslot_inline)
+    _emit_check(lines, check_kind, False)
     lines.append("        machine.memory_accesses += 1")
     _emit_timing(lines, collect_timing, inline_cache, False)
     # memory read: pointer-like loads read the 8-byte raw address word but
@@ -301,17 +271,17 @@ def store_maker(shape: tuple):
 def store_body(shape: tuple) -> list:
     """Raw handler body lines for a STORE of the given shape.
 
-    shape = (kind, pslot_inline, dkind, extra, check_kind, collect_timing,
-             inline_cache, clear_shadow, uses_shadow, value_mode, coerce,
-             wide_span)
+    shape = (kind, pslot_inline, check_kind, collect_timing, inline_cache,
+             clear_shadow, uses_shadow, value_mode, coerce, wide_span,
+             fast_mem)
     with kind in {"ptr", "scalar"}; value_mode in (0 const, 1 raw slot,
     2 boxed reader) for scalar stores (ptr stores always use the reader).
     """
-    (kind, pslot_inline, dkind, extra, check_kind, collect_timing,
-     inline_cache, clear_shadow, uses_shadow, value_mode, coerce,
-     wide_span, fast_mem) = shape
+    (kind, pslot_inline, check_kind, collect_timing, inline_cache,
+     clear_shadow, uses_shadow, value_mode, coerce, wide_span,
+     fast_mem) = shape
     lines = []
-    _emit_prologue(lines, pslot_inline, dkind, extra)
+    _emit_prologue(lines, pslot_inline)
     if kind == "ptr":
         lines.append("        value = read_value(frame)")
         if coerce:  # PointerType store: integers coerce through the model
@@ -336,7 +306,7 @@ def store_body(shape: tuple) -> list:
         lines.append("        raw = (value.unsigned if type(value) is IntVal else int(value)) & size_mask")
     else:
         lines.append("        raw = const_raw")
-    _emit_check(lines, check_kind, dkind, True)
+    _emit_check(lines, check_kind, True)
     lines.append("        machine.memory_accesses += 1")
     _emit_timing(lines, collect_timing, inline_cache, True)
     if kind == "ptr":

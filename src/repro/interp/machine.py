@@ -384,25 +384,6 @@ class AbstractMachine:
             if not key & 7:
                 del shadow[key]
 
-    def _store_scalar(self, pointer: PtrVal, value, ctype: CType) -> None:
-        """Store one typed value through a pointer."""
-        if isinstance(ctype, PointerType) or self._is_pointer_sized_int(ctype):
-            width = self.model.pointer_bytes
-            address = self.model.check_access(pointer, width, is_write=True)
-            self._touch_memory(address, width, is_write=True)
-            raw = value.address if isinstance(value, PtrVal) else value.unsigned
-            self._clear_shadow_range(address, width)
-            self.memory.write_bytes(address, raw.to_bytes(8, "little", signed=False) + b"\x00" * (width - 8))
-            if self.model.uses_shadow:
-                self.shadow.set(address, value)
-            return
-        size = max(ctype.size(self.ctx), 1)
-        address = self.model.check_access(pointer, size, is_write=True)
-        self._touch_memory(address, size, is_write=True)
-        self._clear_shadow_range(address, size)
-        raw_value = value.unsigned if isinstance(value, IntVal) else int(value)
-        self.memory.write_int(address, size, raw_value)
-
     def _load_scalar(self, pointer: PtrVal, ctype: CType):
         """Load one typed value through a pointer."""
         if isinstance(ctype, PointerType) or self._is_pointer_sized_int(ctype):

@@ -4,12 +4,13 @@ The original interpreter walked every :class:`~repro.minic.ir.Instr` through a
 chain of ``if op is Opcode.X`` tests, re-resolving ``attrs`` dict entries,
 label maps and operand kinds on every execution.  Compilation is now split in
 two: the **model-independent half** (decode facts, the slot-type fixpoint,
-fusion decisions, the per-pc descriptor table and costs, shared raw-register
-handlers and superinstruction plans) lives in :mod:`repro.interp.artifact`,
-stored on the IR function itself, and this module is the **binding step**
-that closes the artifact over one concrete machine's model, memory, cache
-and timing state (``docs/pipeline.md`` has the full picture).  Binding a
-function produces a flat list of per-instruction closures ("handlers"):
+inline pointer-move deltas, the per-pc descriptor table and costs, shared
+raw-register handlers and superinstruction plans) lives in
+:mod:`repro.interp.artifact`, stored on the IR function itself, and this
+module is the **binding step** that closes the artifact over one concrete
+machine's model, memory, cache and timing state (``docs/pipeline.md`` has
+the full picture).  Binding a function produces a flat list of
+per-instruction closures ("handlers"):
 
 * label targets are resolved to instruction indices at compile time, so a
   branch is just ``return target_index``;
@@ -40,16 +41,11 @@ semantics are untouchable by construction — any value that *could* carry
 provenance (pointer-sized integers, ``ptrtoint`` results, call results,
 anything a model hook might inspect) stays boxed.
 
-**Pair fusion.**  When an address-producing instruction (``field``, ``gep``,
-``ptradd``) or a comparison feeds exactly one consumer and that consumer is
-the next instruction (``load``/``store``/``cjump``), the pair compiles into a
-single handler: the intermediate ``PtrVal``/``IntVal`` is never materialised
-and a full dispatch round-trip disappears.  The fused handler still charges
-both instructions' counts and cycles at the same points the unfused pair
-would (the consumer's instruction/cost before its first observable effect),
-so metrics and trap states are bit-identical.  Fusion only engages for
-models with the default pointer-move policy; everything else takes the
-unfused handlers.
+Every IR instruction binds to exactly one handler, is dispatched once and
+is charged once, before it runs.  Pointer moves (``field``, ``gep``,
+``ptradd``) build their ``PtrVal`` inline from the artifact's memoized
+deltas when the model keeps the default pointer-move policy, and call the
+model's hooks otherwise.
 
 The hot load/store handlers also inline the L1-hit path of the cache model
 and the single-page fast path of :class:`~repro.sim.memory.TaggedMemory`
@@ -90,7 +86,6 @@ from repro.interp.artifact import (
     INT_BINOPS as _INT_BINOPS,
     divide,
     get_artifact,
-    move_delta,
 )
 from repro.interp.intrinsics import INTRINSICS
 from repro.interp.models.base import MemoryModel
@@ -165,8 +160,8 @@ class CompiledFunction:
         #: alloca list kept attached) — see AbstractMachine._execute.
         self.pool: list = []
         self.alloca_proto = (None,) * nallocas
-        #: installed superinstructions: (start_pc, paired_entries, ir_instrs).
-        self.blocks: list[tuple[int, int, int]] = []
+        #: installed superinstructions: (start_pc, entries).
+        self.blocks: list[tuple[int, int]] = []
         #: leader pc -> the single-step (handler, cost) a block replaced, so
         #: the machine can demote a misbehaving block handler back to
         #: instruction-at-a-time dispatch (AbstractMachine._execute).
@@ -316,16 +311,12 @@ def _is_pointer_sized_int(ctype) -> bool:
     return isinstance(ctype, IntType) and ctype.is_pointer_sized
 
 
-#: delta descriptor for unfused memory ops: address = pointer.address.
-_NO_DELTA = (0, 0, 0, None)
-
-
 def compile_function(machine, function: Function) -> CompiledFunction:
     """Bind ``function``'s predecode artifact to one concrete machine.
 
-    The model-independent half (decode facts, slot-type fixpoint, fusion,
-    costs, raw-register handlers, shared block plans) comes from the
-    function's artifact (:func:`~repro.interp.artifact.get_artifact`); this
+    The model-independent half (decode facts, slot-type fixpoint, inline
+    pointer-move deltas, costs, raw-register handlers, shared block plans)
+    comes from the function's artifact (:func:`~repro.interp.artifact.get_artifact`); this
     function closes the rest over the machine's model, memory, cache and
     timing state.
     """
@@ -333,8 +324,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     artifact = get_artifact(function, machine.ctx)
     labels = artifact.labels
     timing = machine.config.timing
-    base_cost = timing.base_instruction_cost
-    charges = (base_cost, timing.branch_cost, timing.call_cost)
+    charges = (timing.base_instruction_cost, timing.branch_cost, timing.call_cost)
     stop = len(instrs)
 
     # A model that overrides the provenance hook must see every operand, so
@@ -466,19 +456,12 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     # (the same list every other machine of this layout binds against).
     arg_raw_lists = artifact.arg_raws(fast_noprov)
 
-    # ------------------------------------------------------------------
-    # Pair-fusion prepass (memoized on the artifact)
-    # ------------------------------------------------------------------
-
-    # Producer index -> ("mem", delta) or ("cmp",); the consumer at index+1
-    # keeps its (unreachable) stand-alone handler so pc layout is unchanged.
-    # The block plans are built against the same fusion map: the fused pair
-    # charges both halves' costs up front, so a different map would move the
-    # cycle counter observed at a budget trap on the consumer half.
-    fused = artifact.fusion(inline_moves, inline_field, fast_noprov)
-    # Per-pc costs and the shared raw-register handlers come from the
-    # artifact's descriptor table, the same one the block planner reads.
-    costs = artifact.costs(charges, inline_moves, inline_field, fast_noprov)
+    # pc -> move_delta for every pointer move built inline under this
+    # model's policy.  Per-pc costs and the shared raw-register handlers come
+    # from the artifact's descriptor table, the same one the block planner
+    # reads.
+    deltas = artifact.fusion(inline_moves, inline_field, fast_noprov)
+    costs = artifact.costs(charges)
     raw_handlers = artifact.raw_handlers(fast_noprov)
 
     # ------------------------------------------------------------------
@@ -488,8 +471,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     # Built once per compilation and copied per memory instruction — the
     # machine-level values never change within one binding pass.
     proto_bindings = {
-        "pslot": None, "pcoerce": None, "d1": 0, "d2": 0, "dmsg": "",
-        "base_cost": base_cost, "check_access": check_access,
+        "pslot": None, "pcoerce": None, "check_access": check_access,
         "size": 0, "size_m1": 0, "line_shift": line_shift,
         "nsets_mask": nsets_mask, "nsets_shift": nsets_shift, "assoc": assoc,
         "lat_l1": lat_l1, "lat_l2": lat_l2, "lat_dram": lat_dram,
@@ -509,24 +491,19 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         "coerce_bytes": None, "coerce_signed": True, "size_mask": 0,
         "comb_mask": 0, "const_raw": 0, "vslot": 0, "vmsg": "", "pad": b"",
         "span": 8, "mem_unpack": None, "mem_pack": None,
-        "fname": function.name,
     }
 
     def bindings() -> dict:
         """Fresh binding dict for a hotgen-generated handler (full name set)."""
         return dict(proto_bindings)
 
-    def gen_load(instr, ptr_operand, delta, extra, next_pc, out):
-        """Handler for a LOAD; ``delta``/``extra`` = fused producer."""
+    def gen_load(instr, next_pc, out):
+        """Handler for a LOAD."""
         ctype = instr.ctype
-        pslot, pcoerce = ptr_parts(ptr_operand)
-        dkind, d1, d2, dlabel = delta
+        pslot, pcoerce = ptr_parts(instr.args[0])
         b = bindings()
         b["pslot"] = pslot
         b["pcoerce"] = pcoerce
-        b["d1"] = d1
-        b["d2"] = d2
-        b["dmsg"] = f"use of undefined temporary {dlabel}"
         b["out"] = out
         b["next_pc"] = next_pc
         appliers = ()
@@ -552,24 +529,20 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         mem_unpack = (unpacker_for(8, False) if kind in ("ptr", "psint")
                       else unpacker_for(size, signed))
         b["mem_unpack"] = mem_unpack
-        shape = (kind, pslot is not None, dkind, extra, check_kind,
+        shape = (kind, pslot is not None, check_kind,
                  collect_timing, inline_cache, uses_shadow,
                  ptr_memo is not None, inline_reconcile, len(appliers),
                  mem_unpack is not None)
         return load_maker(shape)(b)
 
-    def gen_store(instr, raws, ptr_operand, delta, extra, next_pc):
-        """Handler for a STORE; ``delta``/``extra`` = fused producer."""
+    def gen_store(instr, raws, next_pc):
+        """Handler for a STORE."""
         ctype = instr.ctype
-        pslot, pcoerce = ptr_parts(ptr_operand)
-        dkind, d1, d2, dlabel = delta
+        pslot, pcoerce = ptr_parts(instr.args[0])
         param_index = instr.attrs.get("param_index")
         b = bindings()
         b["pslot"] = pslot
         b["pcoerce"] = pcoerce
-        b["d1"] = d1
-        b["d2"] = d2
-        b["dmsg"] = f"use of undefined temporary {dlabel}"
         b["next_pc"] = next_pc
 
         if param_index is not None:
@@ -590,7 +563,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             b["read_value"] = read_value
             mem_pack = packer_for(8)
             b["mem_pack"] = mem_pack
-            shape = ("ptr", pslot is not None, dkind, extra, check_kind,
+            shape = ("ptr", pslot is not None, check_kind,
                      collect_timing, inline_cache, clear_shadow, uses_shadow,
                      2, isinstance(ctype, PointerType), span > 8,
                      mem_pack is not None)
@@ -622,84 +595,10 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             coerce_flag = coerce_bytes is not None
         mem_pack = packer_for(size)
         b["mem_pack"] = mem_pack
-        shape = ("scalar", pslot is not None, dkind, extra, check_kind,
+        shape = ("scalar", pslot is not None, check_kind,
                  collect_timing, inline_cache, clear_shadow, uses_shadow,
                  value_mode, coerce_flag, False, mem_pack is not None)
         return store_maker(shape)(b)
-
-    def gen_cmp_branch(cmp_instr, raws, cjump_instr):
-        """Fused CMP+CJUMP: compare and branch in one handler."""
-        operator = cmp_instr.attrs["operator"]
-        compare = _CMP_FUNCS[operator]
-        then_pc = labels[cjump_instr.attrs["then"]]
-        else_pc = labels[cjump_instr.attrs["else"]]
-        ptr_compare = model.ptr_compare
-        raw_left, raw_right = raws
-        if raw_left is not None and raw_right is not None:
-            lkind, lpayload, _lt, llabel = raw_left
-            rkind, rpayload, _rt, rlabel = raw_right
-
-            def handler(frame, compare=compare, machine=machine,
-                        then_pc=then_pc, else_pc=else_pc):
-                if lkind == "slot":
-                    a = frame[lpayload]
-                    if type(a) is not int:
-                        raise InterpreterError(f"use of undefined temporary {llabel}")
-                else:
-                    a = lpayload
-                if rkind == "slot":
-                    b = frame[rpayload]
-                    if type(b) is not int:
-                        raise InterpreterError(f"use of undefined temporary {rlabel}")
-                else:
-                    b = rpayload
-                result = compare(a, b)
-                machine.instructions = icount = machine.instructions + 1
-                if icount > machine.max_instructions:
-                    raise InterpreterError(
-                        f"instruction budget of {machine.max_instructions} "
-                        f"exhausted in {function.name}")
-                return then_pc if result else else_pc
-
-            return handler
-
-        lmode, lsrc, llabel = _boxed_operand(machine, cmp_instr.args[0], slot_types)
-        rmode, rsrc, rlabel = _boxed_operand(machine, cmp_instr.args[1], slot_types)
-
-        def handler(frame, lmode=lmode, lsrc=lsrc, llabel=llabel, rmode=rmode,
-                    rsrc=rsrc, rlabel=rlabel, compare=compare,
-                    ptr_compare=ptr_compare, operator=operator, machine=machine,
-                    then_pc=then_pc, else_pc=else_pc):
-            if lmode == 0:
-                left = frame[lsrc]
-                if left is UNDEF:
-                    raise InterpreterError(f"use of undefined temporary {llabel}")
-            elif lmode == 1:
-                left = lsrc
-            else:
-                left = lsrc(frame)
-            if rmode == 0:
-                right = frame[rsrc]
-                if right is UNDEF:
-                    raise InterpreterError(f"use of undefined temporary {rlabel}")
-            elif rmode == 1:
-                right = rsrc
-            else:
-                right = rsrc(frame)
-            left_is_ptr = type(left) is PtrVal
-            if left_is_ptr and type(right) is PtrVal and not inline_ptrcmp:
-                result = ptr_compare(left, right, operator)
-            else:
-                result = compare(left.address if left_is_ptr else left.value,
-                                 right.address if type(right) is PtrVal else right.value)
-            machine.instructions = icount = machine.instructions + 1
-            if icount > machine.max_instructions:
-                raise InterpreterError(
-                    f"instruction budget of {machine.max_instructions} "
-                    f"exhausted in {function.name}")
-            return then_pc if result else else_pc
-
-        return handler
 
     # ------------------------------------------------------------------
     # Main compilation loop
@@ -707,19 +606,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
     def build(index: int):
         """Bind one pc's handler (its cost comes from the artifact)."""
-        fusion = fused.get(index)
-        if fusion is not None:
-            consumer = instrs[index + 1]
-            if fusion[0] == "cmp":
-                return gen_cmp_branch(instrs[index], arg_raw_lists[index], consumer)
-            if consumer.op is Opcode.LOAD:
-                consumer_out = (consumer.dest.index + _FRAME_RESERVED
-                                if consumer.dest is not None else scratch)
-                return gen_load(consumer, instrs[index].args[0], fusion[1], True,
-                                index + 2, consumer_out)
-            return gen_store(consumer, arg_raw_lists[index + 1], instrs[index].args[0],
-                             fusion[1], True, index + 2)
-
         handler = raw_handlers[index]
         if handler is not None:
             return handler
@@ -817,61 +703,61 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                     return next_pc
 
         elif op is Opcode.LOAD:
-            handler = gen_load(instr, instr.args[0], _NO_DELTA, False, next_pc,
-                               dest if dest is not None else scratch)
+            handler = gen_load(instr, next_pc, dest if dest is not None else scratch)
 
         elif op is Opcode.STORE:
-            handler = gen_store(instr, arg_raw_lists[index], instr.args[0], _NO_DELTA,
-                                False, next_pc)
+            handler = gen_store(instr, arg_raw_lists[index], next_pc)
+
+        elif index in deltas:
+            # An inline pointer move (field, gep or ptradd): a constant
+            # offset, or a raw index register times the element size.
+            pslot, pcoerce = ptr_parts(instr.args[0])
+            kind, d1, d2, dlabel = deltas[index]
+            out = dest if dest is not None else scratch
+
+            def handler(frame, pslot=pslot, pcoerce=pcoerce, kind=kind, d1=d1,
+                        d2=d2, dlabel=dlabel, out=out, next_pc=next_pc):
+                if pslot is None:
+                    pointer = pcoerce(frame)
+                else:
+                    pointer = frame[pslot]
+                    if type(pointer) is not PtrVal:
+                        pointer = pcoerce(pointer)
+                if kind == 1:
+                    address = (pointer.address + d1) & M64
+                else:
+                    idx = frame[d1]
+                    if type(idx) is not int:
+                        raise InterpreterError(f"use of undefined temporary {dlabel}")
+                    address = (pointer.address + idx * d2) & M64
+                frame[out] = PtrVal(address, pointer.base, pointer.length,
+                                    pointer.obj, pointer.perms, pointer.tag,
+                                    pointer.checked)
+                return next_pc
 
         elif op is Opcode.GEP or op is Opcode.PTRADD:
             element_size = instr.attrs["element_size"] if op is Opcode.GEP else 1
             out = dest if dest is not None else scratch
-            pslot, pcoerce = ptr_parts(instr.args[0])
-            delta = move_delta(instr, arg_raw_lists[index], inline_moves, inline_field)
-            if delta is not None:
-                dkind, d1, d2, dlabel = delta
-
-                def handler(frame, pslot=pslot, pcoerce=pcoerce, dkind=dkind, d1=d1,
-                            d2=d2, dlabel=dlabel, out=out, next_pc=next_pc):
-                    if pslot is None:
-                        pointer = pcoerce(frame)
-                    else:
-                        pointer = frame[pslot]
-                        if type(pointer) is not PtrVal:
-                            pointer = pcoerce(pointer)
-                    if dkind == 1:
-                        address = (pointer.address + d1) & M64
-                    else:
-                        idx = frame[d1]
-                        if type(idx) is not int:
-                            raise InterpreterError(f"use of undefined temporary {dlabel}")
-                        address = (pointer.address + idx * d2) & M64
-                    frame[out] = PtrVal(address, pointer.base, pointer.length,
-                                        pointer.obj, pointer.perms, pointer.tag,
-                                        pointer.checked)
+            read_ptr = _ptr_reader(machine, instr.args[0], slot_types)
+            read_idx = reader(instr.args[1])
+            if inline_moves:
+                def handler(frame, read_ptr=read_ptr, read_idx=read_idx,
+                            element_size=element_size, out=out, next_pc=next_pc):
+                    pointer = read_ptr(frame)
+                    idx = read_idx(frame)
+                    delta = (idx.value if type(idx) is IntVal else idx.address) * element_size
+                    frame[out] = PtrVal((pointer.address + delta) & M64,
+                                        pointer.base, pointer.length, pointer.obj,
+                                        pointer.perms, pointer.tag, pointer.checked)
                     return next_pc
             else:
-                read_ptr = _ptr_reader(machine, instr.args[0], slot_types)
-                read_idx = reader(instr.args[1])
-                if inline_moves:
-                    def handler(frame, read_ptr=read_ptr, read_idx=read_idx,
-                                element_size=element_size, out=out, next_pc=next_pc):
-                        pointer = read_ptr(frame)
-                        idx = read_idx(frame)
-                        delta = (idx.value if type(idx) is IntVal else idx.address) * element_size
-                        frame[out] = PtrVal((pointer.address + delta) & M64,
-                                            pointer.base, pointer.length, pointer.obj,
-                                            pointer.perms, pointer.tag, pointer.checked)
-                        return next_pc
-                else:
-                    def handler(frame, read_ptr=read_ptr, read_idx=read_idx,
-                                element_size=element_size, out=out, next_pc=next_pc):
-                        pointer = read_ptr(frame)
-                        idx = read_idx(frame)
-                        delta = (idx.value if type(idx) is IntVal else idx.address) * element_size
-                        frame[out] = ptr_offset(pointer, delta)
-                        return next_pc
+                def handler(frame, read_ptr=read_ptr, read_idx=read_idx,
+                            element_size=element_size, out=out, next_pc=next_pc):
+                    pointer = read_ptr(frame)
+                    idx = read_idx(frame)
+                    delta = (idx.value if type(idx) is IntVal else idx.address) * element_size
+                    frame[out] = ptr_offset(pointer, delta)
+                    return next_pc
 
         elif op is Opcode.FIELD:
             field_type = instr.ctype.pointee if isinstance(instr.ctype, PointerType) else None
@@ -879,28 +765,12 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             offset = instr.attrs["offset"]
             field_address = model.field_address
             out = dest if dest is not None else scratch
-            if inline_field:
-                pslot, pcoerce = ptr_parts(instr.args[0])
+            read_ptr = _ptr_reader(machine, instr.args[0], slot_types)
 
-                def handler(frame, pslot=pslot, pcoerce=pcoerce, offset=offset,
-                            out=out, next_pc=next_pc):
-                    if pslot is None:
-                        pointer = pcoerce(frame)
-                    else:
-                        pointer = frame[pslot]
-                        if type(pointer) is not PtrVal:
-                            pointer = pcoerce(pointer)
-                    frame[out] = PtrVal((pointer.address + offset) & M64,
-                                        pointer.base, pointer.length, pointer.obj,
-                                        pointer.perms, pointer.tag, pointer.checked)
-                    return next_pc
-            else:
-                read_ptr = _ptr_reader(machine, instr.args[0], slot_types)
-
-                def handler(frame, read_ptr=read_ptr, offset=offset, field_size=field_size,
-                            field_address=field_address, out=out, next_pc=next_pc):
-                    frame[out] = field_address(read_ptr(frame), offset, field_size)
-                    return next_pc
+            def handler(frame, read_ptr=read_ptr, offset=offset, field_size=field_size,
+                        field_address=field_address, out=out, next_pc=next_pc):
+                frame[out] = field_address(read_ptr(frame), offset, field_size)
+                return next_pc
 
         elif op is Opcode.PTRDIFF:
             read_a = _ptr_reader(machine, instr.args[0], slot_types)
@@ -1029,7 +899,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         # (see AbstractMachine._execute).
         code.pending_blocks = partial(
             _install_shared_blocks, machine, function.name, handlers, costs,
-            artifact, charges, fast_noprov, inline_moves, inline_field)
+            artifact, charges, fast_noprov)
     return code
 
 
@@ -1061,7 +931,6 @@ def _budget_replay(machine, cost_seq: tuple, fname: str):
 
 def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
                            artifact, timing: tuple[int, int, int], fast_noprov: bool,
-                           inline_moves: bool, inline_field: bool,
                            code: CompiledFunction) -> None:
     """Instantiate the artifact's shared superinstruction plans for one machine.
 
@@ -1073,8 +942,7 @@ def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
     nothing is ``compile()``-d or ``exec``-uted per machine.
     """
     profiled = machine.block_profile is not None
-    for plan in artifact.block_plans(timing, fast_noprov, profiled,
-                                     inline_moves, inline_field):
+    for plan in artifact.block_plans(timing, fast_noprov, profiled):
         b = dict(plan.consts)
         b["machine"] = machine
         b["fname"] = fname
@@ -1084,12 +952,12 @@ def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
         if profiled:
             counter = [0]
             machine.block_profile[(fname, plan.start)] = {
-                "count": counter, "entries": plan.entries, "ir": plan.n_ir}
+                "count": counter, "entries": plan.entries}
             b["BC"] = counter
         handler = plan.make(b)
         code.block_fallbacks[plan.start] = code.paired[plan.start]
         code.paired[plan.start] = (handler, costs[plan.start])
-        code.blocks.append((plan.start, plan.entries, plan.n_ir))
+        code.blocks.append((plan.start, plan.entries))
 
 
 def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,

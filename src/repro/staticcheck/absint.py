@@ -23,9 +23,9 @@ The transfer functions below mirror :mod:`repro.interp.machine` /
 :mod:`repro.interp.predecode` instruction for instruction (the golden tests
 pin those two to be observationally identical, so the machine's simpler
 scalar paths are the canonical semantics).  The instruction counter mirrors
-the dynamic dispatch count exactly — one tick per dispatched handler, with
-fused pairs charging both halves — so budget exhaustion is predicted at the
-same instruction the dynamic machines trap on.
+the dynamic dispatch count exactly — one tick per IR instruction, each
+dispatched and charged once — so budget exhaustion is predicted at the same
+instruction the dynamic machines trap on.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class Walk:
                 del shadow[key]
 
     # ------------------------------------------------------------------
-    # Memory transfer functions (machine._load_scalar / _store_scalar)
+    # Memory transfer functions (machine._load_scalar / hotgen.store_body)
     # ------------------------------------------------------------------
 
     def _reconstruct_pointer(self, plane, raw: int, entry):

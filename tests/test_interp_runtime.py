@@ -166,8 +166,9 @@ class TestUnoptimizedPrograms:
         assert result.output == b"295\n"
 
     def test_budget_trap_instruction_count_is_exact(self):
-        # Fused pairs must re-check the budget before the consumer half runs:
-        # a budget trap always reports max_instructions + 1 executed.
+        # Every instruction is counted and budget-checked before it runs,
+        # also inside block-bound code: a budget trap always reports
+        # max_instructions + 1 executed.
         source = "int main(void){ int i; int t=0; for(i=0;i<20;i++){ t+=i; } return t; }"
         for budget in (5, 9, 17, 33, 57):
             module = compile_for_model(source, "pdp11")

@@ -108,17 +108,18 @@ int main(void) {
 @pytest.mark.parametrize("model", PAPER_MODEL_ORDER)
 def test_budget_exhaustion_identical_in_both_modes(model: str, monkeypatch) -> None:
     """Budgets landing at *every* point of the program — including inside
-    block-bound code and on the consumer half of fused pointer-move/memory
-    pairs, where restricted fusion once diverged by one cycle — must trap
-    with the single-step reference engine's counters."""
+    block-bound code, mid-charge-group, where a batched charge must be
+    replayed one entry at a time — must trap with the single-step reference
+    engine's counters."""
     from repro.difftest import generate_program
 
     source = generate_program(7, 3).source
     resolved = get_model(model)
     module = compile_for_model(source, resolved)
     full = AbstractMachine(module, get_model(model)).run().instructions
-    # exhaustive on the three distinct charging shapes (pdp11's check
-    # policy, strict's mem fusion, cheri_v2's no-fusion layout); strided
+    # exhaustive on three distinct binding shapes (pdp11's check policy
+    # without shadow, strict's base check with shadow, cheri_v2's
+    # model-specific pointer moves on the 32-byte layout); strided
     # elsewhere to keep tier-1 fast.  Every function binds its blocks at
     # its first call, so one-shot code is block-bound too.
     stride = 1 if model in ("pdp11", "strict", "cheri_v2") else 7
@@ -175,6 +176,23 @@ def test_artifact_cache_hits_across_the_model_replay() -> None:
     # 5 models share the 8-byte artifacts, 2 share the capability ones:
     # (5-1)*2 + (2-1)*2 = 10 hits at minimum (reruns only add more).
     assert stats["hits"] >= 10
+
+
+def test_hot_function_binds_one_plan_set_per_layout() -> None:
+    """All seven models over one module per pointer layout: the hot
+    ``accumulate`` holds one shared block-plan set per layout, whatever each
+    model's pointer-move policy."""
+    layouts: dict[tuple[int, int], list[str]] = {}
+    for name in PAPER_MODEL_ORDER:
+        model = get_model(name)
+        layouts.setdefault((model.pointer_bytes, model.pointer_align), []).append(name)
+    assert sorted(len(names) for names in layouts.values()) == [2, 5]
+    for names in layouts.values():
+        module = compile_for_model(HOT_SOURCE, get_model(names[0]))
+        for name in names:
+            assert not AbstractMachine(module, get_model(name)).run().trapped, name
+        plans = module.functions["accumulate"]._artifact._plans
+        assert len(plans) == 1, (names, sorted(plans))
 
 
 def test_mini_sweep_with_cold_and_warm_cache_classifies_identically() -> None:

@@ -185,7 +185,7 @@ def test_status_file_survives_sigkill_mid_write(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# stats: trailer, resume, merge aggregation
+# stats: trailer, resume, worker and artifact counters
 # ---------------------------------------------------------------------------
 
 
