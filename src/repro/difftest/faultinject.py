@@ -1,7 +1,7 @@
 """Deliberate faults for the sharded difftest service.
 
 The supervisor's recovery paths — worker respawn, per-program timeout,
-block-engine fallback, torn-journal repair — are themselves code, and code
+retry-then-quarantine, torn-journal repair — are themselves code, and code
 that only runs during real failures is code that rots.  This module turns
 each failure mode into something a CLI flag (``run_difftest --inject``) or a
 test can schedule deterministically:
@@ -10,9 +10,10 @@ test can schedule deterministically:
   the program: the segfault/OOM-kill equivalent.
 * ``hang``    — the worker sleeps forever on the program: exercises the
   wall-clock timeout and the kill/respawn path.
-* ``engine``  — the interpreter is armed to raise an internal (non-trap)
-  exception from inside a superinstruction handler: exercises the
-  block-engine -> single-step fallback in ``AbstractMachine._execute``.
+* ``engine``  — the entry function's first handler is replaced by one that
+  raises an internal (non-trap) exception, which leaves
+  ``AbstractMachine.run`` the way a genuine engine bug would: exercises the
+  worker's error answer and the supervisor's retry-then-quarantine path.
 * ``journal`` — the supervisor appends a torn tail to the write-ahead
   journal and immediately runs the recovery cycle: exercises
   ``journal.load_journal``'s truncate-and-continue path.
@@ -42,12 +43,16 @@ FAULT_KINDS = ("crash", "hang", "engine", "journal")
 
 
 class InjectedEngineError(RuntimeError):
-    """The internal error an armed superinstruction raises.
+    """The internal error an injected engine fault raises.
 
     Deliberately *not* a :class:`~repro.common.errors.ReproError`: the whole
-    point is to look like an interpreter bug, which the dispatch loop must
-    absorb via the single-step fallback rather than classify as a trap.
+    point is to look like an interpreter bug, which ``AbstractMachine.run``
+    must let through rather than classify as a trap.
     """
+
+
+def _raise_engine_error(frame):
+    raise InjectedEngineError("injected engine fault")
 
 
 @dataclass(frozen=True)
@@ -91,12 +96,17 @@ class FaultPlan:
                 time.sleep(3600)
 
     def machine_hook(self, index: int, attempt: int):
-        """The per-program machine hook arming an engine fault, or ``None``."""
+        """The per-program machine hook planting an engine fault, or ``None``.
+
+        The hook replaces pc 0 of the entry function's compiled code with a
+        handler (same cost) that raises :class:`InjectedEngineError`.
+        """
         if not self._active("engine", index, attempt):
             return None
 
         def hook(machine, _model_name):
-            machine.arm_engine_fault(InjectedEngineError)
+            code = machine._code_for(machine.module.functions["main"])
+            code.paired[0] = (_raise_engine_error, code.paired[0][1])
 
         return hook
 

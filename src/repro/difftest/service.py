@@ -15,9 +15,9 @@ Fault model and responses
   attempts is quarantined into an ``error:engine`` / ``error:timeout``
   classification for every requested model — the Table-5 taxonomy stays
   total instead of the run aborting.
-* **Interpreter-internal block errors**: absorbed inside the machine by the
-  block-engine -> single-step fallback (``AbstractMachine._execute``) and
-  surfaced here only as a statistic.
+* **Interpreter-internal errors**: a non-trap exception leaves
+  ``AbstractMachine.run`` and is handled like any other in-worker failure:
+  retried, then quarantined as ``error:engine``.
 * **Torn journal tails**: recovered by ``journal.load_journal`` before
   resuming (and, under ``--inject journal``, mid-run).
 
@@ -101,12 +101,12 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
 
     Runs in a subprocess.  Tasks are ``("run", index, attempt)`` tuples;
     ``("stop",)`` ends the loop.  Every completed program answers with
-    ``("ok", index, record, meta)`` — ``meta`` carries the engine-fallback
-    count and, when telemetry is on, the program's stage-latency samples,
-    trace events and cache-counter deltas (the result queue is the only
-    channel worker telemetry can survive on: registries don't cross the
-    fork).  An in-worker failure answers ``("error", index, detail)`` and
-    keeps the worker alive.
+    ``("ok", index, record, meta)`` — ``meta`` carries, when telemetry is
+    on, the program's stage-latency samples, trace events and cache-counter
+    deltas (the result queue is the only channel worker telemetry can
+    survive on: registries don't cross the fork).  An in-worker failure,
+    an internal engine error included, answers ``("error", index, detail)``
+    and keeps the worker alive.
     """
     # Worker track ``worker_id + 1`` (the supervisor owns pid 0); the slot
     # id is the stable identity across respawns, the OS pid is an arg.
@@ -150,8 +150,7 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
                 # program's stage latencies.
                 with timed_span(tracer, sink, "stage.gc"):
                     gc.collect(1)
-            meta = {"fallbacks": sum(r.engine_fallbacks
-                                     for r in program_result.results.values())}
+            meta = {}
             if telemetry_on:
                 after = _cache_counters()
                 meta["caches"] = {key: after[key] - caches_before.get(key, 0)
@@ -289,7 +288,7 @@ class SweepService:
         target = self.count
         stats = {"completed": 0, "resumed": 0, "retries": 0, "quarantined": 0,
                  "respawns": 0, "timeouts": 0, "worker_errors": 0,
-                 "engine_fallbacks": 0, "journal_recoveries": 0}
+                 "journal_recoveries": 0}
         # Telemetry: a fresh registry per run (before any worker forks), the
         # supervisor's own trace track, the live status file, and the
         # journal-flush hook.  All of it is off (no-op singletons, None
@@ -387,7 +386,6 @@ class SweepService:
                 pending.appendleft(index)
 
         def absorb_meta(meta: dict) -> None:
-            stats["engine_fallbacks"] += meta["fallbacks"]
             if not self.telemetry_on:
                 return
             registry.absorb(meta.get("caches") or {})

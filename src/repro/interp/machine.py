@@ -40,7 +40,6 @@ from repro.common.config import MachineConfig
 from repro.common.errors import (
     InterpreterError,
     MemorySafetyError,
-    ReproError,
     UndefinedBehaviorError,
 )
 from repro.common.rng import DeterministicRng
@@ -80,10 +79,9 @@ class ExecutionResult:
     allocated_bytes: int = 0
     checkpoints: list[int] = field(default_factory=list)
     model_name: str = ""
-    #: superinstruction handlers that raised an internal (non-trap) error and
-    #: were transparently replaced by their single-step equivalents — see
-    #: AbstractMachine._execute.  Not an architectural observable: two runs
-    #: that differ only in fallbacks produce identical traps/outputs/metrics.
+    #: always 0: the engine has no in-run fallback, so an internal handler
+    #: error leaves :meth:`AbstractMachine.run`.  Kept because perfbench's
+    #: sweep pass reads it.
     engine_fallbacks: int = 0
 
     @property
@@ -132,7 +130,7 @@ class AbstractMachine:
                  "rng", "instructions", "cycles", "memory_accesses",
                  "max_instructions", "collect_timing", "_call_depth",
                  "_code_cache", "_ptr_load_memo", "_clear_shadow",
-                 "block_profile", "_engine_fault", "engine_faults")
+                 "block_profile")
 
     def __init__(
         self,
@@ -178,13 +176,6 @@ class AbstractMachine:
         #: set to a dict *before the first run* to record per-superinstruction
         #: execution counts (see scripts/profile_interp.py --blocks).
         self.block_profile: dict | None = None
-        #: pending injected engine fault: an exception factory installed by
-        #: :meth:`arm_engine_fault`, consumed by the next executed function
-        #: that carries a superinstruction (fault-injection harness only).
-        self._engine_fault = None
-        #: (function, pc, exception type) for every superinstruction that was
-        #: demoted to single-step dispatch after raising an internal error.
-        self.engine_faults: list[tuple[str, int, str]] = []
         self._setup_globals()
 
     # ------------------------------------------------------------------
@@ -473,7 +464,6 @@ class AbstractMachine:
             allocated_bytes=self.allocator.bytes_allocated,
             checkpoints=list(self.checkpoints),
             model_name=self.model.name,
-            engine_fallbacks=len(self.engine_faults),
         )
 
     def release(self) -> None:
@@ -482,53 +472,21 @@ class AbstractMachine:
         Handler closures close over the machine, and the machine's
         ``_code_cache`` owns them, so an unreleased machine is a reference
         cycle that only the cyclic collector can reclaim.  Clearing the code
-        cache, each compiled function's handler tables (``paired`` and the
-        block fallbacks), pending installer and frame pool, and the
-        pointer-load memo leaves a graph that reference counting
-        frees as soon as the caller drops the machine.  Counters, output
-        and ``engine_faults`` stay readable; a released machine must not be
-        run again.  :meth:`run` never releases (tests inspect
+        cache, each compiled function's handler table (``paired``), pending
+        installer and frame pool, and the pointer-load memo leaves a graph
+        that reference counting frees as soon as the caller drops the
+        machine.  Counters and output stay readable; a released machine must
+        not be run again.  :meth:`run` never releases (tests inspect
         ``_code_cache`` after a run) — callers that discard the machine do,
         as :class:`~repro.difftest.runner.DifferentialRunner` does after
         every model's run.
         """
         for code in self._code_cache.values():
             code.paired = []
-            code.block_fallbacks = {}
             code.pending_blocks = None
             code.pool = []
         self._code_cache = {}
         self._ptr_load_memo = {}
-
-    def arm_engine_fault(self, factory=RuntimeError) -> None:
-        """Make the next superinstruction raise ``factory(...)`` once.
-
-        Fault-injection hook for the difftest service: the next executed
-        function that carries an installed (or installable) superinstruction
-        gets its first block leader replaced by a handler that raises.  The
-        failure then exercises the block-engine -> single-step fallback in
-        :meth:`_execute` exactly the way a genuine buggy block handler would.
-        """
-        self._engine_fault = factory
-
-    def _arm_engine_fault(self, code: CompiledFunction) -> None:
-        # Blocks bind lazily at HOT_CALL_THRESHOLD; a one-shot difftest
-        # program never gets there, so force the install — observationally
-        # invisible by the superinstruction contract.
-        if code.pending_blocks is not None:
-            install = code.pending_blocks
-            code.pending_blocks = None
-            install(code)
-        factory = self._engine_fault
-        for start in sorted(code.block_fallbacks):
-            def _raiser(frame, _factory=factory):
-                raise _factory("injected block-engine fault")
-
-            _handler, cost = code.paired[start]
-            code.paired[start] = (_raiser, cost)
-            self._engine_fault = None
-            return
-        # No superinstruction in this function: stay armed for the next call.
 
     # ------------------------------------------------------------------
     # Call frames
@@ -574,8 +532,6 @@ class AbstractMachine:
                 install = code.pending_blocks
                 code.pending_blocks = None
                 install(code)
-        if self._engine_fault is not None:
-            self._arm_engine_fault(code)
         # Frames come from a per-CompiledFunction pool: released frames were
         # reset to the prototype (alloca list kept attached, entries cleared),
         # so a call does not round-trip the allocator for the register file.
@@ -592,36 +548,14 @@ class AbstractMachine:
         max_instructions = self.max_instructions
         pc = 0
         while pc < size:
-            try:
-                while pc < size:
-                    self.instructions = count = self.instructions + 1
-                    if count > max_instructions:
-                        raise InterpreterError(
-                            f"instruction budget of {self.max_instructions} exhausted in {function.name}"
-                        )
-                    handler, cost = paired[pc]
-                    self.cycles += cost
-                    pc = handler(frame)
-            except (ReproError, ExitProgram):
-                raise
-            except Exception as exc:
-                # Block-engine fallback: a superinstruction handler raised an
-                # internal (non-trap) error.  Safe to retry in single steps
-                # only if the handler charged nothing beyond this dispatch —
-                # any nested call would have advanced the instruction counter.
-                fallback = (code.block_fallbacks.pop(pc, None)
-                            if self.instructions == count else None)
-                if fallback is None:
-                    raise
-                self.instructions -= 1
-                self.cycles -= cost
-                # The demoted exception is swallowed here, but its traceback
-                # would otherwise pin every frame it passed through (and so
-                # the machine graph) for as long as engine_faults-adjacent
-                # state lives; the runner's scrub only sees surfaced traps.
-                exc.__traceback__ = None
-                paired[pc] = fallback
-                self.engine_faults.append((function.name, pc, type(exc).__name__))
+            self.instructions = count = self.instructions + 1
+            if count > max_instructions:
+                raise InterpreterError(
+                    f"instruction budget of {self.max_instructions} exhausted in {function.name}"
+                )
+            handler, cost = paired[pc]
+            self.cycles += cost
+            pc = handler(frame)
         result = frame[2]
         # Reset-on-release; a trap skips this (the frame is simply dropped
         # and the pool regrows lazily on later calls).

@@ -144,7 +144,7 @@ class CompiledFunction:
 
     __slots__ = ("function", "paired", "size", "nregs", "nallocas",
                  "frame_proto", "pool", "alloca_proto", "blocks",
-                 "block_fallbacks", "pending_blocks", "calls")
+                 "pending_blocks", "calls")
 
     def __init__(self, function: Function, handlers: list, costs: list,
                  nregs: int, nallocas: int) -> None:
@@ -162,10 +162,6 @@ class CompiledFunction:
         self.alloca_proto = (None,) * nallocas
         #: installed superinstructions: (start_pc, entries).
         self.blocks: list[tuple[int, int]] = []
-        #: leader pc -> the single-step (handler, cost) a block replaced, so
-        #: the machine can demote a misbehaving block handler back to
-        #: instruction-at-a-time dispatch (AbstractMachine._execute).
-        self.block_fallbacks: dict[int, tuple] = {}
         #: block binding is deferred until the function has run
         #: HOT_CALL_THRESHOLD times: an installer called as
         #: ``install(code)`` (it does not close over this object, so compiled
@@ -955,7 +951,6 @@ def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
                 "count": counter, "entries": plan.entries}
             b["BC"] = counter
         handler = plan.make(b)
-        code.block_fallbacks[plan.start] = code.paired[plan.start]
         code.paired[plan.start] = (handler, costs[plan.start])
         code.blocks.append((plan.start, plan.entries))
 

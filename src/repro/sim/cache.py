@@ -42,14 +42,6 @@ class AccessStats:
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def merge(self, other: "AccessStats") -> "AccessStats":
-        return AccessStats(
-            reads=self.reads + other.reads,
-            writes=self.writes + other.writes,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-        )
-
 
 class CacheLevel:
     """A set-associative cache with true-LRU replacement.
@@ -59,18 +51,17 @@ class CacheLevel:
     how many cycles each access costs.
     """
 
-    __slots__ = ("config", "name", "stats", "_sets", "_clock", "_line_bytes",
+    __slots__ = ("config", "name", "stats", "_sets", "_line_bytes",
                  "_num_sets", "_associativity")
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
         self.stats = AccessStats()
-        # Each set maps line tag -> LRU timestamp.  The dict is additionally
-        # kept in recency order (hits delete + reinsert), so the LRU victim is
-        # always the first key — no O(ways) min() scan on evictions.
+        # Each set maps line tag -> 0.  The dict is kept in recency order
+        # (hits delete + reinsert), so the LRU victim is always the first
+        # key — no O(ways) min() scan on evictions.
         self._sets: list[dict[int, int]] = [dict() for _ in range(config.num_sets)]
-        self._clock = 0
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
         self._associativity = config.associativity
@@ -85,7 +76,6 @@ class CacheLevel:
         stats.reads = stats.writes = stats.hits = stats.misses = 0
         for cache_set in self._sets:
             cache_set.clear()
-        self._clock = 0
 
     def access(self, address: int, *, is_write: bool) -> bool:
         """Touch the line containing ``address``; return True on a hit.
@@ -94,7 +84,6 @@ class CacheLevel:
         single-line L1 case — keep the two in sync when changing counters,
         recency handling or eviction.
         """
-        self._clock = clock = self._clock + 1
         line = address // self._line_bytes
         num_sets = self._num_sets
         cache_set = self._sets[line % num_sets]
@@ -108,13 +97,13 @@ class CacheLevel:
             # Refresh recency: delete + reinsert moves the key to the end of
             # the dict's insertion order, so iteration order == LRU order.
             del cache_set[tag]
-            cache_set[tag] = clock
+            cache_set[tag] = 0
             stats.hits += 1
             return True
         stats.misses += 1
         if len(cache_set) >= self._associativity:
             del cache_set[next(iter(cache_set))]
-        cache_set[tag] = clock
+        cache_set[tag] = 0
         return False
 
     def lines_touched(self, address: int, size: int) -> list[int]:
@@ -174,7 +163,6 @@ class MemoryHierarchy:
         if last_byte < address:
             last_byte = address
         if last_byte // line_bytes == line:
-            l1._clock = clock = l1._clock + 1
             num_sets = l1._num_sets
             cache_set = l1._sets[line % num_sets]
             tag = line // num_sets
@@ -185,14 +173,14 @@ class MemoryHierarchy:
                 stats.reads += 1
             if tag in cache_set:
                 del cache_set[tag]
-                cache_set[tag] = clock
+                cache_set[tag] = 0
                 stats.hits += 1
                 total = self._l1_hit_latency
             else:
                 stats.misses += 1
                 if len(cache_set) >= l1._associativity:
                     del cache_set[next(iter(cache_set))]
-                cache_set[tag] = clock
+                cache_set[tag] = 0
                 total = self._l1_hit_latency + self._l2_hit_latency
                 if not self.l2.access(line * line_bytes, is_write=is_write):
                     self.dram_accesses += 1
@@ -211,7 +199,7 @@ class MemoryHierarchy:
         Observationally identical to calling ``access(a, 1)`` for every byte:
         after the first byte of a line is touched, the remaining bytes of
         that line are guaranteed L1 hits whose only effects are the hit/read
-        counters, the clock, and the hit latency — the delete+reinsert
+        counters and the hit latency — the delete+reinsert
         recency refresh is a no-op for a line that is already most recent.
         This turns the per-byte loops of ``read_cstring``/string intrinsics
         into O(lines) instead of O(bytes) without changing a single counter.
@@ -232,7 +220,6 @@ class MemoryHierarchy:
             if extra:
                 stats.reads += extra
                 stats.hits += extra
-                l1._clock += extra
                 bulk = extra * hit_latency
                 self.stall_cycles += bulk
                 total += bulk

@@ -30,7 +30,6 @@ from repro.difftest import (
     summarize,
     summarize_records,
 )
-from repro.difftest.faultinject import InjectedEngineError
 from repro.difftest.journal import JournalWriter, load_journal, make_header
 from repro.difftest.oracle import (
     feature_breakdown,
@@ -120,8 +119,7 @@ def test_injected_crash_hang_engine_journal_still_bit_identical(tmp_path, refere
     stats = outcome.stats
     assert stats["respawns"] >= 2          # crash + hang each killed a worker
     assert stats["timeouts"] >= 1          # the hang hit the deadline
-    assert stats["worker_errors"] >= 1     # the crash was seen as worker death
-    assert stats["engine_fallbacks"] >= 1  # the armed block was demoted
+    assert stats["worker_errors"] >= 2     # the crash plus the engine error
     assert stats["journal_recoveries"] == 1
     assert stats["quarantined"] == 0       # transient faults never quarantine
     _assert_bit_identical(outcome.records, reference)
@@ -185,6 +183,14 @@ def test_persistent_crash_quarantines_as_error_engine(tmp_path):
     # the other programs are untouched by the quarantine
     assert all(set(r["classification"].values()) != {"error:engine"}
                for i, r in enumerate(outcome.records) if i != 1)
+
+
+def test_persistent_engine_fault_quarantines_as_error_engine(tmp_path):
+    plan = FaultPlan([Fault("engine", 1, always=True)])
+    outcome = _run(tmp_path, count=4, jobs=1, retries=1, inject=plan)
+    assert outcome.stats["quarantined"] == 1
+    assert outcome.stats["retries"] == 1
+    assert set(outcome.records[1]["classification"].values()) == {"error:engine"}
 
 
 def test_persistent_hang_quarantines_as_error_timeout(tmp_path):
@@ -301,54 +307,19 @@ def test_service_argument_validation(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Block-engine fallback (machine level, no subprocesses)
+# Internal engine errors (machine level, no subprocesses)
 # ---------------------------------------------------------------------------
 
 
-def test_engine_fallback_is_observationally_identical():
-    """An armed superinstruction raises an internal error mid-run; the
-    machine demotes it to single-step dispatch and every architectural
-    observable — exit code, output, checkpoints, instructions, cycles —
-    matches the unarmed run exactly."""
-    from repro.interp.machine import AbstractMachine
-    from repro.minic.irgen import compile_source
-
-    source = (
-        "int main(void) {\n"
-        "    int i; int s = 0;\n"
-        "    for (i = 0; i < 50; i++) { s += i * 2; }\n"
-        "    mini_checkpoint(s);\n"
-        "    printf(\"%d\\n\", s);\n"
-        "    return 0;\n"
-        "}\n"
-    )
-
-    def run(arm):
-        module = compile_source(source)
-        machine = AbstractMachine(module, "pdp11")
-        if arm:
-            machine.arm_engine_fault(InjectedEngineError)
-        return machine.run()
-
-    clean, armed = run(False), run(True)
-    assert armed.engine_fallbacks >= 1
-    assert clean.engine_fallbacks == 0
-    for attr in ("exit_code", "output", "checkpoints", "instructions",
-                 "cycles", "memory_accesses", "allocations"):
-        assert getattr(armed, attr) == getattr(clean, attr), attr
-    assert armed.trap is None
-
-
 def test_unhandled_internal_error_still_propagates():
-    """The fallback only absorbs failures it can replay; a non-block error
-    (nothing registered in block_fallbacks) must still surface."""
+    """A handler's non-trap error is not classified as a trap: it leaves the
+    machine, and recovery is the service's retry-then-quarantine."""
     from repro.interp.machine import AbstractMachine
     from repro.minic.irgen import compile_source
 
     module = compile_source("int main(void) { return 3; }\n")
     machine = AbstractMachine(module, "pdp11")
     code = machine._code_for(module.functions["main"])
-    code.block_fallbacks.clear()
     if code.paired:
         handler, cost = code.paired[0]
 
@@ -357,7 +328,7 @@ def test_unhandled_internal_error_still_propagates():
 
         code.paired[0] = (boom, cost)
     with pytest.raises(ZeroDivisionError):
-        machine._call(module.functions["main"], [], code)
+        machine.run()
 
 
 # ---------------------------------------------------------------------------

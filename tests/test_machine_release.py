@@ -4,8 +4,8 @@ Handler closures close over their machine and the machine's code cache owns
 the handlers, so an unreleased machine is a reference cycle.  The runner
 calls :meth:`AbstractMachine.release` after every model's run; this test
 pins that a mini-sweep — trapping programs, budget exhaustion and an
-injected engine fault included — leaves no machine, compiled function or
-handler closure for the cyclic collector.
+injected engine error raised out of the run included — leaves no machine,
+compiled function or handler closure for the cyclic collector.
 
 Trapped results must not keep machines alive either: the runner scrubs
 tracebacks along each trap's whole ``__context__``/``__cause__`` chain
@@ -17,7 +17,10 @@ from __future__ import annotations
 import gc
 import types
 
+import pytest
+
 from repro.difftest import DifferentialRunner, generate_program
+from repro.difftest.faultinject import Fault, FaultPlan, InjectedEngineError
 from repro.interp.artifact import PredecodeArtifact
 from repro.interp.machine import AbstractMachine, scrub_trap
 from repro.interp.models import PAPER_MODEL_ORDER
@@ -46,17 +49,19 @@ def _front_end_reach(garbage: list) -> set:
     return seen
 
 
-def _arm_fault(machine, _model_name) -> None:
-    machine.arm_engine_fault()
-
-
 def _mini_sweep() -> list:
-    """Run 16 programs through every runner configuration; return results."""
+    """Run 16 programs through every runner configuration; return results.
+
+    Each program is also run once with an injected engine fault, which
+    raises out of the run: ``release()`` must still free that machine.
+    """
     programs = [generate_program(0, index) for index in range(16)]
-    runners = [
-        DifferentialRunner(machine_hook=_arm_fault),
-        DifferentialRunner(budget=60),
-    ]
+    faulty = DifferentialRunner(
+        machine_hook=FaultPlan([Fault("engine", 0)]).machine_hook(0, 0))
+    for program in programs:
+        with pytest.raises(InjectedEngineError):
+            faulty.run_program(program)
+    runners = [DifferentialRunner(), DifferentialRunner(budget=60)]
     return [runner.run_program(program)
             for runner in runners for program in programs]
 
@@ -72,8 +77,6 @@ def test_mini_sweep_leaves_no_cyclic_machine_garbage():
         traps = [run.trap for r in results for run in r.results.values()]
         assert any(trap is not None and "budget" in str(trap) for trap in traps)
         assert any(trap is not None and "budget" not in str(trap) for trap in traps)
-        assert any(run.engine_fallbacks for r in results[:16]
-                   for run in r.results.values())
         del results, traps
         gc.garbage.clear()
         gc.set_debug(gc.DEBUG_SAVEALL)
