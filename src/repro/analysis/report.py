@@ -33,10 +33,6 @@ class SurveyRow:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    @property
-    def expected_total(self) -> int:
-        return sum(self.expected.values())
-
     def matches_expected(self) -> bool:
         """True when every measured count equals the planted count."""
         return all(self.counts.get(idiom, 0) == self.expected.get(idiom, 0)

@@ -54,11 +54,4 @@ class MachineConfig:
     stack_bytes: int = 1 * 1024 * 1024
     heap_base: int = 0x1000_0000
     stack_top: int = 0x3000_0000
-    capability_bytes: int = 32
-    integer_pointer_bytes: int = 8
     timing: TimingConfig = field(default_factory=TimingConfig)
-    trace: bool = False
-
-    def pointer_bytes(self, *, capabilities: bool) -> int:
-        """Size of a pointer under the MIPS ABI vs. a capability ABI."""
-        return self.capability_bytes if capabilities else self.integer_pointer_bytes

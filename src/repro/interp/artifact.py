@@ -37,8 +37,8 @@ artifact over one concrete machine's model, memory and cache state.
 
 Every pc is one descriptor, one handler and one charge.  Sharing is
 observationally safe by construction: the analysis inputs that vary per
-model (``fast_noprov``, the inline-move flags, the timing costs) are part of
-the memo keys, and blocks only change *charge batching granularity*
+machine (the model's inline-move flags, the timing costs, block profiling)
+are part of the memo keys, and blocks only change *charge batching granularity*
 — every trap-capable entry still flushes all deferred charges before it
 executes, so counters at any trap point equal single-step dispatch exactly
 (``tests/test_superinstructions.py`` and ``tests/test_predecode_cache.py``
@@ -147,17 +147,13 @@ def _const_type(ctype, ctx) -> tuple[int, bool] | None:
     return (8, True)
 
 
-def analyze_slots(instrs: list, ctx, fast_noprov: bool) -> dict[int, tuple[int, bool]]:
+def analyze_slots(instrs: list, ctx) -> dict[int, tuple[int, bool]]:
     """Map temp index -> (width, signed) for slots that can go unboxed.
 
     A slot qualifies when **every** instruction writing it produces a
     provenance-free scalar integer of the same static type.  The analysis is
     optimistic (loops like ``i = i + 1`` stay unboxed) and demotes to "boxed"
     on any conflict; it converges because demotion is monotone.
-
-    ``fast_noprov`` is False when the model overrides the provenance hook —
-    arithmetic must then see every boxed operand, so its results cannot be
-    proven provenance-free at compile time.
     """
 
     def raw_safe(operand, prev) -> bool:
@@ -180,8 +176,7 @@ def analyze_slots(instrs: list, ctx, fast_noprov: bool) -> dict[int, tuple[int, 
             return (8, True)
         if op is Opcode.BINOP:
             target = scalar_int_type(instr.ctype, ctx)
-            if (target is None or not fast_noprov
-                    or not all(raw_safe(a, prev) for a in instr.args)):
+            if target is None or not all(raw_safe(a, prev) for a in instr.args):
                 return None
             return target
         if op is Opcode.UNOP or op is Opcode.BITCAST:
@@ -268,7 +263,7 @@ def move_delta(instr, raws: tuple, inline_moves: bool, inline_field: bool):
 
 
 def _descriptors(instrs: list, ctx, labels: dict, slot_types: dict,
-                 arg_raws: list, scratch: int, fast_noprov: bool) -> list:
+                 arg_raws: list, scratch: int) -> list:
     """Per-pc descriptors (the one classification).
 
     Raw-register work (``label``, ``goto``, ``cjump_raw``, ``const_raw``,
@@ -310,7 +305,7 @@ def _descriptors(instrs: list, ctx, labels: dict, slot_types: dict,
             if not instr.args:
                 desc = ("goto", stop)
         elif op is Opcode.BINOP:
-            desc = _binop_desc(instr, ctx, raws, dest_type, out, fast_noprov)
+            desc = _binop_desc(instr, ctx, raws, dest_type, out)
         elif op is Opcode.CMP:
             desc = _cmp_desc(instr, raws, dest_type, out)
         elif op is Opcode.UNOP:
@@ -333,18 +328,14 @@ def _descriptors(instrs: list, ctx, labels: dict, slot_types: dict,
     return descs
 
 
-def _binop_desc(instr, ctx, raws, dest_type, out, fast_noprov):
+def _binop_desc(instr, ctx, raws, dest_type, out):
     operator = instr.attrs["operator"]
     is_division = operator in ("/", "%")
     if operator not in INT_BINOPS and not is_division:
         return None  # unknown operator: the handler raises
-    if not fast_noprov:
-        # An overridden provenance hook must see every operand (and may
-        # itself raise): the binding step's handler is a charge point.
-        return ("ext", out)
     raw_left, raw_right = raws
     if raw_left is None or raw_right is None:
-        # The boxed path cannot trap under fast_noprov, except by dividing.
+        # The boxed path cannot trap, except by dividing.
         return ("ext", out) if is_division else ("opaque", out)
     target = instr.ctype
     width = min(target.size(ctx), 8) if target is not None else 8
@@ -366,8 +357,8 @@ def _cmp_desc(instr, raws, dest_type, out):
         return None
     raw_left, raw_right = raws
     if raw_left is None or raw_right is None:
-        # Boxed comparison may consult the model's ptr_compare hook:
-        # conservatively a charge point.
+        # Boxed comparison (pointer operands compare by address) stays a
+        # conservative charge point: flushing there is always exact.
         return ("ext", out)
     lkind, lpayload, _lt, llabel = raw_left
     rkind, rpayload, _rt, rlabel = raw_right
@@ -835,59 +826,54 @@ class PredecodeArtifact:
         self.nregs = max_temp + 2
         self.alloca_slots = alloca_slots
         self.scratch = max_temp + 1 + FRAME_RESERVED
-        self._slot_types: dict[bool, dict] = {}
+        self._slot_types: dict | None = None
         self._deltas: dict[tuple, dict] = {}
         self._plans: dict[tuple, list[BlockPlan]] = {}
-        self._arg_raws: dict[bool, list[tuple]] = {}
-        self._descs: dict[bool, list] = {}
+        self._arg_raws: list[tuple] | None = None
+        self._descs: list | None = None
         self._costs: dict[tuple, list[int]] = {}
-        self._raw_handlers: dict[bool, list] = {}
+        self._raw_handlers: list | None = None
 
-    def slot_types(self, fast_noprov: bool) -> dict[int, tuple[int, bool]]:
-        """The slot-type fixpoint, memoized per provenance-hook policy."""
-        cached = self._slot_types.get(fast_noprov)
+    def slot_types(self) -> dict[int, tuple[int, bool]]:
+        """The slot-type fixpoint (:func:`analyze_slots`), memoized."""
+        cached = self._slot_types
         if cached is None:
-            cached = analyze_slots(self.instrs, self.ctx, fast_noprov)
-            self._slot_types[fast_noprov] = cached
+            cached = self._slot_types = analyze_slots(self.instrs, self.ctx)
         return cached
 
-    def arg_raws(self, fast_noprov: bool) -> list[tuple]:
+    def arg_raws(self) -> list[tuple]:
         """Per-instruction raw-operand descriptors (:func:`raw_operand`),
         memoized so the per-machine binding step never recomputes them."""
-        cached = self._arg_raws.get(fast_noprov)
+        cached = self._arg_raws
         if cached is None:
-            slot_types = self.slot_types(fast_noprov)
+            slot_types = self.slot_types()
             ctx = self.ctx
-            cached = [tuple(raw_operand(arg, ctx, slot_types) for arg in instr.args)
-                      for instr in self.instrs]
-            self._arg_raws[fast_noprov] = cached
+            cached = self._arg_raws = [
+                tuple(raw_operand(arg, ctx, slot_types) for arg in instr.args)
+                for instr in self.instrs]
         return cached
 
-    def fusion(self, inline_moves: bool, inline_field: bool,
-               fast_noprov: bool) -> dict[int, tuple]:
+    def fusion(self, inline_moves: bool, inline_field: bool) -> dict[int, tuple]:
         """pc -> :func:`move_delta` for every pointer move the binding step
         constructs inline, memoized per inline-move policy."""
-        key = (inline_moves, inline_field, fast_noprov)
+        key = (inline_moves, inline_field)
         cached = self._deltas.get(key)
         if cached is None:
             cached = {}
-            for pc, (instr, raws) in enumerate(zip(self.instrs,
-                                                   self.arg_raws(fast_noprov))):
+            for pc, (instr, raws) in enumerate(zip(self.instrs, self.arg_raws())):
                 delta = move_delta(instr, raws, inline_moves, inline_field)
                 if delta is not None:
                     cached[pc] = delta
             self._deltas[key] = cached
         return cached
 
-    def descriptors(self, fast_noprov: bool) -> list:
-        """The per-pc descriptor table (:func:`_descriptors`)."""
-        cached = self._descs.get(fast_noprov)
+    def descriptors(self) -> list:
+        """The per-pc descriptor table (:func:`_descriptors`), memoized."""
+        cached = self._descs
         if cached is None:
-            cached = _descriptors(self.instrs, self.ctx, self.labels,
-                                  self.slot_types(fast_noprov),
-                                  self.arg_raws(fast_noprov), self.scratch,
-                                  fast_noprov)
-            self._descs[fast_noprov] = cached
+            cached = self._descs = _descriptors(
+                self.instrs, self.ctx, self.labels, self.slot_types(),
+                self.arg_raws(), self.scratch)
         return cached
 
     def costs(self, timing: tuple[int, int, int]) -> list[int]:
@@ -900,26 +886,26 @@ class PredecodeArtifact:
             cached = self._costs[timing] = _costs(self.instrs, timing)
         return cached
 
-    def raw_handlers(self, fast_noprov: bool) -> list:
+    def raw_handlers(self) -> list:
         """Per-pc shared single-step handlers for raw-register descriptors
-        (None at every other pc), memoized per provenance-hook policy."""
-        cached = self._raw_handlers.get(fast_noprov)
+        (None at every other pc), memoized."""
+        cached = self._raw_handlers
         if cached is None:
-            cached = [None if desc is None else _raw_handler(desc, pc + 1)
-                      for pc, desc in enumerate(self.descriptors(fast_noprov))]
-            self._raw_handlers[fast_noprov] = cached
+            cached = self._raw_handlers = [
+                None if desc is None else _raw_handler(desc, pc + 1)
+                for pc, desc in enumerate(self.descriptors())]
         return cached
 
-    def block_plans(self, timing: tuple[int, int, int], fast_noprov: bool,
+    def block_plans(self, timing: tuple[int, int, int],
                     profiled: bool) -> list[BlockPlan]:
-        """Superinstruction plans, memoized per (timing, provenance policy,
-        profiling): every model of a layout that shares those binds one plan
-        set, whatever its inline-move policy."""
-        key = (timing, fast_noprov, profiled)
+        """Superinstruction plans, memoized per (timing, profiling): every
+        model of a layout that shares those binds one plan set, whatever its
+        inline-move policy."""
+        key = (timing, profiled)
         cached = self._plans.get(key)
         if cached is None:
             cached = self._plans[key] = _plan_blocks(
-                self.name, self.descriptors(fast_noprov), self.costs(timing),
+                self.name, self.descriptors(), self.costs(timing),
                 self.labels, profiled)
         return cached
 

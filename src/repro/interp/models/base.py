@@ -5,7 +5,7 @@ machine asks:
 
 * how big is a pointer in memory (``pointer_bytes``), which drives struct
   layout and cache behaviour;
-* how pointers are created, moved, compared, subtracted;
+* how pointers are created, moved and subtracted;
 * what happens when a pointer is cast to an integer and back;
 * what checks run when a pointer is dereferenced;
 * how pointers survive (or do not survive) being stored to memory.
@@ -14,7 +14,9 @@ The base class implements a conventional fat-pointer/bounds-checking policy;
 the concrete models override only the points where the paper's Table 3 says
 they differ.  Keeping the differences small and explicit is the point: the
 table's "yes/no" pattern should be traceable to individual overridden
-methods.
+methods.  Pointer comparison (address order) and the provenance of integer
+arithmetic (:func:`~repro.interp.values.arithmetic_provenance`) are machine
+semantics, not hooks: no model differs there.
 """
 
 from __future__ import annotations
@@ -110,12 +112,6 @@ class MemoryModel:
         """Pointer subtraction (the SUB idiom); supported by default."""
         return (a.address - b.address) // max(element_size, 1)
 
-    def ptr_compare(self, a: PtrVal, b: PtrVal, op: str) -> bool:
-        order = {"==": a.address == b.address, "!=": a.address != b.address,
-                 "<": a.address < b.address, "<=": a.address <= b.address,
-                 ">": a.address > b.address, ">=": a.address >= b.address}
-        return order[op]
-
     # ------------------------------------------------------------------
     # Integer <-> pointer conversions
     # ------------------------------------------------------------------
@@ -134,17 +130,6 @@ class MemoryModel:
         if provenance is not None and not provenance.modified:
             return provenance.pointer.moved_to(value.unsigned)
         return PtrVal(address=value.unsigned, base=0, length=0, obj=None, perms=0, tag=False)
-
-    def propagate_provenance(self, left: IntVal, right: IntVal, result: int) -> Provenance | None:
-        """Provenance of the result of integer arithmetic (the IA/MASK idioms).
-
-        The default marks derived values as *modified*: whether a later
-        ``inttoptr`` accepts a modified provenance is the per-model decision.
-        """
-        source = left.provenance or right.provenance
-        if source is None:
-            return None
-        return source.touched()
 
     # ------------------------------------------------------------------
     # Qualifier handling
@@ -209,10 +194,6 @@ class MemoryModel:
     # ------------------------------------------------------------------
     # Pointers in memory
     # ------------------------------------------------------------------
-
-    def pointer_survives_data_overwrite(self) -> bool:
-        """Whether stored-pointer metadata survives a plain data overwrite."""
-        return not self.clear_shadow_on_data_store
 
     def load_pointer_without_metadata(self, raw_address: int, allocator: ObjectAllocator) -> PtrVal:
         """Reconstruct a pointer loaded from memory with no shadow entry.

@@ -107,6 +107,7 @@ from repro.interp.values import (
     TRUE_I32,
     IntVal,
     PtrVal,
+    arithmetic_provenance,
     intern_table,
 )
 from repro.minic.ir import Const, Function, GlobalRef, Opcode, Temp
@@ -323,12 +324,8 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     charges = (timing.base_instruction_cost, timing.branch_cost, timing.call_cost)
     stop = len(instrs)
 
-    # A model that overrides the provenance hook must see every operand, so
-    # arithmetic results cannot be proven provenance-free at compile time.
-    fast_noprov = (type(machine.model).propagate_provenance
-                   is MemoryModel.propagate_provenance)
     #: temp index -> (width, signed) for slots that carry raw Python ints.
-    slot_types = artifact.slot_types(fast_noprov)
+    slot_types = artifact.slot_types()
 
     nregs = artifact.nregs
     scratch = artifact.scratch
@@ -356,7 +353,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     write_ptr_raw = memory.write_ptr_raw
     load_ptr_no_meta = model.load_pointer_without_metadata
     reconcile = model.reconcile_loaded_pointer
-    propagate_provenance = model.propagate_provenance
     M64 = _ADDRESS_MASK
 
     # Inline fast path over TaggedMemory's page store (single-page accesses;
@@ -397,7 +393,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     inline_field = (inline_moves
                     and type(model).field_address is MemoryModel.field_address
                     and not model.narrow_field_bounds)
-    inline_ptrcmp = type(model).ptr_compare is MemoryModel.ptr_compare
     # The base reconciliation policy (trust the shadow entry when the raw
     # address still matches, else reconstruct without metadata) is inlined;
     # models that override it keep the call.
@@ -450,15 +445,15 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
     # Per-instruction raw-operand descriptors, precomputed on the artifact
     # (the same list every other machine of this layout binds against).
-    arg_raw_lists = artifact.arg_raws(fast_noprov)
+    arg_raw_lists = artifact.arg_raws()
 
     # pc -> move_delta for every pointer move built inline under this
     # model's policy.  Per-pc costs and the shared raw-register handlers come
     # from the artifact's descriptor table, the same one the block planner
     # reads.
-    deltas = artifact.fusion(inline_moves, inline_field, fast_noprov)
+    deltas = artifact.fusion(inline_moves, inline_field)
     costs = artifact.costs(charges)
-    raw_handlers = artifact.raw_handlers(fast_noprov)
+    raw_handlers = artifact.raw_handlers()
 
     # ------------------------------------------------------------------
     # Memory-op generators (source-specialized; see repro.interp.hotgen)
@@ -857,8 +852,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
         elif op is Opcode.BINOP:
             handler = _make_binop(machine, instr, dest if dest is not None else scratch,
-                                  dest_type, slot_types, next_pc, propagate_provenance,
-                                  ptr_to_int, fast_noprov)
+                                  dest_type, slot_types, next_pc, ptr_to_int)
 
         elif op is Opcode.UNOP:
             negate = instr.attrs["operator"] == "neg"
@@ -875,7 +869,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
         elif op is Opcode.CMP:
             handler = _make_cmp(machine, instr, dest if dest is not None else scratch,
-                                dest_type, slot_types, next_pc, inline_ptrcmp)
+                                dest_type, slot_types, next_pc)
 
         elif op is Opcode.CALL:
             handler = _make_call(machine, instr, dest, slot_types, next_pc)
@@ -895,7 +889,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         # (see AbstractMachine._execute).
         code.pending_blocks = partial(
             _install_shared_blocks, machine, function.name, handlers, costs,
-            artifact, charges, fast_noprov)
+            artifact, charges)
     return code
 
 
@@ -926,7 +920,7 @@ def _budget_replay(machine, cost_seq: tuple, fname: str):
 
 
 def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
-                           artifact, timing: tuple[int, int, int], fast_noprov: bool,
+                           artifact, timing: tuple[int, int, int],
                            code: CompiledFunction) -> None:
     """Instantiate the artifact's shared superinstruction plans for one machine.
 
@@ -938,7 +932,7 @@ def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
     nothing is ``compile()``-d or ``exec``-uted per machine.
     """
     profiled = machine.block_profile is not None
-    for plan in artifact.block_plans(timing, fast_noprov, profiled):
+    for plan in artifact.block_plans(timing, profiled):
         b = dict(plan.consts)
         b["machine"] = machine
         b["fname"] = fname
@@ -956,13 +950,8 @@ def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
 
 
 def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
-                propagate_provenance, ptr_to_int, fast_noprov: bool):
-    """Compile a boxed BINOP (raw binops are shared artifact handlers).
-
-    ``fast_noprov``: the model keeps the base provenance hook (no source ->
-    None), so the hook may be skipped for provenance-free operands; a model
-    that overrides it gets called unconditionally.
-    """
+                ptr_to_int):
+    """Compile a boxed BINOP (raw binops are shared artifact handlers)."""
     operator = instr.attrs["operator"]
     target = instr.ctype
     ctx = machine.ctx
@@ -987,7 +976,7 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
     # call results) and fall back to reader closures for everything else.
     lmode, lsrc, llabel = _boxed_operand(machine, instr.args[0], slot_types)
     rmode, rsrc, rlabel = _boxed_operand(machine, instr.args[1], slot_types)
-    table = intern_table(width, signed) if (not pointer_sized and fast_noprov) else None
+    table = None if pointer_sized else intern_table(width, signed)
 
     def handler(frame, lmode=lmode, lsrc=lsrc, llabel=llabel, rmode=rmode,
                 rsrc=rsrc, rlabel=rlabel):
@@ -1012,14 +1001,14 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
         if type(right) is not IntVal:
             right = ptr_to_int(right, bytes=8, signed=False, pointer_sized=True)
         raw = fast_op(left.value, right.value)
-        if fast_noprov and left.provenance is None and right.provenance is None:
+        if left.provenance is None and right.provenance is None:
             if table is not None and INTERN_MIN <= raw <= INTERN_MAX:
                 boxed = table[raw - INTERN_MIN]
                 frame[out] = boxed.value if dest_type is not None else boxed
                 return next_pc
-            provenance = None  # matches the base model: no source, no provenance
+            provenance = None
         else:
-            provenance = propagate_provenance(left, right, raw)
+            provenance = arithmetic_provenance(left, right)
         result = IntVal(raw, bytes=width, signed=signed, provenance=provenance,
                         pointer_sized=pointer_sized)
         # An unboxed destination can only have been proven provenance-free;
@@ -1030,12 +1019,13 @@ def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
     return handler
 
 
-def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
-              inline_ptrcmp: bool):
-    """Compile a boxed CMP (raw compares are shared artifact handlers)."""
+def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int):
+    """Compile a boxed CMP (raw compares are shared artifact handlers).
+
+    Pointer operands compare by address.
+    """
     operator = instr.attrs["operator"]
     compare = _CMP_FUNCS.get(operator)
-    ptr_compare = machine.model.ptr_compare
     if compare is None:
         read_left = _reader(machine, instr.args[0], slot_types)
         read_right = _reader(machine, instr.args[1], slot_types)
@@ -1051,15 +1041,11 @@ def _make_cmp(machine, instr, out: int, dest_type, slot_types, next_pc: int,
     read_right = _reader(machine, instr.args[1], slot_types)
 
     def handler(frame, read_left=read_left, read_right=read_right, compare=compare,
-                ptr_compare=ptr_compare, out=out, raw_dest=raw_dest, next_pc=next_pc):
+                out=out, raw_dest=raw_dest, next_pc=next_pc):
         left = read_left(frame)
         right = read_right(frame)
-        left_is_ptr = type(left) is PtrVal
-        if left_is_ptr and type(right) is PtrVal and not inline_ptrcmp:
-            result = ptr_compare(left, right, operator)
-        else:
-            result = compare(left.address if left_is_ptr else left.value,
-                             right.address if type(right) is PtrVal else right.value)
+        result = compare(left.address if type(left) is PtrVal else left.value,
+                         right.address if type(right) is PtrVal else right.value)
         if raw_dest:
             frame[out] = 1 if result else 0
         else:

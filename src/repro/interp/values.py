@@ -68,6 +68,19 @@ class Provenance:
         return f"Provenance(pointer={self.pointer!r}, modified={self.modified})"
 
 
+def arithmetic_provenance(left: "IntVal", right: "IntVal") -> Provenance | None:
+    """Provenance of the result of integer arithmetic (the IA/MASK idioms).
+
+    The first operand's provenance, else the second's, marked *modified*:
+    whether a later ``inttoptr`` accepts a modified provenance is the
+    per-model decision.
+    """
+    source = left.provenance or right.provenance
+    if source is None:
+        return None
+    return source.touched()
+
+
 class IntVal:
     """A fixed-width integer value (immutable by convention)."""
 

@@ -54,18 +54,6 @@ class CType:
         return isinstance(self, VoidType)
 
     @property
-    def is_array(self) -> bool:
-        return isinstance(self, ArrayType)
-
-    @property
-    def is_struct(self) -> bool:
-        return isinstance(self, StructType)
-
-    @property
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
-    @property
     def is_const(self) -> bool:
         return bool(self.qualifiers & Qualifiers.CONST)
 
@@ -134,10 +122,6 @@ class PointerType(CType):
 
     def alignment(self, ctx: "TypeContext") -> int:
         return ctx.pointer_align
-
-    @property
-    def is_capability(self) -> bool:
-        return bool(self.qualifiers & Qualifiers.CAPABILITY)
 
     def __str__(self) -> str:
         quals = []
@@ -328,21 +312,10 @@ class TypeContext:
             "uintcap_t": IntType(bytes=8, signed=False, name="uintcap_t", is_pointer_sized=True),
         }
 
-    # -- integer type construction --------------------------------------
-
-    def int_type(self, *, bytes: int, signed: bool, name: str | None = None) -> IntType:
-        canonical = {1: "char", 2: "short", 4: "int", 8: "long"}
-        base = canonical.get(bytes, f"int{bytes * 8}")
-        label = name or (base if signed else f"unsigned {base}")
-        return IntType(bytes=bytes, signed=signed, name=label)
-
-    # -- pointer / array helpers ----------------------------------------
+    # -- pointer helpers ------------------------------------------------
 
     def pointer_to(self, pointee: CType, qualifiers: Qualifiers = Qualifiers.NONE) -> PointerType:
         return PointerType(pointee=pointee, qualifiers=qualifiers)
-
-    def array_of(self, element: CType, count: int) -> ArrayType:
-        return ArrayType(element=element, count=count)
 
     # -- named struct management ----------------------------------------
 

@@ -145,20 +145,10 @@ class TaggedMemory:
     # ------------------------------------------------------------------
     #
     # These bypass the intermediate ``bytes`` objects of read_bytes/write_bytes
-    # for the ≤8-byte aligned-page accesses the interpreter issues on every
-    # load/store.  They are observationally identical to the generic paths.
-
-    def read_u64(self, address: int) -> int:
-        """Read an unsigned little-endian 64-bit integer."""
-        if address < 0 or address + 8 > self._size:
-            self._check_range(address, 8)
-        offset = address & self._PAGE_MASK
-        if offset + 8 <= self.PAGE_SIZE:
-            page = self._pages.get(address >> self._PAGE_SHIFT)
-            if page is None:
-                return 0
-            return int.from_bytes(page[offset : offset + 8], "little")
-        return int.from_bytes(self.read_bytes(address, 8), "little")
+    # when an access lies within one page, as the interpreter's scalar and
+    # pointer loads/stores almost always do; an access that crosses a page
+    # falls back to the generic path.  They are observationally identical to
+    # the generic paths.
 
     def read_small(self, address: int, size: int, signed: bool) -> int:
         """Read a little-endian integer of ``size`` (≤ page) bytes."""

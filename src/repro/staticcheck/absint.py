@@ -40,7 +40,7 @@ from repro.interp.heap import ObjectAllocator
 from repro.interp.intrinsics import INTRINSICS, ExitProgram
 from repro.interp.models import get_model
 from repro.interp.shadow import ShadowTable
-from repro.interp.values import IntVal, Provenance, PtrVal
+from repro.interp.values import IntVal, Provenance, PtrVal, arithmetic_provenance
 from repro.interp.artifact import CMP_FUNCS, INT_BINOPS
 from repro.minic.ir import Const, Function, GlobalRef, Module, Opcode, Temp
 from repro.minic.typesys import IntType, PointerType, Qualifiers
@@ -664,7 +664,7 @@ class Walk:
                        else a - signed_quotient * b)
             else:
                 raw = fast_op(a, b)
-            provenance = plane.model.propagate_provenance(left, right, raw)
+            provenance = arithmetic_provenance(left, right)
             return IntVal(raw, bytes=width, signed=signed,
                           provenance=provenance, pointer_sized=pointer_sized)
         return self._per_live(binop)
@@ -680,13 +680,9 @@ class Walk:
         def cmp(plane):
             left = left_av[plane.name]
             right = right_av[plane.name]
-            left_is_ptr = type(left) is PtrVal
-            if left_is_ptr and type(right) is PtrVal:
-                result = plane.model.ptr_compare(left, right, operator)
-            else:
-                result = compare(
-                    left.address if left_is_ptr else left.value,
-                    right.address if type(right) is PtrVal else right.value)
+            result = compare(
+                left.address if type(left) is PtrVal else left.value,
+                right.address if type(right) is PtrVal else right.value)
             return IntVal(1 if result else 0, bytes=4)
         results = self._per_live(cmp)
         raws = {value.value for value in results.values()}

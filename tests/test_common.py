@@ -141,8 +141,3 @@ class TestConfig:
         assert timing.l1.size_bytes == 16 * 1024
         assert timing.l2.size_bytes == 64 * 1024
         assert timing.clock_hz == 100_000_000
-
-    def test_pointer_bytes_by_abi(self):
-        config = MachineConfig()
-        assert config.pointer_bytes(capabilities=False) == 8
-        assert config.pointer_bytes(capabilities=True) == 32

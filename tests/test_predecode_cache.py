@@ -259,34 +259,3 @@ def test_reoptimizing_a_function_invalidates_its_artifact() -> None:
     optimize_module(module)  # mutates in place even when nothing folds anew
     after = get_artifact(function, module.context)
     assert after is not before
-
-
-def test_provenance_overriding_model_identical_in_both_modes() -> None:
-    """A model that overrides propagate_provenance must see every operand:
-    shared blocks demote its arithmetic to charge-point closure calls and
-    stay observationally identical to the single-step reference engine."""
-    from repro.interp.models.strict import StrictModel
-
-    class TracingStrict(StrictModel):
-        name = "strict_tracing"
-        calls = 0
-
-        def propagate_provenance(self, left, right, result):
-            TracingStrict.calls += 1
-            return super().propagate_provenance(left, right, result)
-
-    def run(blocks: bool):
-        model = TracingStrict()
-        module = compile_for_model(HOT_SOURCE, model)
-        if blocks:
-            return AbstractMachine(module, model).run()
-        return run_single_step(module, model)
-
-    stepped = observables(run(False))
-    hook_calls_stepped = TracingStrict.calls
-    TracingStrict.calls = 0
-    blocked = observables(run(True))
-    assert stepped == blocked
-    assert stepped["trap"] is None
-    # the overridden hook really ran, equally often, in both modes
-    assert TracingStrict.calls == hook_calls_stepped > 0

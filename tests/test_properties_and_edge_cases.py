@@ -15,7 +15,7 @@ from repro.common.config import CacheConfig, TimingConfig
 from repro.core import run_under_model
 from repro.interp import get_model
 from repro.interp.heap import ObjectAllocator
-from repro.interp.values import IntVal, Provenance
+from repro.interp.values import IntVal, Provenance, arithmetic_provenance
 from repro.minic import Lexer, TokenKind, compile_source
 from repro.minic.ir import Opcode
 from repro.sim.cache import CacheLevel, MemoryHierarchy
@@ -91,7 +91,7 @@ class TestModelInvariants:
             pointer = model.make_pointer(obj)
             as_int = model.ptr_to_int(pointer, bytes=8, signed=False, pointer_sized=True)
             shifted = IntVal(as_int.value + 8, bytes=8, pointer_sized=True,
-                             provenance=model.propagate_provenance(as_int, IntVal(8), as_int.value + 8))
+                             provenance=arithmetic_provenance(as_int, IntVal(8)))
             back = model.int_to_ptr(shifted, allocator)
             assert back.tag is expect_valid, name
 

@@ -33,8 +33,34 @@ def blocks_at_first_call(monkeypatch):
     """Every function binds its block plans on its first call."""
     monkeypatch.setattr(machine_module, "HOT_CALL_THRESHOLD", 1)
 
-#: arithmetic + memory + calls + a trap under CHERIv2 (pointer subtraction).
+#: arithmetic + memory + calls + a trap under CHERIv2 (pointer subtraction);
+#: ``intptr_arith`` runs provenance-carrying boxed arithmetic and
+#: pointer-pointer comparisons in a hot helper, and traps on its last call
+#: under the models that reject a modified provenance.
 WORKLOADS = {
+    "intptr_arith": r"""
+    long probe(int *base, int i, int last) {
+        intptr_t bits = (intptr_t)&base[i];
+        intptr_t aligned = (bits + 3) & ~(intptr_t)3;
+        int *p = (int *)aligned;
+        int *q = &base[i];
+        long r = *(int *)bits;
+        if (p < q) { r = r + 100; }
+        if (p >= q) { r = r + 1000; }
+        if (p == &base[last]) { r = r + 10000; }
+        if (i == last) { r = r + *p; }
+        return r;
+    }
+    int main(void) {
+        int data[8];
+        int i;
+        for (i = 0; i < 8; i++) { data[i] = i * 5; }
+        long total = 0;
+        for (i = 0; i < 8; i++) { total = total + probe(data, i, 7); }
+        mini_output_int(total);
+        return 0;
+    }
+    """,
     "scalar_loop": r"""
     int accumulate(int limit) {
         int total = 0;
