@@ -15,6 +15,7 @@ then shows the two properties the paper attributes to tagged capabilities:
 from repro.core.api import compile_for_model
 from repro.gc import CapabilityGarbageCollector
 from repro.interp import AbstractMachine, get_model
+from repro.interp.models import field_pointer
 
 PROGRAM = r"""
 struct node { struct node *next; long value; };
@@ -67,10 +68,10 @@ def main() -> None:
                                    machine.module.globals["keep_list"].ctype)
     values = []
     while not pointer.is_null:
-        value_ptr = machine.model.field_address(pointer, value_field.offset, 8)
+        value_ptr = field_pointer(machine.model, pointer, value_field.offset, 8)
         values.append(machine._load_scalar(value_ptr, value_field.ctype).value)
-        next_ptr = machine.model.field_address(pointer, next_field.offset,
-                                               machine.model.pointer_bytes)
+        next_ptr = field_pointer(machine.model, pointer, next_field.offset,
+                                 machine.model.pointer_bytes)
         pointer = machine._load_scalar(next_ptr, next_field.ctype)
     print(f"list walked after move : {values}")
 

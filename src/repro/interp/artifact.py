@@ -11,8 +11,8 @@ execute it:
   register slots carry raw Python ints, and the per-operand raw descriptors
   derived from it (:meth:`PredecodeArtifact.arg_raws`);
 * the **inline pointer-move deltas** (:func:`move_delta` for every
-  ``field``/``gep``/``ptradd`` the model's inline-move policy lets the
-  binding step construct inline, memoized per policy);
+  ``field``/``gep``/``ptradd`` the binding step can construct inline, one
+  memoized table; each model's binding decides per pc whether to use it);
 * the **per-pc descriptor table**: the one classification of every pc as
   raw-register work (labels, gotos, raw casts, arithmetic and compares) or
   a model-specialized entry, plus the per-timing **cycle-cost lists**; the
@@ -37,12 +37,12 @@ artifact over one concrete machine's model, memory and cache state.
 
 Every pc is one descriptor, one handler and one charge.  Sharing is
 observationally safe by construction: the analysis inputs that vary per
-machine (the model's inline-move flags, the timing costs, block profiling)
-are part of the memo keys, and blocks only change *charge batching granularity*
-— every trap-capable entry still flushes all deferred charges before it
-executes, so counters at any trap point equal single-step dispatch exactly
-(``tests/test_superinstructions.py`` and ``tests/test_predecode_cache.py``
-pin this across all seven models).
+machine (the timing costs, block profiling) are part of the memo keys, no
+memoized table depends on the model, and blocks only change *charge
+batching granularity* — every trap-capable entry still flushes all
+deferred charges before it executes, so counters at any trap point equal
+single-step dispatch exactly (``tests/test_superinstructions.py`` and
+``tests/test_predecode_cache.py`` pin this across all seven models).
 """
 
 from __future__ import annotations
@@ -234,19 +234,17 @@ def raw_operand(operand, ctx, slot_types):
     return None
 
 
-def move_delta(instr, raws: tuple, inline_moves: bool, inline_field: bool):
+def move_delta(instr, raws: tuple):
     """Delta descriptor when ``instr`` is an inlineable pointer move.
 
     ``raws`` are the instruction's :meth:`PredecodeArtifact.arg_raws`.
+    Whether a model's binding uses the delta is its own policy
+    (:func:`~repro.interp.predecode.compile_function`).
     """
     op = instr.op
     if op is Opcode.FIELD:
-        if not inline_field:
-            return None
         return (1, instr.attrs["offset"], 0, None)
     if op is Opcode.GEP or op is Opcode.PTRADD:
-        if not inline_moves:
-            return None
         element_size = instr.attrs["element_size"] if op is Opcode.GEP else 1
         raw = raws[1]
         if raw is None:
@@ -827,7 +825,7 @@ class PredecodeArtifact:
         self.alloca_slots = alloca_slots
         self.scratch = max_temp + 1 + FRAME_RESERVED
         self._slot_types: dict | None = None
-        self._deltas: dict[tuple, dict] = {}
+        self._deltas: dict[int, tuple] | None = None
         self._plans: dict[tuple, list[BlockPlan]] = {}
         self._arg_raws: list[tuple] | None = None
         self._descs: list | None = None
@@ -853,18 +851,17 @@ class PredecodeArtifact:
                 for instr in self.instrs]
         return cached
 
-    def fusion(self, inline_moves: bool, inline_field: bool) -> dict[int, tuple]:
+    def fusion(self) -> dict[int, tuple]:
         """pc -> :func:`move_delta` for every pointer move the binding step
-        constructs inline, memoized per inline-move policy."""
-        key = (inline_moves, inline_field)
-        cached = self._deltas.get(key)
+        can construct inline, memoized; a model's binding decides per pc
+        whether to use it."""
+        cached = self._deltas
         if cached is None:
-            cached = {}
+            cached = self._deltas = {}
             for pc, (instr, raws) in enumerate(zip(self.instrs, self.arg_raws())):
-                delta = move_delta(instr, raws, inline_moves, inline_field)
+                delta = move_delta(instr, raws)
                 if delta is not None:
                     cached[pc] = delta
-            self._deltas[key] = cached
         return cached
 
     def descriptors(self) -> list:

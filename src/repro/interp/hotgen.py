@@ -27,7 +27,15 @@ import re
 import struct
 
 from repro.common.errors import InterpreterError
-from repro.interp.values import INTERN_MAX, INTERN_MIN, IntVal, Provenance, PtrVal
+from repro.interp.values import (
+    INTERN_MAX,
+    INTERN_MIN,
+    IntVal,
+    Provenance,
+    PtrVal,
+    ptr_to_int,
+    qualified,
+)
 
 _ADDRESS_MASK = (1 << 64) - 1
 
@@ -53,8 +61,8 @@ _BINDING_NAMES = (
     "write_small", "write_ptr_raw", "mem_tags", "shadow_get",
     "shadow_entries", "shadow_pages", "shadow_page_shift", "ptr_memo",
     "ptr_memo_get", "load_ptr_no_meta", "allocator", "int_to_ptr",
-    "reconcile", "appliers", "table", "out", "next_pc", "signed",
-    "read_value", "ptr_to_int", "coerce_bytes", "coerce_signed",
+    "reconcile", "qmask", "table", "out", "next_pc", "signed",
+    "read_value", "coerce_bytes", "coerce_signed",
     "size_mask", "comb_mask", "const_raw", "vslot", "vmsg", "pad", "span",
     "mem_unpack", "mem_pack",
 )
@@ -73,6 +81,8 @@ _GLOBALS = {
     "IntVal": IntVal,
     "PtrVal": PtrVal,
     "Provenance": Provenance,
+    "ptr_to_int": ptr_to_int,
+    "qualified": qualified,
     "InterpreterError": InterpreterError,
     "INTERN_MIN": INTERN_MIN,
     "INTERN_MAX": INTERN_MAX,
@@ -93,11 +103,13 @@ def _emit_prologue(lines, pslot_inline):
     lines.append("        address = pointer.address")
 
 
-def _emit_check(lines, check_kind, is_write):
+def _emit_check(lines, flat_check, is_write):
     perm = "2" if is_write else "1"
     flag = "True" if is_write else "False"
     check = f"address = check_access(pointer, size, is_write={flag})"
-    if check_kind == 1:
+    if flat_check:  # PDP-11: only the null page faults
+        lines += ["        if address < 4096:", f"            {check}"]
+    else:  # the base check; anything unusual takes the full call
         lines += [
             "        obj = pointer.obj",
             f"        if not (pointer.tag and pointer.checked and pointer.perms & {perm}",
@@ -107,10 +119,6 @@ def _emit_check(lines, check_kind, is_write):
             "                and not (address == 0 and obj is None)):",
             f"            {check}",
         ]
-    elif check_kind == 2:
-        lines += ["        if address < 4096:", f"            {check}"]
-    else:
-        lines.append(f"        {check}")
 
 
 def _emit_timing(lines, collect_timing, inline_cache, is_write):
@@ -156,15 +164,15 @@ def load_maker(shape: tuple):
 def load_body(shape: tuple) -> list:
     """Raw handler body lines for a LOAD of the given shape.
 
-    shape = (kind, pslot_inline, check_kind, collect_timing, inline_cache,
-             uses_shadow, memo, inline_reconcile, n_appliers, fast_mem)
+    shape = (kind, pslot_inline, flat_check, collect_timing, inline_cache,
+             uses_shadow, memo, inline_reconcile, qualifies, fast_mem)
     with kind in {"ptr", "psint", "raw", "box"}.
     """
-    (kind, pslot_inline, check_kind, collect_timing, inline_cache,
-     uses_shadow, memo, inline_reconcile, n_appliers, fast_mem) = shape
+    (kind, pslot_inline, flat_check, collect_timing, inline_cache,
+     uses_shadow, memo, inline_reconcile, qualifies, fast_mem) = shape
     lines = []
     _emit_prologue(lines, pslot_inline)
-    _emit_check(lines, check_kind, False)
+    _emit_check(lines, flat_check, False)
     lines.append("        machine.memory_accesses += 1")
     _emit_timing(lines, collect_timing, inline_cache, False)
     # memory read: pointer-like loads read the 8-byte raw address word but
@@ -207,11 +215,8 @@ def load_body(shape: tuple) -> list:
                 ]
             else:
                 lines.append("        loaded = load_ptr_no_meta(raw, allocator)")
-            if n_appliers:
-                lines += [
-                    "        for apply in appliers:",
-                    "            loaded = apply(loaded)",
-                ]
+            if qualifies:
+                lines.append("        loaded = qualified(loaded, qmask)")
             lines.append("        frame[out] = loaded")
         else:  # psint
             lines.append(
@@ -244,11 +249,8 @@ def load_body(shape: tuple) -> list:
                 "        else:",
                 "            raise InterpreterError(f'corrupt shadow entry {entry!r}')",
             ]
-            if n_appliers:
-                lines += [
-                    "        for apply in appliers:",
-                    "            loaded = apply(loaded)",
-                ]
+            if qualifies:
+                lines.append("        loaded = qualified(loaded, qmask)")
             lines.append("        frame[out] = loaded")
         else:  # psint
             lines += [
@@ -271,13 +273,13 @@ def store_maker(shape: tuple):
 def store_body(shape: tuple) -> list:
     """Raw handler body lines for a STORE of the given shape.
 
-    shape = (kind, pslot_inline, check_kind, collect_timing, inline_cache,
+    shape = (kind, pslot_inline, flat_check, collect_timing, inline_cache,
              clear_shadow, uses_shadow, value_mode, coerce, wide_span,
              fast_mem)
     with kind in {"ptr", "scalar"}; value_mode in (0 const, 1 raw slot,
     2 boxed reader) for scalar stores (ptr stores always use the reader).
     """
-    (kind, pslot_inline, check_kind, collect_timing, inline_cache,
+    (kind, pslot_inline, flat_check, collect_timing, inline_cache,
      clear_shadow, uses_shadow, value_mode, coerce, wide_span,
      fast_mem) = shape
     lines = []
@@ -306,7 +308,7 @@ def store_body(shape: tuple) -> list:
         lines.append("        raw = (value.unsigned if type(value) is IntVal else int(value)) & size_mask")
     else:
         lines.append("        raw = const_raw")
-    _emit_check(lines, check_kind, True)
+    _emit_check(lines, flat_check, True)
     lines.append("        machine.memory_accesses += 1")
     _emit_timing(lines, collect_timing, inline_cache, True)
     if kind == "ptr":

@@ -16,7 +16,7 @@ without laundering them into forgeable integers.
 from __future__ import annotations
 
 from repro.common.errors import InterpreterError, UndefinedBehaviorError
-from repro.interp.values import IntVal, PtrVal
+from repro.interp.values import NULL_PTR, IntVal, PtrVal
 
 
 class ExitProgram(Exception):
@@ -126,7 +126,7 @@ def _memchr(machine, args, result_type):
     data = machine.read_checked_bytes(pointer, length)
     index = data.find(bytes([needle]))
     if index < 0:
-        return machine.model.null_pointer()
+        return NULL_PTR
     return machine.model.ptr_offset(pointer, index)
 
 
@@ -178,7 +178,7 @@ def _strchr(machine, args, result_type):
     text = machine.read_cstring(pointer) + b"\x00"
     index = text.find(bytes([needle]))
     if index < 0:
-        return machine.model.null_pointer()
+        return NULL_PTR
     return machine.model.ptr_offset(pointer, index)
 
 

@@ -46,13 +46,13 @@ from repro.common.rng import DeterministicRng
 from repro.interp.heap import ObjectAllocator
 from repro.interp.intrinsics import ExitProgram
 from repro.interp.models import get_model
-from repro.interp.models.base import MemoryModel
+from repro.interp.models.base import MemoryModel, qualifier_mask
 from repro.interp.models.pdp11 import Pdp11Model
 from repro.interp.predecode import HOT_CALL_THRESHOLD, CompiledFunction, compile_function
 from repro.interp.shadow import ShadowTable
-from repro.interp.values import IntVal, Provenance, PtrVal
+from repro.interp.values import IntVal, Provenance, PtrVal, qualified
 from repro.minic.ir import Function, Module
-from repro.minic.typesys import CType, IntType, PointerType, Qualifiers
+from repro.minic.typesys import CType, IntType, PointerType
 from repro.sim.cache import MemoryHierarchy
 from repro.sim.memory import TaggedMemory
 
@@ -239,25 +239,20 @@ class AbstractMachine:
         work: it derives how many bytes the per-byte check is guaranteed to
         admit, scans whole pages for the terminator, and charges the accesses
         through :meth:`MemoryHierarchy.access_run` (identical counters).  Any
-        input the batch cannot prove safe — unknown check policies, bounds
-        running out, address-space edges — falls back to the original
-        byte-at-a-time loop, so traps are bit-identical.
+        input the batch cannot prove safe — bounds running out, address-space
+        edges — falls back to the original byte-at-a-time loop, so traps are
+        bit-identical.
         """
         model = self.model
-        model_check = type(model).check_access
-        if model_check is MemoryModel.check_access:
-            # First byte through the real check: identical trap for null /
-            # untagged / permission / freed / out-of-bounds starts.
-            address = model.check_access(pointer, 1, is_write=False)
-            if pointer.checked:
-                admitted = pointer.base + pointer.length - address
-            else:
-                admitted = limit
-        elif model_check is Pdp11Model.check_access:
-            address = model.check_access(pointer, 1, is_write=False)
-            admitted = limit
+        # First byte through the real check: identical trap for null /
+        # untagged / permission / freed / out-of-bounds starts.  PDP-11's
+        # flat check admits the rest; the base check admits a checked
+        # pointer up to its bounds.
+        address = model.check_access(pointer, 1, is_write=False)
+        if pointer.checked and type(model).check_access is not Pdp11Model.check_access:
+            admitted = pointer.base + pointer.length - address
         else:
-            return self._read_cstring_bytewise(pointer, limit)
+            admitted = limit
         admitted = min(admitted, limit, self.memory.size - address)
 
         memory = self.memory
@@ -385,7 +380,7 @@ class AbstractMachine:
             entry = self.shadow.get(address) if self.model.uses_shadow else None
             if isinstance(ctype, PointerType):
                 loaded = self._reconstruct_pointer(raw, entry)
-                return self._apply_pointer_qualifiers(loaded, ctype)
+                return qualified(loaded, qualifier_mask(self.model, ctype))
             return self._reconstruct_pointer_sized_int(raw, entry, ctype)
         size = max(ctype.size(self.ctx), 1)
         address = self.model.check_access(pointer, size, is_write=False)
@@ -415,19 +410,6 @@ class AbstractMachine:
     @staticmethod
     def _is_pointer_sized_int(ctype: CType) -> bool:
         return isinstance(ctype, IntType) and ctype.is_pointer_sized
-
-    def _apply_pointer_qualifiers(self, pointer: PtrVal, ptr_type: PointerType) -> PtrVal:
-        """Apply const/__input/__output effects when a value takes a pointer type."""
-        if not isinstance(pointer, PtrVal):
-            return pointer
-        result = pointer
-        if ptr_type.qualifiers & Qualifiers.INPUT:
-            result = self.model.apply_input_qualifier(result)
-        if ptr_type.qualifiers & Qualifiers.OUTPUT:
-            result = self.model.apply_output_qualifier(result)
-        if ptr_type.pointee.is_const:
-            result = self.model.apply_const(result)
-        return result
 
     # ------------------------------------------------------------------
     # Running programs

@@ -3,11 +3,13 @@
 Each model is one interpretation of the C abstract machine's memory, in the
 sense of Table 3 of the paper.  :func:`get_model` constructs a fresh model
 instance by name; :data:`MODEL_REGISTRY` maps names to classes.
+:func:`field_pointer` and :func:`qualifier_mask` are the machine semantics
+that read a model's flags (see :mod:`repro.interp.models.base`).
 """
 
 from __future__ import annotations
 
-from repro.interp.models.base import MemoryModel
+from repro.interp.models.base import MemoryModel, field_pointer, qualifier_mask
 from repro.interp.models.pdp11 import Pdp11Model
 from repro.interp.models.hardbound import HardBoundModel
 from repro.interp.models.mpx import MpxModel
@@ -66,4 +68,6 @@ __all__ = [
     "PAPER_MODEL_ORDER",
     "model_names",
     "get_model",
+    "field_pointer",
+    "qualifier_mask",
 ]

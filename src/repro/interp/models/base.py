@@ -1,37 +1,44 @@
 """The memory-model interface and its default (bounds-checking) behaviour.
 
-A :class:`MemoryModel` answers every pointer-related question the abstract
-machine asks:
+A :class:`MemoryModel` answers the pointer-related questions on which the
+paper's models disagree (Table 3):
 
 * how big is a pointer in memory (``pointer_bytes``), which drives struct
   layout and cache behaviour;
-* how pointers are created, moved and subtracted;
-* what happens when a pointer is cast to an integer and back;
-* what checks run when a pointer is dereferenced;
-* how pointers survive (or do not survive) being stored to memory.
+* how pointers are created (``make_pointer``), moved (``ptr_offset``) and
+  subtracted (``ptr_diff``);
+* what an integer cast back to a pointer means (``int_to_ptr``);
+* what checks run when a pointer is dereferenced (``check_access``);
+* how pointers survive (or do not survive) being stored to memory
+  (``load_pointer_without_metadata``, ``reconcile_loaded_pointer``).
 
 The base class implements a conventional fat-pointer/bounds-checking policy;
 the concrete models override only the points where the paper's Table 3 says
 they differ.  Keeping the differences small and explicit is the point: the
 table's "yes/no" pattern should be traceable to individual overridden
-methods.  Pointer comparison (address order) and the provenance of integer
-arithmetic (:func:`~repro.interp.values.arithmetic_provenance`) are machine
-semantics, not hooks: no model differs there.
+methods, and every method here is overridden by at least one registered
+model (``tests/test_models_and_analysis.py`` enforces this).
+
+Everything else is machine semantics, the same for every model: the null
+pointer (:data:`~repro.interp.values.NULL_PTR`), pointer-to-integer
+conversion (:func:`~repro.interp.values.ptr_to_int`), the provenance of
+integer arithmetic (:func:`~repro.interp.values.arithmetic_provenance`),
+pointer comparison (address order), casting away ``const`` (never restores
+rights), and the functions at the end of this module, which read a model's
+flags.  :func:`field_pointer` moves a pointer to a struct member and
+narrows its bounds where ``narrow_field_bounds`` is set (MPX);
+:func:`qualifier_mask` is the permission mask a pointer type's
+``const``/``__input``/``__output`` qualifiers remove under the
+``enforces_const`` and ``capability_qualifiers`` flags, and
+:func:`~repro.interp.values.qualified` applies it.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import BoundsViolation, MemorySafetyError, PermissionViolation, TagViolation
 from repro.interp.heap import HeapObject, ObjectAllocator
-from repro.interp.values import (
-    NULL_PTR,
-    PERM_ALL,
-    PERM_READ,
-    PERM_WRITE,
-    IntVal,
-    Provenance,
-    PtrVal,
-)
+from repro.interp.values import NULL_PTR, PERM_ALL, PERM_READ, PERM_WRITE, IntVal, PtrVal
+from repro.minic.typesys import PointerType, Qualifiers
 
 
 class MemoryModel:
@@ -78,9 +85,6 @@ class MemoryModel:
             tag=True,
         )
 
-    def null_pointer(self) -> PtrVal:
-        return NULL_PTR
-
     # ------------------------------------------------------------------
     # Pointer arithmetic
     # ------------------------------------------------------------------
@@ -94,68 +98,22 @@ class MemoryModel:
         """
         return ptr.moved_by(delta_bytes)
 
-    def field_address(self, ptr: PtrVal, offset: int, field_size: int) -> PtrVal:
-        """Address of a struct member.  MPX narrows bounds here; others do not.
-
-        Narrowing is an *intersection* with the existing bounds (as MPX's
-        ``__bnd_narrow`` is): a pointer that has already wandered outside its
-        bounds cannot regain access by naming a field.
-        """
-        moved = self.ptr_offset(ptr, offset)
-        if self.narrow_field_bounds and moved.tag and moved.checked:
-            base = max(moved.address, moved.base)
-            top = min(moved.address + field_size, moved.top)
-            return moved.with_bounds(base, max(top - base, 0))
-        return moved
-
     def ptr_diff(self, a: PtrVal, b: PtrVal, element_size: int) -> int:
         """Pointer subtraction (the SUB idiom); supported by default."""
         return (a.address - b.address) // max(element_size, 1)
 
     # ------------------------------------------------------------------
-    # Integer <-> pointer conversions
+    # Integer -> pointer conversion
     # ------------------------------------------------------------------
-
-    def ptr_to_int(self, ptr: PtrVal, *, bytes: int, signed: bool, pointer_sized: bool) -> IntVal:
-        """ptrtoint: the integer value is the address; provenance is recorded."""
-        provenance = None if ptr.is_null else Provenance(pointer=ptr)
-        return IntVal(value=ptr.address, bytes=bytes, signed=signed,
-                      provenance=provenance, pointer_sized=pointer_sized)
 
     def int_to_ptr(self, value: IntVal, allocator: ObjectAllocator) -> PtrVal:
         """inttoptr: the default model requires intact, unmodified provenance."""
         if value.unsigned == 0:
-            return self.null_pointer()
+            return NULL_PTR
         provenance = value.provenance
         if provenance is not None and not provenance.modified:
             return provenance.pointer.moved_to(value.unsigned)
         return PtrVal(address=value.unsigned, base=0, length=0, obj=None, perms=0, tag=False)
-
-    # ------------------------------------------------------------------
-    # Qualifier handling
-    # ------------------------------------------------------------------
-
-    def apply_const(self, ptr: PtrVal) -> PtrVal:
-        """Called when a pointer is converted to a pointer-to-const type."""
-        if self.enforces_const and ptr.tag:
-            return ptr.with_perms(ptr.perms & ~PERM_WRITE)
-        return ptr
-
-    def apply_input_qualifier(self, ptr: PtrVal) -> PtrVal:
-        """``__input``: hardware-enforced read-only view (paper §4.1)."""
-        if self.capability_qualifiers and ptr.tag:
-            return ptr.with_perms(ptr.perms & ~PERM_WRITE)
-        return ptr
-
-    def apply_output_qualifier(self, ptr: PtrVal) -> PtrVal:
-        """``__output``: hardware-enforced write-only view (paper §4.1)."""
-        if self.capability_qualifiers and ptr.tag:
-            return ptr.with_perms(ptr.perms & ~PERM_READ)
-        return ptr
-
-    def deconst(self, ptr: PtrVal) -> PtrVal:
-        """Casting away const never *restores* rights (monotonicity)."""
-        return ptr
 
     # ------------------------------------------------------------------
     # Access checking
@@ -202,7 +160,7 @@ class MemoryModel:
         authorise access.
         """
         if raw_address == 0:
-            return self.null_pointer()
+            return NULL_PTR
         return PtrVal(address=raw_address, base=0, length=0, obj=None, perms=0, tag=False)
 
     def reconcile_loaded_pointer(self, raw_address: int, stored: PtrVal, allocator: ObjectAllocator) -> PtrVal:
@@ -218,18 +176,45 @@ class MemoryModel:
             return stored
         return self.load_pointer_without_metadata(raw_address, allocator)
 
-    # ------------------------------------------------------------------
-
-    def describe(self) -> dict:
-        """Metadata used by reports and benchmark output."""
-        return {
-            "name": self.name,
-            "label": self.label,
-            "pointer_bytes": self.pointer_bytes,
-            "enforces_const": self.enforces_const,
-            "narrow_field_bounds": self.narrow_field_bounds,
-            "tagged_memory": self.clear_shadow_on_data_store,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name}>"
+
+
+# ---------------------------------------------------------------------------
+# Machine semantics parameterized by model flags
+# ---------------------------------------------------------------------------
+
+
+def field_pointer(model: MemoryModel, ptr: PtrVal, offset: int, field_size: int) -> PtrVal:
+    """Address of a struct member: ``model.ptr_offset`` by the member offset.
+
+    Models with ``narrow_field_bounds`` (MPX) then narrow the bounds to the
+    member.  Narrowing is an *intersection* with the existing bounds (as
+    MPX's ``__bnd_narrow`` is): a pointer that has already wandered outside
+    its bounds cannot regain access by naming a field.
+    """
+    moved = model.ptr_offset(ptr, offset)
+    if model.narrow_field_bounds and moved.tag and moved.checked:
+        base = max(moved.address, moved.base)
+        top = min(moved.address + field_size, moved.top)
+        return moved.with_bounds(base, max(top - base, 0))
+    return moved
+
+
+def qualifier_mask(model: MemoryModel, ptr_type: PointerType) -> int:
+    """Permissions a pointer loses when it takes type ``ptr_type`` (0: none).
+
+    ``__input`` is a hardware-enforced read-only view and ``__output`` a
+    write-only view (paper §4.1) where the model honours capability
+    qualifiers; a pointer to ``const`` loses its store permission where the
+    model enforces ``const`` (CHERIv2).
+    """
+    mask = 0
+    if model.capability_qualifiers:
+        if ptr_type.qualifiers & Qualifiers.INPUT:
+            mask |= PERM_WRITE
+        if ptr_type.qualifiers & Qualifiers.OUTPUT:
+            mask |= PERM_READ
+    if model.enforces_const and ptr_type.pointee.is_const:
+        mask |= PERM_WRITE
+    return mask

@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.common.errors import MemorySafetyError
 from repro.interp.heap import ObjectAllocator
 from repro.interp.models.base import MemoryModel
-from repro.interp.values import IntVal, PtrVal
+from repro.interp.values import NULL_PTR, IntVal, PtrVal
 
 
 class CheriV2Model(MemoryModel):
@@ -62,7 +62,7 @@ class CheriV2Model(MemoryModel):
 
     def int_to_ptr(self, value: IntVal, allocator: ObjectAllocator) -> PtrVal:
         if value.unsigned == 0:
-            return self.null_pointer()
+            return NULL_PTR
         provenance = value.provenance
         if value.pointer_sized and provenance is not None and not provenance.modified:
             # intcap_t round trip: the capability was carried alongside the

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.interp.heap import ObjectAllocator
 from repro.interp.models.base import MemoryModel
-from repro.interp.values import IntVal, PtrVal
+from repro.interp.values import NULL_PTR, IntVal, PtrVal
 
 
 class CheriV3Model(MemoryModel):
@@ -38,7 +38,7 @@ class CheriV3Model(MemoryModel):
 
     def int_to_ptr(self, value: IntVal, allocator: ObjectAllocator) -> PtrVal:
         if value.unsigned == 0:
-            return self.null_pointer()
+            return NULL_PTR
         provenance = value.provenance
         if provenance is None:
             # A plain integer with no capability provenance can never become a

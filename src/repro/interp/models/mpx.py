@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.interp.heap import ObjectAllocator
 from repro.interp.models.base import MemoryModel
-from repro.interp.values import PERM_ALL, IntVal, PtrVal
+from repro.interp.values import NULL_PTR, PERM_ALL, IntVal, PtrVal
 
 
 class MpxModel(MemoryModel):
@@ -37,7 +37,7 @@ class MpxModel(MemoryModel):
 
     def int_to_ptr(self, value: IntVal, allocator: ObjectAllocator) -> PtrVal:
         if value.unsigned == 0:
-            return self.null_pointer()
+            return NULL_PTR
         provenance = value.provenance
         if provenance is not None and not provenance.modified:
             return provenance.pointer.moved_to(value.unsigned)
@@ -46,7 +46,7 @@ class MpxModel(MemoryModel):
 
     def load_pointer_without_metadata(self, raw_address: int, allocator: ObjectAllocator) -> PtrVal:
         if raw_address == 0:
-            return self.null_pointer()
+            return NULL_PTR
         return self._unchecked(raw_address)
 
     def reconcile_loaded_pointer(self, raw_address: int, stored: PtrVal, allocator: ObjectAllocator) -> PtrVal:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.common.errors import MemorySafetyError
 from repro.interp.heap import HeapObject, ObjectAllocator
 from repro.interp.models.base import MemoryModel
-from repro.interp.values import PERM_ALL, IntVal, PtrVal
+from repro.interp.values import NULL_PTR, PERM_ALL, IntVal, PtrVal
 
 
 class Pdp11Model(MemoryModel):
@@ -38,13 +38,13 @@ class Pdp11Model(MemoryModel):
 
     def int_to_ptr(self, value: IntVal, allocator: ObjectAllocator) -> PtrVal:
         if value.unsigned == 0:
-            return self.null_pointer()
+            return NULL_PTR
         return PtrVal(address=value.unsigned, base=0, length=1 << 64, obj=None,
                       perms=PERM_ALL, tag=True, checked=False)
 
     def load_pointer_without_metadata(self, raw_address: int, allocator: ObjectAllocator) -> PtrVal:
         if raw_address == 0:
-            return self.null_pointer()
+            return NULL_PTR
         return PtrVal(address=raw_address, base=0, length=1 << 64, obj=None,
                       perms=PERM_ALL, tag=True, checked=False)
 

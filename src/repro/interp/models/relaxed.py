@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.interp.heap import ObjectAllocator
 from repro.interp.models.base import MemoryModel
-from repro.interp.values import IntVal, PtrVal
+from repro.interp.values import NULL_PTR, IntVal, PtrVal
 
 
 class RelaxedModel(MemoryModel):
@@ -27,7 +27,7 @@ class RelaxedModel(MemoryModel):
 
     def _pointer_for_address(self, address: int, allocator: ObjectAllocator) -> PtrVal:
         if address == 0:
-            return self.null_pointer()
+            return NULL_PTR
         obj = allocator.find(address)
         if obj is None:
             # No live object contains this address: the reconstruction fails

@@ -88,7 +88,7 @@ from repro.interp.artifact import (
     get_artifact,
 )
 from repro.interp.intrinsics import INTRINSICS
-from repro.interp.models.base import MemoryModel
+from repro.interp.models.base import MemoryModel, field_pointer, qualifier_mask
 from repro.interp.models.mpx import MpxModel
 from repro.interp.models.pdp11 import Pdp11Model
 from repro.interp.hotgen import (
@@ -103,15 +103,18 @@ from repro.interp.values import (
     INTERN_MAX,
     INTERN_MIN,
     MASKS,
+    NULL_PTR,
     PERM_ALL,
     TRUE_I32,
     IntVal,
     PtrVal,
     arithmetic_provenance,
     intern_table,
+    ptr_to_int,
+    qualified,
 )
 from repro.minic.ir import Const, Function, GlobalRef, Opcode, Temp
-from repro.minic.typesys import IntType, PointerType, Qualifiers
+from repro.minic.typesys import IntType, PointerType
 
 #: sentinel stored in unwritten register slots (None is a legitimate value).
 UNDEF = object()
@@ -182,7 +185,7 @@ def _const_value(machine, operand: Const):
     ctype = operand.ctype
     if isinstance(ctype, PointerType):
         if operand.value == 0:
-            return machine.model.null_pointer()
+            return NULL_PTR
         return None  # non-null pointer constant: conversion consults the allocator
     size = ctype.size(machine.ctx) if isinstance(ctype, IntType) else 8
     signed = getattr(ctype, "signed", True)
@@ -292,18 +295,6 @@ def _ptr_reader(machine, operand, slot_types):
     return read_ptr
 
 
-def _qualifier_appliers(machine, ptr_type: PointerType) -> tuple:
-    """The model hooks a pointer of ``ptr_type`` passes through, in order."""
-    appliers = []
-    if ptr_type.qualifiers & Qualifiers.INPUT:
-        appliers.append(machine.model.apply_input_qualifier)
-    if ptr_type.qualifiers & Qualifiers.OUTPUT:
-        appliers.append(machine.model.apply_output_qualifier)
-    if ptr_type.pointee.is_const:
-        appliers.append(machine.model.apply_const)
-    return tuple(appliers)
-
-
 def _is_pointer_sized_int(ctype) -> bool:
     return isinstance(ctype, IntType) and ctype.is_pointer_sized
 
@@ -345,7 +336,6 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     clear_shadow = uses_shadow and model.clear_shadow_on_data_store
     check_access = model.check_access
     int_to_ptr = model.int_to_ptr
-    ptr_to_int = model.ptr_to_int
     ptr_offset = model.ptr_offset
     pointer_bytes = model.pointer_bytes
     read_small = memory.read_small
@@ -388,27 +378,21 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
     # When the model keeps the default pointer-arithmetic policy (cursor moves
     # freely, bounds unchanged), pointer moves can be constructed inline
-    # instead of dispatching through model.ptr_offset -> PtrVal.moved_by.
+    # instead of dispatching through model.ptr_offset -> PtrVal.moved_by;
+    # field moves also need bounds left unnarrowed.
     inline_moves = type(model).ptr_offset is MemoryModel.ptr_offset
-    inline_field = (inline_moves
-                    and type(model).field_address is MemoryModel.field_address
-                    and not model.narrow_field_bounds)
+    narrow_fields = model.narrow_field_bounds
     # The base reconciliation policy (trust the shadow entry when the raw
     # address still matches, else reconstruct without metadata) is inlined;
     # models that override it keep the call.
     inline_reconcile = (type(model).reconcile_loaded_pointer
                         is MemoryModel.reconcile_loaded_pointer)
-    # Dereference checks are inlined for the two known check policies; the
-    # inline fast path only covers accesses the full check would *pass* (and
-    # returns the same effective address) — anything unusual falls back to the
-    # model's check_access, so traps, messages and trap counters are identical.
-    model_check = type(model).check_access
-    if model_check is MemoryModel.check_access:
-        check_kind = 1
-    elif model_check is Pdp11Model.check_access:
-        check_kind = 2
-    else:
-        check_kind = 0
+    # Dereference checks are inlined for the two check policies (the base
+    # one and PDP-11's flat one); the inline fast path only covers accesses
+    # the full check would *pass* (and returns the same effective address) —
+    # anything unusual falls back to the model's check_access, so traps,
+    # messages and trap counters are identical.
+    flat_check = type(model).check_access is Pdp11Model.check_access
 
     # Metadata-free pointer loads are pure per raw address for these models;
     # share one memo across the machine's compiled functions.
@@ -447,11 +431,11 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     # (the same list every other machine of this layout binds against).
     arg_raw_lists = artifact.arg_raws()
 
-    # pc -> move_delta for every pointer move built inline under this
-    # model's policy.  Per-pc costs and the shared raw-register handlers come
-    # from the artifact's descriptor table, the same one the block planner
-    # reads.
-    deltas = artifact.fusion(inline_moves, inline_field)
+    # pc -> move_delta for every pointer move that can be built inline;
+    # build() takes one only under this model's policy.  Per-pc costs and
+    # the shared raw-register handlers come from the artifact's descriptor
+    # table, the same one the block planner reads.
+    deltas = artifact.fusion() if inline_moves else {}
     costs = artifact.costs(charges)
     raw_handlers = artifact.raw_handlers()
 
@@ -477,11 +461,11 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         "ptr_memo": ptr_memo, "ptr_memo_get": ptr_memo_get,
         "load_ptr_no_meta": load_ptr_no_meta, "allocator": allocator,
         "int_to_ptr": int_to_ptr, "reconcile": reconcile,
-        "appliers": (), "table": None, "out": 0, "next_pc": 0,
-        "signed": True, "read_value": None, "ptr_to_int": ptr_to_int,
-        "coerce_bytes": None, "coerce_signed": True, "size_mask": 0,
-        "comb_mask": 0, "const_raw": 0, "vslot": 0, "vmsg": "", "pad": b"",
-        "span": 8, "mem_unpack": None, "mem_pack": None,
+        "qmask": 0, "table": None, "out": 0, "next_pc": 0,
+        "signed": True, "read_value": None, "coerce_bytes": None,
+        "coerce_signed": True, "size_mask": 0, "comb_mask": 0, "const_raw": 0,
+        "vslot": 0, "vmsg": "", "pad": b"", "span": 8, "mem_unpack": None,
+        "mem_pack": None,
     }
 
     def bindings() -> dict:
@@ -497,12 +481,12 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         b["pcoerce"] = pcoerce
         b["out"] = out
         b["next_pc"] = next_pc
-        appliers = ()
+        qmask = 0
         if isinstance(ctype, PointerType) or _is_pointer_sized_int(ctype):
             size = pointer_bytes
             if isinstance(ctype, PointerType):
                 kind = "ptr"
-                appliers = _qualifier_appliers(machine, ctype)
+                qmask = qualifier_mask(model, ctype)
             else:
                 kind = "psint"
         else:
@@ -516,13 +500,13 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         b["size_m1"] = size - 1
         signed = getattr(ctype, "signed", True)
         b["signed"] = signed
-        b["appliers"] = appliers
+        b["qmask"] = qmask
         mem_unpack = (unpacker_for(8, False) if kind in ("ptr", "psint")
                       else unpacker_for(size, signed))
         b["mem_unpack"] = mem_unpack
-        shape = (kind, pslot is not None, check_kind,
+        shape = (kind, pslot is not None, flat_check,
                  collect_timing, inline_cache, uses_shadow,
-                 ptr_memo is not None, inline_reconcile, len(appliers),
+                 ptr_memo is not None, inline_reconcile, qmask != 0,
                  mem_unpack is not None)
         return load_maker(shape)(b)
 
@@ -554,7 +538,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             b["read_value"] = read_value
             mem_pack = packer_for(8)
             b["mem_pack"] = mem_pack
-            shape = ("ptr", pslot is not None, check_kind,
+            shape = ("ptr", pslot is not None, flat_check,
                      collect_timing, inline_cache, clear_shadow, uses_shadow,
                      2, isinstance(ctype, PointerType), span > 8,
                      mem_pack is not None)
@@ -586,7 +570,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             coerce_flag = coerce_bytes is not None
         mem_pack = packer_for(size)
         b["mem_pack"] = mem_pack
-        shape = ("scalar", pslot is not None, check_kind,
+        shape = ("scalar", pslot is not None, flat_check,
                  collect_timing, inline_cache, clear_shadow, uses_shadow,
                  value_mode, coerce_flag, False, mem_pack is not None)
         return store_maker(shape)(b)
@@ -661,37 +645,24 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             alignment = max(8, alloc_type.alignment(ctx) if alloc_type is not None else 8)
             name = instr.attrs.get("name", "")
             allocate_stack = allocator.allocate_stack
-            make_pointer = model.make_pointer
             out = dest if dest is not None else scratch
-            model_mkptr = type(model).make_pointer
-            if model_mkptr is MemoryModel.make_pointer or model_mkptr is Pdp11Model.make_pointer:
-                # Both known make_pointer policies construct the same PtrVal
-                # shape, differing only in the ``checked`` flag.
-                mk_checked = model_mkptr is MemoryModel.make_pointer
+            # The two make_pointer policies (the base one and PDP-11's)
+            # construct the same PtrVal shape, differing only in the
+            # ``checked`` flag.
+            mk_checked = type(model).make_pointer is not Pdp11Model.make_pointer
 
-                def handler(frame, slot=slot, size=size, name=name, alignment=alignment,
-                            allocate_stack=allocate_stack, mk_checked=mk_checked,
-                            out=out, next_pc=next_pc):
-                    allocas = frame[_ALLOCAS]
-                    pointer = allocas[slot]
-                    if pointer is None:
-                        obj = allocate_stack(size, name, alignment=alignment)
-                        pointer = PtrVal(obj.base, obj.base, obj.size, obj,
-                                         PERM_ALL, True, mk_checked)
-                        allocas[slot] = pointer
-                    frame[out] = pointer
-                    return next_pc
-            else:
-                def handler(frame, slot=slot, size=size, name=name, alignment=alignment,
-                            allocate_stack=allocate_stack, make_pointer=make_pointer,
-                            out=out, next_pc=next_pc):
-                    allocas = frame[_ALLOCAS]
-                    pointer = allocas[slot]
-                    if pointer is None:
-                        pointer = make_pointer(allocate_stack(size, name, alignment=alignment))
-                        allocas[slot] = pointer
-                    frame[out] = pointer
-                    return next_pc
+            def handler(frame, slot=slot, size=size, name=name, alignment=alignment,
+                        allocate_stack=allocate_stack, mk_checked=mk_checked,
+                        out=out, next_pc=next_pc):
+                allocas = frame[_ALLOCAS]
+                pointer = allocas[slot]
+                if pointer is None:
+                    obj = allocate_stack(size, name, alignment=alignment)
+                    pointer = PtrVal(obj.base, obj.base, obj.size, obj,
+                                     PERM_ALL, True, mk_checked)
+                    allocas[slot] = pointer
+                frame[out] = pointer
+                return next_pc
 
         elif op is Opcode.LOAD:
             handler = gen_load(instr, next_pc, dest if dest is not None else scratch)
@@ -699,7 +670,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         elif op is Opcode.STORE:
             handler = gen_store(instr, arg_raw_lists[index], next_pc)
 
-        elif index in deltas:
+        elif index in deltas and not (narrow_fields and op is Opcode.FIELD):
             # An inline pointer move (field, gep or ptradd): a constant
             # offset, or a raw index register times the element size.
             pslot, pcoerce = ptr_parts(instr.args[0])
@@ -754,13 +725,12 @@ def compile_function(machine, function: Function) -> CompiledFunction:
             field_type = instr.ctype.pointee if isinstance(instr.ctype, PointerType) else None
             field_size = field_type.size(ctx) if field_type is not None else 1
             offset = instr.attrs["offset"]
-            field_address = model.field_address
             out = dest if dest is not None else scratch
             read_ptr = _ptr_reader(machine, instr.args[0], slot_types)
 
             def handler(frame, read_ptr=read_ptr, offset=offset, field_size=field_size,
-                        field_address=field_address, out=out, next_pc=next_pc):
-                frame[out] = field_address(read_ptr(frame), offset, field_size)
+                        model=model, out=out, next_pc=next_pc):
+                frame[out] = field_pointer(model, read_ptr(frame), offset, field_size)
                 return next_pc
 
         elif op is Opcode.PTRDIFF:
@@ -798,33 +768,28 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
         elif op is Opcode.INTTOPTR:
             read_value = reader(instr.args[0])
-            appliers = (_qualifier_appliers(machine, instr.ctype)
-                        if isinstance(instr.ctype, PointerType) else ())
+            qmask = (qualifier_mask(model, instr.ctype)
+                     if isinstance(instr.ctype, PointerType) else 0)
             out = dest if dest is not None else scratch
 
-            def handler(frame, read_value=read_value, appliers=appliers, out=out, next_pc=next_pc):
+            def handler(frame, read_value=read_value, qmask=qmask, out=out, next_pc=next_pc):
                 value = read_value(frame)
                 pointer = value if type(value) is PtrVal else int_to_ptr(value, allocator)
-                for apply in appliers:
-                    pointer = apply(pointer)
-                frame[out] = pointer
+                frame[out] = qualified(pointer, qmask)
                 return next_pc
 
         elif op is Opcode.BITCAST:
-            deconst = model.deconst if instr.attrs.get("deconst") else None
-            appliers = (_qualifier_appliers(machine, instr.ctype)
-                        if isinstance(instr.ctype, PointerType) else ())
+            # Casting away const never restores rights: only the target
+            # type's qualifiers act.
+            qmask = (qualifier_mask(model, instr.ctype)
+                     if isinstance(instr.ctype, PointerType) else 0)
             out = dest if dest is not None else scratch
             read_value = reader(instr.args[0])
 
-            def handler(frame, read_value=read_value, deconst=deconst, appliers=appliers,
-                        out=out, next_pc=next_pc):
+            def handler(frame, read_value=read_value, qmask=qmask, out=out, next_pc=next_pc):
                 value = read_value(frame)
                 if type(value) is PtrVal:
-                    if deconst is not None:
-                        value = deconst(value)
-                    for apply in appliers:
-                        value = apply(value)
+                    value = qualified(value, qmask)
                 frame[out] = value
                 return next_pc
 
@@ -852,7 +817,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
         elif op is Opcode.BINOP:
             handler = _make_binop(machine, instr, dest if dest is not None else scratch,
-                                  dest_type, slot_types, next_pc, ptr_to_int)
+                                  dest_type, slot_types, next_pc)
 
         elif op is Opcode.UNOP:
             negate = instr.attrs["operator"] == "neg"
@@ -949,8 +914,7 @@ def _install_shared_blocks(machine, fname: str, handlers: list, costs: list,
         code.blocks.append((plan.start, plan.entries))
 
 
-def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int,
-                ptr_to_int):
+def _make_binop(machine, instr, out: int, dest_type, slot_types, next_pc: int):
     """Compile a boxed BINOP (raw binops are shared artifact handlers)."""
     operator = instr.attrs["operator"]
     target = instr.ctype
@@ -1069,16 +1033,10 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
         allocator = machine.allocator
         params = function.params
 
-        def make_coercer(param_type):
-            if not isinstance(param_type, PointerType):
-                return None
-            appliers = _qualifier_appliers(machine, param_type)
-
+        def make_coercer(qmask):
             def coerce(value):
                 if type(value) is PtrVal:
-                    for apply in appliers:
-                        value = apply(value)
-                    return value
+                    return qualified(value, qmask)
                 if type(value) is IntVal:
                     return int_to_ptr(value, allocator)
                 return value
@@ -1089,9 +1047,9 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
             param_type = params[index][1] if index < len(params) else None
             if not isinstance(param_type, PointerType):
                 return reader
-            appliers = _qualifier_appliers(machine, param_type)
+            qmask = qualifier_mask(machine.model, param_type)
             operand = instr.args[index]
-            if not appliers and type(operand) is Temp and operand.index not in slot_types:
+            if not qmask and type(operand) is Temp and operand.index not in slot_types:
                 # The dominant case — a boxed register passed to an
                 # unqualified pointer parameter — reads and coerces in one
                 # closure (same outcomes as reader + coercer separately).
@@ -1109,7 +1067,7 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
                     return value
 
                 return read_ptr_arg
-            coerce = make_coercer(param_type)
+            coerce = make_coercer(qmask)
             return lambda frame, reader=reader, coerce=coerce: coerce(reader(frame))
 
         readers = tuple(compose(i, reader) for i, reader in enumerate(arg_readers))

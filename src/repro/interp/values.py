@@ -81,6 +81,24 @@ def arithmetic_provenance(left: "IntVal", right: "IntVal") -> Provenance | None:
     return source.touched()
 
 
+def qualified(ptr: "PtrVal", mask: int) -> "PtrVal":
+    """``ptr`` through a qualifier mask
+    (:func:`~repro.interp.models.base.qualifier_mask`): a valid (tagged)
+    pointer loses the masked permissions; anything else is unchanged."""
+    if mask and ptr.tag:
+        return ptr.with_perms(ptr.perms & ~mask)
+    return ptr
+
+
+def ptr_to_int(ptr: "PtrVal", *, bytes: int, signed: bool, pointer_sized: bool) -> "IntVal":
+    """ptrtoint: the integer value is the address; provenance is recorded
+    (except for null), and the per-model decision is the way back
+    (``int_to_ptr``)."""
+    provenance = None if ptr.is_null else Provenance(pointer=ptr)
+    return IntVal(value=ptr.address, bytes=bytes, signed=signed,
+                  provenance=provenance, pointer_sized=pointer_sized)
+
+
 class IntVal:
     """A fixed-width integer value (immutable by convention)."""
 

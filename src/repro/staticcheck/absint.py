@@ -38,12 +38,20 @@ from repro.common.errors import (
 from repro.common.rng import DeterministicRng
 from repro.interp.heap import ObjectAllocator
 from repro.interp.intrinsics import INTRINSICS, ExitProgram
-from repro.interp.models import get_model
+from repro.interp.models import field_pointer, get_model, qualifier_mask
 from repro.interp.shadow import ShadowTable
-from repro.interp.values import IntVal, Provenance, PtrVal, arithmetic_provenance
+from repro.interp.values import (
+    NULL_PTR,
+    IntVal,
+    Provenance,
+    PtrVal,
+    arithmetic_provenance,
+    ptr_to_int,
+    qualified,
+)
 from repro.interp.artifact import CMP_FUNCS, INT_BINOPS
 from repro.minic.ir import Const, Function, GlobalRef, Module, Opcode, Temp
-from repro.minic.typesys import IntType, PointerType, Qualifiers
+from repro.minic.typesys import IntType, PointerType
 from repro.sim.memory import TaggedMemory
 
 from repro.staticcheck.domain import Bail, ModelOutcome, WalkOutcome
@@ -167,7 +175,7 @@ class Walk:
             ctype = operand.ctype
             if isinstance(ctype, PointerType):
                 if operand.value == 0:
-                    return self._per_live(lambda p: p.model.null_pointer())
+                    return self._uniform(NULL_PTR)
                 as_int = IntVal(operand.value, bytes=8, signed=False)
                 return self._per_live(
                     lambda p: p.model.int_to_ptr(as_int, self.allocator))
@@ -194,17 +202,12 @@ class Walk:
             raise Bail(f"expected a pointer, got {type(value).__name__}")
         return self._per_live(coerce)
 
-    def _apply_quals(self, plane, pointer, ptr_type):
-        """Qualifier appliers in predecode order: input, output, const."""
+    @staticmethod
+    def _apply_quals(plane, pointer, ptr_type):
+        """A pointer taking type ``ptr_type`` (:func:`qualifier_mask`)."""
         if type(pointer) is not PtrVal or not isinstance(ptr_type, PointerType):
             return pointer
-        if ptr_type.qualifiers & Qualifiers.INPUT:
-            pointer = plane.model.apply_input_qualifier(pointer)
-        if ptr_type.qualifiers & Qualifiers.OUTPUT:
-            pointer = plane.model.apply_output_qualifier(pointer)
-        if ptr_type.pointee.is_const:
-            pointer = plane.model.apply_const(pointer)
-        return pointer
+        return qualified(pointer, qualifier_mask(plane.model, ptr_type))
 
     # ------------------------------------------------------------------
     # Shadow mirror (machine._clear_shadow_range semantics, per plane)
@@ -529,8 +532,8 @@ class Walk:
                 offset = instr.attrs["offset"]
                 ptr_av = self._ptr_av(self._read(instr.args[0], env, args))
                 result = self._per_live(
-                    lambda p: p.model.field_address(ptr_av[p.name], offset,
-                                                    field_size))
+                    lambda p: field_pointer(p.model, ptr_av[p.name], offset,
+                                            field_size))
 
             elif op is Opcode.PTRDIFF:
                 a_av = self._ptr_av(self._read(instr.args[0], env, args))
@@ -549,9 +552,9 @@ class Walk:
                 pointer_sized = _is_psint(target)
                 ptr_av = self._ptr_av(self._read(instr.args[0], env, args))
                 result = self._per_live(
-                    lambda p: p.model.ptr_to_int(ptr_av[p.name], bytes=width,
-                                                 signed=signed,
-                                                 pointer_sized=pointer_sized))
+                    lambda p: ptr_to_int(ptr_av[p.name], bytes=width,
+                                         signed=signed,
+                                         pointer_sized=pointer_sized))
 
             elif op is Opcode.INTTOPTR:
                 value_av = self._read(instr.args[0], env, args)
@@ -566,16 +569,9 @@ class Walk:
 
             elif op is Opcode.BITCAST:
                 value_av = self._read(instr.args[0], env, args)
-                deconst = bool(instr.attrs.get("deconst"))
 
-                def bitcast(plane, value_av=value_av, deconst=deconst,
-                            ctype=instr.ctype):
-                    value = value_av[plane.name]
-                    if type(value) is PtrVal:
-                        if deconst:
-                            value = plane.model.deconst(value)
-                        value = self._apply_quals(plane, value, ctype)
-                    return value
+                def bitcast(plane, value_av=value_av, ctype=instr.ctype):
+                    return self._apply_quals(plane, value_av[plane.name], ctype)
                 result = self._per_live(bitcast)
 
             elif op is Opcode.INTCAST:
@@ -589,9 +585,8 @@ class Walk:
                             signed=signed, pointer_sized=pointer_sized):
                     value = value_av[plane.name]
                     if type(value) is PtrVal:
-                        return plane.model.ptr_to_int(
-                            value, bytes=width, signed=signed,
-                            pointer_sized=pointer_sized)
+                        return ptr_to_int(value, bytes=width, signed=signed,
+                                          pointer_sized=pointer_sized)
                     if (value.bytes == width and value.signed == signed
                             and value.pointer_sized == pointer_sized):
                         return value
@@ -647,11 +642,11 @@ class Walk:
             left = left_av[plane.name]
             right = right_av[plane.name]
             if type(left) is not IntVal:
-                left = plane.model.ptr_to_int(left, bytes=8, signed=False,
-                                              pointer_sized=True)
+                left = ptr_to_int(left, bytes=8, signed=False,
+                                  pointer_sized=True)
             if type(right) is not IntVal:
-                right = plane.model.ptr_to_int(right, bytes=8, signed=False,
-                                               pointer_sized=True)
+                right = ptr_to_int(right, bytes=8, signed=False,
+                                   pointer_sized=True)
             a = left.value
             b = right.value
             if is_division:
@@ -891,7 +886,7 @@ def _i_strchr(walk: Walk, args, instr):
     text, _ = walk._cstrings(ptr_av)
     index = (text + b"\x00").find(bytes([needle]))
     if index < 0:
-        return walk._per_live(lambda p: p.model.null_pointer())
+        return walk._uniform(NULL_PTR)
     return walk._per_live(lambda p: p.model.ptr_offset(ptr_av[p.name], index))
 
 

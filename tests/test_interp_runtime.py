@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.errors import InterpreterError, MemorySafetyError
+from repro.common.errors import InterpreterError, MemorySafetyError, PermissionViolation
 from repro.core import run_under_model
 from repro.core.api import compile_for_model
 from repro.interp import AbstractMachine, IntVal, ObjectAllocator, PtrVal, get_model
 from repro.interp.heap import HEAP_BASE
 from repro.interp.values import NULL_PTR, PERM_READ, PERM_WRITE, Provenance
+from repro.staticcheck.predict import predict_source
 
 
 class TestIntVal:
@@ -230,6 +231,45 @@ class TestMemorySafetyEnforcement:
         assert run_under_model(source, "cheri_v3").trapped
         assert run_under_model(source, "cheri_v2").trapped
         assert not run_under_model(source, "pdp11").trapped
+
+    @pytest.mark.parametrize("source", [
+        # a memory load: the union member's pointer type carries __output
+        """
+        union view { char *plain; char * __output out; };
+        int main(void) { char buf[4]; union view v; buf[0] = 'a'; v.plain = buf; return v.out[0]; }
+        """,
+        # a call parameter (and the cast that converts the argument)
+        """
+        int peek(char * __output view) { return view[0]; }
+        int main(void) { char buf[4]; buf[0] = 'a'; return peek(buf); }
+        """,
+        # a pointer-to-pointer cast
+        """
+        int main(void) { char buf[4]; buf[0] = 'a'; return ((char * __output)buf)[0]; }
+        """,
+        # an int-to-pointer cast
+        """
+        int main(void) {
+            char buf[4];
+            intptr_t addr;
+            buf[0] = 'a';
+            addr = (intptr_t)buf;
+            return ((char * __output)addr)[0];
+        }
+        """,
+    ], ids=["load", "param", "cast", "inttoptr"])
+    def test_output_qualifier_read_traps_on_cheri_only(self, source):
+        """``__output`` is a write-only view (§4.1) on both CHERI models and
+        no restriction elsewhere; the static predictor agrees."""
+        predicted = predict_source(source)
+        for model in ("pdp11", "hardbound", "mpx", "relaxed", "strict", "cheri_v2", "cheri_v3"):
+            result = run_under_model(source, model)
+            if model.startswith("cheri"):
+                assert isinstance(result.trap, PermissionViolation), model
+                assert predicted[model] == "trap:permission", model
+            else:
+                assert result.trap is None and result.exit_code == ord("a"), model
+                assert predicted[model] == "agree", model
 
     def test_const_advisory_on_v3_enforced_on_v2(self):
         source = """

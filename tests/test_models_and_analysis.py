@@ -29,9 +29,11 @@ from repro.core import (
 )
 from repro.core.compat import Outcome, evaluate_case
 from repro.core.idiom_cases import case_for
-from repro.interp import MODEL_REGISTRY, get_model, model_names
+from repro.interp import MODEL_REGISTRY, MemoryModel, get_model, model_names
 from repro.interp.heap import ObjectAllocator
-from repro.interp.values import IntVal, PERM_WRITE, Provenance, PtrVal
+from repro.interp.models import Pdp11Model, field_pointer, qualifier_mask
+from repro.interp.values import IntVal, PERM_READ, PERM_WRITE, Provenance, PtrVal, qualified
+from repro.minic.typesys import IntType, PointerType, Qualifiers
 
 
 class TestModelRegistry:
@@ -51,9 +53,25 @@ class TestModelRegistry:
     def test_configurable_capability_width(self):
         assert get_model("cheri_v3", capability_bytes=16).pointer_bytes == 16
 
-    def test_describe_metadata(self):
-        info = get_model("mpx").describe()
-        assert info["name"] == "mpx" and info["narrow_field_bounds"] is True
+    def test_every_hook_is_overridden_by_some_model(self):
+        """A hook no registered model overrides is machine semantics, not a
+        Table 3 difference: it belongs outside MemoryModel."""
+        hooks = [name for name, member in vars(MemoryModel).items()
+                 if callable(member) and not name.startswith("_")]
+        assert hooks
+        unused = [name for name in hooks
+                  if all(getattr(cls, name) is getattr(MemoryModel, name)
+                         for cls in MODEL_REGISTRY.values())]
+        assert unused == []
+
+    def test_binder_inlines_every_check_and_make_pointer_policy(self):
+        """The binder inlines the base and PDP-11 ``check_access`` and
+        ``make_pointer``; it has no generic arm for any other policy."""
+        for cls in MODEL_REGISTRY.values():
+            for hook in ("check_access", "make_pointer"):
+                policy = getattr(cls, hook)
+                assert policy in (getattr(MemoryModel, hook),
+                                  getattr(Pdp11Model, hook)), (cls.name, hook)
 
 
 class TestModelPrimitives:
@@ -90,13 +108,14 @@ class TestModelPrimitives:
     def test_mpx_narrows_field_bounds(self):
         model = get_model("mpx")
         _, pointer = self._object_pointer(model)
-        field = model.field_address(pointer, 8, 4)
+        assert model.narrow_field_bounds
+        field = field_pointer(model, pointer, 8, 4)
         assert field.base == pointer.base + 8 and field.length == 4
 
     def test_hardbound_keeps_object_bounds_on_fields(self):
         model = get_model("hardbound")
         _, pointer = self._object_pointer(model)
-        field = model.field_address(pointer, 8, 4)
+        field = field_pointer(model, pointer, 8, 4)
         assert field.base == pointer.base and field.length == 64
 
     def test_strict_rejects_modified_provenance(self):
@@ -132,9 +151,15 @@ class TestModelPrimitives:
     def test_const_enforcement_flagged_per_model(self):
         v2, v3 = get_model("cheri_v2"), get_model("cheri_v3")
         _, pointer = self._object_pointer(v2)
-        assert not (v2.apply_const(pointer).perms & PERM_WRITE)
-        assert v3.apply_const(pointer).perms & PERM_WRITE
-        assert not (v3.apply_input_qualifier(pointer).perms & PERM_WRITE)
+        char = IntType(bytes=1, signed=True, name="char")
+        to_const = PointerType(pointee=char.with_qualifiers(Qualifiers.CONST))
+        to_input = PointerType(pointee=char, qualifiers=Qualifiers.INPUT)
+        to_output = PointerType(pointee=char, qualifiers=Qualifiers.OUTPUT)
+        assert not (qualified(pointer, qualifier_mask(v2, to_const)).perms & PERM_WRITE)
+        assert qualified(pointer, qualifier_mask(v3, to_const)).perms & PERM_WRITE
+        assert not (qualified(pointer, qualifier_mask(v3, to_input)).perms & PERM_WRITE)
+        assert not (qualified(pointer, qualifier_mask(v3, to_output)).perms & PERM_READ)
+        assert qualifier_mask(get_model("strict"), to_output) == 0
 
 
 class TestIdiomCases:

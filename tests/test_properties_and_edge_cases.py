@@ -15,7 +15,7 @@ from repro.common.config import CacheConfig, TimingConfig
 from repro.core import run_under_model
 from repro.interp import get_model
 from repro.interp.heap import ObjectAllocator
-from repro.interp.values import IntVal, Provenance, arithmetic_provenance
+from repro.interp.values import NULL_PTR, IntVal, Provenance, arithmetic_provenance, ptr_to_int
 from repro.minic import Lexer, TokenKind, compile_source
 from repro.minic.ir import Opcode
 from repro.sim.cache import CacheLevel, MemoryHierarchy
@@ -35,7 +35,7 @@ class TestModelInvariants:
 
         model = get_model(name)
         with pytest.raises(MemorySafetyError):
-            model.check_access(model.null_pointer(), 1, is_write=False)
+            model.check_access(NULL_PTR, 1, is_write=False)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_zero_int_converts_to_null(self, name):
@@ -78,7 +78,7 @@ class TestModelInvariants:
         allocator = ObjectAllocator()
         obj = allocator.allocate_heap(64)
         pointer = model.ptr_offset(model.make_pointer(obj), offset)
-        as_int = model.ptr_to_int(pointer, bytes=8, signed=False, pointer_sized=True)
+        as_int = ptr_to_int(pointer, bytes=8, signed=False, pointer_sized=True)
         back = model.int_to_ptr(as_int, allocator)
         assert back.address == pointer.address
         assert back.tag
@@ -89,7 +89,7 @@ class TestModelInvariants:
         for name, expect_valid in (("cheri_v3", True), ("cheri_v2", False), ("strict", False)):
             model = get_model(name)
             pointer = model.make_pointer(obj)
-            as_int = model.ptr_to_int(pointer, bytes=8, signed=False, pointer_sized=True)
+            as_int = ptr_to_int(pointer, bytes=8, signed=False, pointer_sized=True)
             shifted = IntVal(as_int.value + 8, bytes=8, pointer_sized=True,
                              provenance=arithmetic_provenance(as_int, IntVal(8)))
             back = model.int_to_ptr(shifted, allocator)

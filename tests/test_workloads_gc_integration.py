@@ -9,6 +9,7 @@ from repro.core import run_under_model
 from repro.core.api import compile_for_model
 from repro.gc import CapabilityGarbageCollector
 from repro.interp import AbstractMachine, get_model
+from repro.interp.models import field_pointer
 from repro.workloads import dhrystone, tcpdump, zlib_like
 from repro.workloads.harness import run_workload
 from repro.workloads.olden import bisort, mst, perimeter, treeadd
@@ -184,10 +185,10 @@ class TestGarbageCollector:
             node_type = machine.module.globals["retained"].ctype.pointee
             value_field = node_type.field_named("value", machine.ctx)
             next_field = node_type.field_named("next", machine.ctx)
-            value_ptr = machine.model.field_address(pointer, value_field.offset, 8)
+            value_ptr = field_pointer(machine.model, pointer, value_field.offset, 8)
             values.append(machine._load_scalar(value_ptr, value_field.ctype).value)
-            next_ptr = machine.model.field_address(pointer, next_field.offset,
-                                                    machine.model.pointer_bytes)
+            next_ptr = field_pointer(machine.model, pointer, next_field.offset,
+                                     machine.model.pointer_bytes)
             pointer = machine._load_scalar(next_ptr, next_field.ctype)
         assert values == [8, 6, 4, 2, 0]
 
