@@ -82,16 +82,20 @@ class SweepOutcome:
     incidents: list = field(default_factory=list)
 
 
-def _cache_counters() -> dict[str, int]:
-    """Current process's artifact-cache counters, namespaced for aggregation.
+def _process_counters() -> dict[str, int]:
+    """Current process's artifact-cache and engine counters, namespaced
+    for aggregation.
 
     Workers snapshot this before/after every program and ship the *delta*
     with the result, so the supervisor's totals aggregate across the fork
     boundary instead of silently reporting the parent's zeros.
     """
     from repro.interp.artifact import ARTIFACTS
-    return {f"cache.artifact.{key}": value
-            for key, value in ARTIFACTS.stats().items()}
+    from repro.interp.tier0 import ENGINE
+    counters = {f"cache.artifact.{key}": value
+                for key, value in ARTIFACTS.stats().items()}
+    counters.update((f"engine.{key}", value) for key, value in ENGINE.stats().items())
+    return counters
 
 
 def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
@@ -102,7 +106,7 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
     Runs in a subprocess.  Tasks are ``("run", index, attempt)`` tuples;
     ``("stop",)`` ends the loop.  Every completed program answers with
     ``("ok", index, record, meta)`` — ``meta`` carries, when telemetry is
-    on, the program's stage-latency samples, trace events and cache-counter
+    on, the program's stage-latency samples, trace events and process-counter
     deltas (the result queue is the only channel worker telemetry can
     survive on: registries don't cross the fork).  An in-worker failure,
     an internal engine error included, answers ``("error", index, detail)``
@@ -134,7 +138,7 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
             if plan is not None:
                 plan.fire_worker_fault(index, attempt)
                 runner.machine_hook = plan.machine_hook(index, attempt)
-            caches_before = _cache_counters() if telemetry_on else None
+            counters_before = _process_counters() if telemetry_on else None
             with tracer.span("program", index=index, attempt=attempt,
                              os_pid=os.getpid()):
                 with timed_span(tracer, sink, "stage.generate"):
@@ -152,10 +156,10 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
                     gc.collect(1)
             meta = {}
             if telemetry_on:
-                after = _cache_counters()
-                meta["caches"] = {key: after[key] - caches_before.get(key, 0)
-                                  for key in after
-                                  if after[key] != caches_before.get(key, 0)}
+                after = _process_counters()
+                meta["counters"] = {key: after[key] - counters_before.get(key, 0)
+                                    for key in after
+                                    if after[key] != counters_before.get(key, 0)}
                 meta["stages"], stage_samples[:] = list(stage_samples), []
                 meta["events"] = tracer.drain()
             result_q.put(("ok", index, record, meta))
@@ -388,7 +392,7 @@ class SweepService:
         def absorb_meta(meta: dict) -> None:
             if not self.telemetry_on:
                 return
-            registry.absorb(meta.get("caches") or {})
+            registry.absorb(meta.get("counters") or {})
             for name, seconds in meta.get("stages") or ():
                 registry.histogram(name).observe(seconds)
             if trace_writer is not None:

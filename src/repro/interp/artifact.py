@@ -1,9 +1,10 @@
 """Model-independent predecode artifacts, stored on the function they describe.
 
-:func:`repro.interp.predecode.compile_function` binds one IR function to one
-machine.  This module owns the half of that work that is derivable from the
-IR and the pointer layout alone, independent of which memory model will
-execute it:
+Tier 0 (:mod:`repro.interp.tier0`) runs an IR function straight from its
+artifact, and :func:`repro.interp.predecode.compile_function` binds a
+promoted one to one machine.  This module owns the half of that work that
+is derivable from the IR and the pointer layout alone, independent of which
+memory model will execute it:
 
 * the instruction-stream facts (label index, register-file and alloca-slot
   sizes);
@@ -18,7 +19,10 @@ execute it:
   a model-specialized entry, plus the per-timing **cycle-cost lists**; the
   binding step and the block planner both read these;
 * the **raw handlers**: one frame-only closure per raw-register pc, built
-  from the descriptor table and shared by every machine of the layout;
+  from the descriptor table and shared by every machine of the layout, in
+  tier 0 and in bound code;
+* the **tier-0 operand facts** (:attr:`PredecodeArtifact.generic`), which
+  :mod:`repro.interp.tier0` decodes per pc on its first execution;
 * **basic-block superinstruction plans**: block segmentation plus a
   generated ``make(B) -> handler`` factory per block in which raw-register
   work is spliced as straight-line Python and every model-specialized entry
@@ -41,8 +45,9 @@ machine (the timing costs, block profiling) are part of the memo keys, no
 memoized table depends on the model, and blocks only change *charge
 batching granularity* — every trap-capable entry still flushes all
 deferred charges before it executes, so counters at any trap point equal
-single-step dispatch exactly (``tests/test_superinstructions.py`` and
-``tests/test_predecode_cache.py`` pin this across all seven models).
+per-instruction dispatch exactly (``tests/test_superinstructions.py``,
+``tests/test_predecode_cache.py`` and ``tests/test_tier0.py`` pin this
+across all seven models).
 """
 
 from __future__ import annotations
@@ -67,8 +72,11 @@ from repro.minic.ir import Const, Function, Opcode, Temp
 from repro.minic.typesys import IntType, PointerType
 
 #: indices of the bookkeeping slots at the head of every frame; register slot
-#: of temp ``%i`` is ``i + FRAME_RESERVED`` (shared with predecode).
+#: of temp ``%i`` is ``i + FRAME_RESERVED`` (shared by tier 0 and bound code).
 FRAME_RESERVED = 3
+
+#: sentinel stored in unwritten register slots (None is a legitimate value).
+UNDEF = object()
 
 #: maximum paired entries folded into one block handler.
 BLOCK_LIMIT = 40
@@ -791,7 +799,7 @@ class PredecodeArtifact:
     """Everything about one IR function derivable from IR + pointer layout."""
 
     __slots__ = ("name", "ctx", "instrs", "ninstrs", "mutations",
-                 "labels", "nregs", "alloca_slots", "scratch",
+                 "labels", "nregs", "alloca_slots", "scratch", "generic",
                  "_slot_types", "_deltas", "_plans", "_arg_raws",
                  "_descs", "_costs", "_raw_handlers")
 
@@ -824,6 +832,10 @@ class PredecodeArtifact:
         self.nregs = max_temp + 2
         self.alloca_slots = alloca_slots
         self.scratch = max_temp + 1 + FRAME_RESERVED
+        #: per-pc tier-0 operation facts (:mod:`repro.interp.tier0`), decoded
+        #: on a pc's first tier-0 execution; None until then and at every
+        #: raw-register pc.
+        self.generic: list = [None] * len(function.instrs)
         self._slot_types: dict | None = None
         self._deltas: dict[int, tuple] | None = None
         self._plans: dict[tuple, list[BlockPlan]] = {}

@@ -22,13 +22,17 @@ Key mechanisms:
   more) and every memory access adds the cache hierarchy's latency.  The only
   difference between ABIs is the size and alignment of pointers, which is the
   paper's architectural story for Figures 1–4.
-* **Dispatch.**  Function bodies are predecoded once per machine into
-  per-instruction closures, plus basic-block superinstructions bound once a
-  function proves hot (:mod:`repro.interp.predecode`), and executed by a
-  threaded-dispatch loop over pooled call frames;
-  ``tests/test_metrics_golden.py`` and ``tests/test_superinstructions.py``
-  pin that this is observationally identical to naive instruction-at-a-time
-  interpretation.
+* **Dispatch.**  Execution is tiered.  A function first runs in tier 0
+  (:mod:`repro.interp.tier0`), straight from its model-independent predecode
+  artifact with nothing bound to this machine.  It is promoted at its
+  ``HOT_CALL_THRESHOLD``-th call, or mid-run once one activation has taken
+  ``HOT_LOOP_THRESHOLD`` loop back edges: promotion binds the function to
+  this machine with its basic-block superinstructions installed
+  (:func:`~repro.interp.predecode.compile_function`), and the activation
+  continues in the bound threaded-dispatch loop over pooled call frames.
+  ``tests/test_metrics_golden.py``, ``tests/test_tier0.py`` and
+  ``tests/test_superinstructions.py`` pin that both tiers are
+  observationally identical.
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ from repro.interp.intrinsics import ExitProgram
 from repro.interp.models import get_model
 from repro.interp.models.base import MemoryModel, qualifier_mask
 from repro.interp.models.pdp11 import Pdp11Model
-from repro.interp.predecode import HOT_CALL_THRESHOLD, CompiledFunction, compile_function
+from repro.interp.predecode import CompiledFunction, compile_function
 from repro.interp.shadow import ShadowTable
+from repro.interp.tier0 import ENGINE, HOT_CALL_THRESHOLD, HOT_LOOP_THRESHOLD
+from repro.interp.tier0 import run as run_tier0
 from repro.interp.values import IntVal, Provenance, PtrVal, qualified
 from repro.minic.ir import Function, Module
 from repro.minic.typesys import CType, IntType, PointerType
@@ -129,8 +135,8 @@ class AbstractMachine:
                  "hierarchy", "shadow", "globals", "output", "checkpoints",
                  "rng", "instructions", "cycles", "memory_accesses",
                  "max_instructions", "collect_timing", "_call_depth",
-                 "_code_cache", "_ptr_load_memo", "_clear_shadow",
-                 "block_profile")
+                 "_code_cache", "_calls", "_charges", "_ptr_load_memo",
+                 "_clear_shadow", "block_profile")
 
     def __init__(
         self,
@@ -167,8 +173,14 @@ class AbstractMachine:
         self.max_instructions = max_instructions
         self.collect_timing = collect_timing
         self._call_depth = 0
-        #: predecoded per-function code, keyed by the function's identity.
+        #: bound code of the promoted functions, keyed by function identity.
         self._code_cache: dict[int, CompiledFunction] = {}
+        #: tier-0 calls so far of each function not yet promoted.
+        self._calls: dict[int, int] = {}
+        timing = self.config.timing
+        #: per-pc charge constants (``PredecodeArtifact.costs`` key).
+        self._charges = (timing.base_instruction_cost, timing.branch_cost,
+                         timing.call_cost)
         #: raw address -> PtrVal for models whose metadata-free pointer load
         #: is a pure function of the address (see predecode._PURE_PTR_LOADERS).
         self._ptr_load_memo: dict[int, PtrVal] = {}
@@ -383,11 +395,32 @@ class AbstractMachine:
                 return qualified(loaded, qualifier_mask(self.model, ctype))
             return self._reconstruct_pointer_sized_int(raw, entry, ctype)
         size = max(ctype.size(self.ctx), 1)
+        signed = getattr(ctype, "signed", True)
+        return IntVal(self._load_raw(pointer, size, signed), bytes=size, signed=signed)
+
+    def _load_raw(self, pointer: PtrVal, size: int, signed: bool) -> int:
+        """Load a ``size``-byte scalar through a pointer as a raw int."""
         address = self.model.check_access(pointer, size, is_write=False)
         self._touch_memory(address, size, is_write=False)
-        signed = getattr(ctype, "signed", True)
-        raw = self.memory.read_int(address, size, signed=signed)
-        return IntVal(raw, bytes=size, signed=signed)
+        return self.memory.read_small(address, size, signed)
+
+    def _store_scalar(self, pointer: PtrVal, size: int, raw: int, entry=None) -> None:
+        """Store ``raw`` as ``size`` bytes through a pointer.
+
+        A pointer (or pointer-sized integer) store passes its value as
+        ``entry``: it is written as 8 address bytes zero-padded to ``size``
+        and, under models that keep metadata, remembered in the shadow table.
+        """
+        model = self.model
+        address = model.check_access(pointer, size, is_write=True)
+        self._touch_memory(address, size, is_write=True)
+        self._clear_shadow_range(address, size)
+        if entry is None:
+            self.memory.write_small(address, size, raw)
+            return
+        self.memory.write_ptr_raw(address, raw, size)
+        if model.uses_shadow:
+            self.shadow.set(address, entry)
 
     def _reconstruct_pointer(self, raw: int, entry) -> PtrVal:
         if entry is None:
@@ -416,7 +449,17 @@ class AbstractMachine:
     # ------------------------------------------------------------------
 
     def run(self, entry: str = "main", args: list | None = None) -> ExecutionResult:
-        """Run ``entry`` (after ``__global_init``) and package the outcome."""
+        """Run ``entry`` (after ``__global_init``) and package the outcome.
+
+        When the run ends, trap or not, every promoted function is unbound
+        (its handler table emptied; the ``_code_cache`` entry stays for
+        inspection): the handlers close over the machine, and the cycle
+        would otherwise keep the finished run's memory alive until the
+        cyclic collector runs.  A later run binds them afresh.
+        """
+        code_cache = self._code_cache
+        for key in [key for key, code in code_cache.items() if len(code.paired) != code.size]:
+            del code_cache[key]  # unbound by a previous run: bind afresh
         trap: Exception | None = None
         exit_code: int | None = None
         try:
@@ -435,6 +478,9 @@ class AbstractMachine:
             exit_code = exc.code
         except (MemorySafetyError, UndefinedBehaviorError, InterpreterError) as exc:
             trap = exc
+        finally:
+            for code in self._code_cache.values():
+                code.paired = []
         return ExecutionResult(
             exit_code=exit_code,
             output=bytes(self.output),
@@ -449,25 +495,25 @@ class AbstractMachine:
         )
 
     def release(self) -> None:
-        """Drop everything the finished run bound, breaking the machine cycle.
+        """Drop what the run's promoted code holds.
 
-        Handler closures close over the machine, and the machine's
-        ``_code_cache`` owns them, so an unreleased machine is a reference
-        cycle that only the cyclic collector can reclaim.  Clearing the code
-        cache, each compiled function's handler table (``paired``), pending
-        installer and frame pool, and the pointer-load memo leaves a graph
-        that reference counting frees as soon as the caller drops the
-        machine.  Counters and output stay readable; a released machine must
-        not be run again.  :meth:`run` never releases (tests inspect
-        ``_code_cache`` after a run) — callers that discard the machine do,
-        as :class:`~repro.difftest.runner.DifferentialRunner` does after
-        every model's run.
+        Tier-0 code binds nothing to the machine, and :meth:`run` empties
+        every promoted function's handler table (``paired``) when it ends,
+        which breaks the one reference cycle a machine forms (its handlers
+        close over it).  This drops the rest: the code cache with each
+        promoted function's handler table and frame pool, the tier-0 call
+        counts and the pointer-load memo.  Counters and output stay
+        readable; a released machine must not be run again.  :meth:`run`
+        never releases (tests inspect ``_code_cache`` after a run) —
+        callers that discard the machine may, as
+        :class:`~repro.difftest.runner.DifferentialRunner` does after every
+        model's run.
         """
         for code in self._code_cache.values():
             code.paired = []
-            code.pending_blocks = None
             code.pool = []
         self._code_cache = {}
+        self._calls = {}
         self._ptr_load_memo = {}
 
     # ------------------------------------------------------------------
@@ -475,11 +521,15 @@ class AbstractMachine:
     # ------------------------------------------------------------------
 
     def _code_for(self, function: Function) -> CompiledFunction:
-        """The predecoded form of ``function``, compiling on first use."""
+        """The bound form of ``function``, binding it on first use.
+
+        The cached code holds its function, so the identity key cannot be
+        reused while the entry lives.
+        """
         code = self._code_cache.get(id(function))
-        if code is None or code.function is not function:
-            code = compile_function(self, function)
-            self._code_cache[id(function)] = code
+        if code is None:
+            code = self._code_cache[id(function)] = compile_function(self, function)
+            ENGINE.pcs_bound += code.size
         return code
 
     def _call(self, function: Function, args: list, code: CompiledFunction | None = None):
@@ -495,40 +545,46 @@ class AbstractMachine:
 
     def _execute(self, function: Function, args: list,
                  code: CompiledFunction | None = None):
-        """Run one predecoded function body to completion (threaded dispatch).
+        """Run one function body to completion.
 
-        The per-instruction work lives in the compiled handlers
-        (:mod:`repro.interp.predecode`); this loop only meters the shared
-        instruction/cycle counters and threads the program counter that each
-        handler returns.
+        An unpromoted function runs in tier 0 (:func:`repro.interp.tier0.run`)
+        until it returns or one of its loops gets hot; it is promoted — bound,
+        blocks installed — at its ``HOT_CALL_THRESHOLD``-th call, or at that
+        hot loop's head, where the tier-0 frame continues in bound code.  The
+        bound loop only meters the shared instruction/cycle counters and
+        threads the program counter that each handler returns.
         """
+        frame = None
+        pc = 0
         if code is None:
-            code = self._code_for(function)
-        # Tiered block binding: install the artifact's cached
-        # superinstruction plans once the function has proven hot.  Install
-        # timing is observationally invisible — blocks charge exactly what
-        # single-step dispatch charges.
-        if code.pending_blocks is not None:
-            code.calls += 1
-            if code.calls >= HOT_CALL_THRESHOLD:
-                install = code.pending_blocks
-                code.pending_blocks = None
-                install(code)
-        # Frames come from a per-CompiledFunction pool: released frames were
-        # reset to the prototype (alloca list kept attached, entries cleared),
-        # so a call does not round-trip the allocator for the register file.
+            code = self._code_cache.get(id(function))
+            if code is None:
+                key = id(function)
+                calls = self._calls[key] = self._calls.get(key, 0) + 1
+                if calls < HOT_CALL_THRESHOLD:
+                    frame, pc = run_tier0(self, function, args, HOT_LOOP_THRESHOLD)
+                    if pc is None:
+                        return frame[2]
+                    ENGINE.promoted_by_loop += 1
+                else:
+                    ENGINE.promoted_by_call += 1
+                code = self._code_for(function)
         pool = code.pool
-        if pool:
-            frame = pool.pop()
-        else:
-            frame = code.frame_proto.copy()
-            if code.nallocas:
-                frame[1] = [None] * code.nallocas
-        frame[0] = args
+        if frame is None:
+            # Frames come from a per-CompiledFunction pool: released frames
+            # were reset to the prototype (alloca list kept attached, entries
+            # cleared), so a call does not round-trip the allocator for the
+            # register file.
+            if pool:
+                frame = pool.pop()
+            else:
+                frame = code.frame_proto.copy()
+                if code.nallocas:
+                    frame[1] = [None] * code.nallocas
+            frame[0] = args
         paired = code.paired
         size = code.size
         max_instructions = self.max_instructions
-        pc = 0
         while pc < size:
             self.instructions = count = self.instructions + 1
             if count > max_instructions:

@@ -9,7 +9,9 @@ raw-register handlers and superinstruction plans) lives in
 :mod:`repro.interp.artifact`, stored on the IR function itself, and this
 module is the **binding step** that closes the artifact over one concrete
 machine's model, memory, cache and timing state (``docs/pipeline.md`` has
-the full picture).  Binding a function produces a flat list of
+the full picture).  Only functions promoted out of tier 0
+(:mod:`repro.interp.tier0`, which runs cold code straight from the
+artifact) are bound.  Binding a function produces a flat list of
 per-instruction closures ("handlers"):
 
 * label targets are resolved to instruction indices at compile time, so a
@@ -54,25 +56,24 @@ originals), and reconstruction of metadata-free pointer loads is memoised for
 models where it is a pure function of the raw address.
 
 **Basic-block superinstructions.**  On top of the per-instruction handlers,
-every machine binds the artifact's cached **block plans**
-(:meth:`~repro.interp.artifact.PredecodeArtifact.block_plans`), which batch
-charges per charge group and call this module's handlers for every
-model-specialized entry; :func:`_budget_replay` reproduces the exact
-single-step trap point when a batch would overrun the instruction budget.
-Binding is **tiered**: a function binds its block plans only at its
-``HOT_CALL_THRESHOLD``-th call, so code that runs once (the differential
-sweep, a workload's ``main``) stays single-step and never pays block
-binding.  ``SUPERINSTRUCTIONS`` turns block binding off altogether (the
-equivalence tests flip it to build the single-step reference engine).
+a bound function installs the artifact's cached **block plans**
+(:meth:`~repro.interp.artifact.PredecodeArtifact.block_plans`) at once,
+which batch charges per charge group and call this module's handlers for
+every model-specialized entry; :func:`_budget_replay` reproduces the exact
+per-instruction trap point when a batch would overrun the instruction
+budget.
 
-The engine is **observationally identical** to the old dispatch chain: the
-same instruction/cycle/memory-access counts, the same outputs and the same
-traps for every memory model (``tests/test_metrics_golden.py`` pins this).
+The engine is **observationally identical** to the old dispatch chain and
+to tier 0: the same instruction/cycle/memory-access counts, the same
+outputs and the same traps for every memory model
+(``tests/test_metrics_golden.py`` and ``tests/test_tier0.py`` pin this).
 
 Frame layout: handlers receive one ``frame`` list shaped as
-``[args, alloca_slots, return_value, reg0, reg1, ..., scratch]``.  Frames
-are pooled per :class:`CompiledFunction` (reset on release), so a call does
-not round-trip Python's allocator for the register file or the alloca list.
+``[args, alloca_slots, return_value, reg0, reg1, ..., scratch]``, the layout
+tier 0 uses too, so a promoted activation continues its tier-0 frame.
+Frames are pooled per :class:`CompiledFunction` (reset on release), so a
+call does not round-trip Python's allocator for the register file or the
+alloca list.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ from repro.interp.artifact import (
     CMP_FUNCS as _CMP_FUNCS,
     FRAME_RESERVED as _FRAME_RESERVED,
     INT_BINOPS as _INT_BINOPS,
+    UNDEF,
     divide,
     get_artifact,
 )
@@ -116,19 +118,6 @@ from repro.interp.values import (
 from repro.minic.ir import Const, Function, GlobalRef, Opcode, Temp
 from repro.minic.typesys import IntType, PointerType
 
-#: sentinel stored in unwritten register slots (None is a legitimate value).
-UNDEF = object()
-
-#: basic-block superinstruction binding (see module docstring).  Flipped
-#: to False by the engine-equivalence tests to build a single-step engine on
-#: the same machine; production machines always compile with it on.
-SUPERINSTRUCTIONS = True
-
-#: calls before a function binds its superinstructions (block install is
-#: observationally invisible, so the threshold only trades binding cost
-#: against dispatch speed).
-HOT_CALL_THRESHOLD = 2
-
 #: indices of the bookkeeping slots at the head of every frame.
 _ARGS, _ALLOCAS, _RET = 0, 1, 2
 
@@ -147,8 +136,7 @@ class CompiledFunction:
     """The predecoded form of one IR function, bound to one machine."""
 
     __slots__ = ("function", "paired", "size", "nregs", "nallocas",
-                 "frame_proto", "pool", "alloca_proto", "blocks",
-                 "pending_blocks", "calls")
+                 "frame_proto", "pool", "alloca_proto", "blocks")
 
     def __init__(self, function: Function, handlers: list, costs: list,
                  nregs: int, nallocas: int) -> None:
@@ -166,13 +154,6 @@ class CompiledFunction:
         self.alloca_proto = (None,) * nallocas
         #: installed superinstructions: (start_pc, entries).
         self.blocks: list[tuple[int, int]] = []
-        #: block binding is deferred until the function has run
-        #: HOT_CALL_THRESHOLD times: an installer called as
-        #: ``install(code)`` (it does not close over this object, so compiled
-        #: code holds no cycle of its own), or None once installed (or when
-        #: blocks are disabled).
-        self.pending_blocks = None
-        self.calls = 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +287,8 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     pointer-move deltas, costs, raw-register handlers, shared block plans)
     comes from the function's artifact (:func:`~repro.interp.artifact.get_artifact`); this
     function closes the rest over the machine's model, memory, cache and
-    timing state.
+    timing state and installs the block plans.  It runs when a function is
+    promoted out of tier 0 (``AbstractMachine._execute``).
     """
     instrs = function.instrs
     artifact = get_artifact(function, machine.ctx)
@@ -847,14 +829,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
 
     handlers = [build(i) for i in range(stop)]
     code = CompiledFunction(function, handlers, costs, nregs, len(artifact.alloca_slots))
-    if SUPERINSTRUCTIONS and stop > 1:
-        # Tiered binding: most functions of a one-shot program run once or
-        # twice, where block binding never amortizes.  The dispatch loop
-        # installs the artifact's cached plans when the function proves hot
-        # (see AbstractMachine._execute).
-        code.pending_blocks = partial(
-            _install_shared_blocks, machine, function.name, handlers, costs,
-            artifact, charges)
+    _install_shared_blocks(machine, function.name, handlers, costs, artifact, charges, code)
     return code
 
 
@@ -1033,33 +1008,22 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
         allocator = machine.allocator
         params = function.params
 
-        def make_coercer(qmask):
-            def coerce(value):
-                if type(value) is PtrVal:
-                    return qualified(value, qmask)
-                if type(value) is IntVal:
-                    return int_to_ptr(value, allocator)
-                return value
-
-            return coerce
-
         def compose(index, reader):
+            # An integer passed to a pointer parameter converts through the
+            # model; a pointer argument already carries its type's
+            # qualifiers (irgen casts every argument to its parameter type).
             param_type = params[index][1] if index < len(params) else None
             if not isinstance(param_type, PointerType):
                 return reader
-            qmask = qualifier_mask(machine.model, param_type)
             operand = instr.args[index]
-            if not qmask and type(operand) is Temp and operand.index not in slot_types:
-                # The dominant case — a boxed register passed to an
-                # unqualified pointer parameter — reads and coerces in one
-                # closure (same outcomes as reader + coercer separately).
+            if type(operand) is Temp and operand.index not in slot_types:
+                # The dominant case, a boxed register, reads and converts in
+                # one closure.
                 slot = operand.index + _FRAME_RESERVED
                 label = str(operand)
 
                 def read_ptr_arg(frame, slot=slot, label=label):
                     value = frame[slot]
-                    if type(value) is PtrVal:
-                        return value
                     if type(value) is IntVal:
                         return int_to_ptr(value, allocator)
                     if value is UNDEF:
@@ -1067,24 +1031,35 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
                     return value
 
                 return read_ptr_arg
-            coerce = make_coercer(qmask)
-            return lambda frame, reader=reader, coerce=coerce: coerce(reader(frame))
+
+            def read_ptr_arg(frame, reader=reader):
+                value = reader(frame)
+                if type(value) is IntVal:
+                    return int_to_ptr(value, allocator)
+                return value
+
+            return read_ptr_arg
 
         readers = tuple(compose(i, reader) for i, reader in enumerate(arg_readers))
         machine_call = machine._call
         arity = len(readers)
-        # The callee's compiled form is resolved lazily on first call (eager
-        # compilation could recurse through the call graph) and then pinned
-        # in this cell, skipping the per-call code-cache lookup.
+        # The callee's bound form is pinned in this cell once the callee is
+        # promoted, skipping the per-call code-cache lookup; until then the
+        # call runs it in tier 0 (or promotes it) through the machine.
         code_cell: list = []
         code_append = code_cell.append
-        code_for = machine._code_for
+        code_cache = machine._code_cache
+        key = id(function)
+
+        def pin():
+            code = code_cache.get(key)
+            if code is not None:
+                code_append(code)
+            return code
 
         if arity == 0:
             def handler(frame):
-                if not code_cell:
-                    code_append(code_for(function))
-                result = machine_call(function, [], code_cell[0])
+                result = machine_call(function, [], code_cell[0] if code_cell else pin())
                 if dest is not None:
                     frame[dest] = result
                 return next_pc
@@ -1092,9 +1067,8 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
             read0, = readers
 
             def handler(frame):
-                if not code_cell:
-                    code_append(code_for(function))
-                result = machine_call(function, [read0(frame)], code_cell[0])
+                result = machine_call(function, [read0(frame)],
+                                      code_cell[0] if code_cell else pin())
                 if dest is not None:
                     frame[dest] = result
                 return next_pc
@@ -1102,9 +1076,8 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
             read0, read1 = readers
 
             def handler(frame):
-                if not code_cell:
-                    code_append(code_for(function))
-                result = machine_call(function, [read0(frame), read1(frame)], code_cell[0])
+                result = machine_call(function, [read0(frame), read1(frame)],
+                                      code_cell[0] if code_cell else pin())
                 if dest is not None:
                     frame[dest] = result
                 return next_pc
@@ -1112,19 +1085,15 @@ def _make_call(machine, instr, dest: int | None, slot_types, next_pc: int):
             read0, read1, read2 = readers
 
             def handler(frame):
-                if not code_cell:
-                    code_append(code_for(function))
                 result = machine_call(function, [read0(frame), read1(frame), read2(frame)],
-                                      code_cell[0])
+                                      code_cell[0] if code_cell else pin())
                 if dest is not None:
                     frame[dest] = result
                 return next_pc
         else:
             def handler(frame):
-                if not code_cell:
-                    code_append(code_for(function))
                 result = machine_call(function, [read(frame) for read in readers],
-                                      code_cell[0])
+                                      code_cell[0] if code_cell else pin())
                 if dest is not None:
                     frame[dest] = result
                 return next_pc

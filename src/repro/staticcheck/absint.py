@@ -700,10 +700,10 @@ class Walk:
                 param_type = (params[index][1] if index < len(params)
                               else None)
                 if isinstance(param_type, PointerType):
-                    def coerce(plane, av=av, param_type=param_type):
+                    # An integer argument converts through the model; a
+                    # pointer already carries its type's qualifiers.
+                    def coerce(plane, av=av):
                         value = av[plane.name]
-                        if type(value) is PtrVal:
-                            return self._apply_quals(plane, value, param_type)
                         if type(value) is IntVal:
                             return plane.model.int_to_ptr(value,
                                                           self.allocator)

@@ -27,9 +27,11 @@ Instrumented seams: the difftest service (completions, retries,
 quarantines, respawns, journal fsync batches + flush latency, torn-tail
 recoveries), the runner (generate/parse/lower/predecode/per-model
 execute/classify/reduce stage spans), the predecode-artifact counters
-(``cache.artifact.hits``/``misses``/``evictions`` — aggregated from worker
-subprocesses through the result queue, so fork can't zero them), and the
-staticcheck cross-validation.  See ``docs/observability.md`` for the full
+(``cache.artifact.hits``/``misses``/``evictions``) and the engine's
+promotion counters (``engine.promoted.call``/``promoted.loop``/
+``pcs_bound``) — both aggregated from worker subprocesses through the
+result queue, so fork can't zero them — and the staticcheck
+cross-validation.  See ``docs/observability.md`` for the full
 metric catalogue and span taxonomy.
 """
 

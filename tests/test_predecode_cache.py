@@ -1,15 +1,15 @@
 """Guardrails for the predecode-artifact cache and shared block binding.
 
-``interp/predecode.py::compile_function`` is split into a model-independent
-artifact (``interp/artifact.py``, stored on the IR function it describes)
-plus a per-machine binding step, with shared
-superinstruction plans bound lazily once a function proves hot.  These tests
-pin the three contracts that make the split safe:
+Execution is split into a model-independent artifact (``interp/artifact.py``,
+stored on the IR function it describes) that tier 0 runs directly, plus a
+per-machine binding step (``interp/predecode.py::compile_function``) with
+shared superinstruction plans, run only for functions promoted once hot.
+These tests pin the three contracts that make the split safe:
 
 * **observational identity** — the golden-metrics observables hold with
   every function block-bound, and every instruction budget traps exactly
-  where the single-step reference engine (``predecode.SUPERINSTRUCTIONS =
-  False``) traps, across all seven models;
+  where the tier-0 reference engine (promotion switched off) traps, across
+  all seven models;
 * **the cache actually hits** — a differential mini-sweep reuses one
   artifact per (function, layout) across every model of that layout;
 * **no cross-machine leakage** — two machines with different models bound
@@ -23,11 +23,10 @@ import pytest
 from repro.core.api import compile_for_model
 from repro.difftest import DifferentialRunner, classify_sweep, generate_corpus, summarize
 from repro.interp import machine as machine_module
-from repro.interp import predecode
 from repro.interp.artifact import ARTIFACTS, get_artifact
 from repro.interp.machine import AbstractMachine
 from repro.interp.models import PAPER_MODEL_ORDER, get_model
-from repro.interp.predecode import HOT_CALL_THRESHOLD
+from repro.interp.tier0 import ENGINE, HOT_CALL_THRESHOLD, HOT_LOOP_THRESHOLD
 
 from test_metrics_golden import GOLDEN, WORKLOADS
 
@@ -52,13 +51,14 @@ def run_source(source: str, model_name: str, **kwargs):
     return AbstractMachine(module, model, **kwargs).run()
 
 
-def run_single_step(module, model, **kwargs):
-    """Run on the single-step reference engine (no superinstructions)."""
-    predecode.SUPERINSTRUCTIONS = False
+def run_tier0_only(module, model, **kwargs):
+    """Run on the tier-0 reference engine (no function is ever promoted)."""
+    saved = machine_module.HOT_CALL_THRESHOLD, machine_module.HOT_LOOP_THRESHOLD
+    machine_module.HOT_CALL_THRESHOLD = machine_module.HOT_LOOP_THRESHOLD = 1 << 62
     try:
         return AbstractMachine(module, model, **kwargs).run()
     finally:
-        predecode.SUPERINSTRUCTIONS = True
+        machine_module.HOT_CALL_THRESHOLD, machine_module.HOT_LOOP_THRESHOLD = saved
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,9 @@ def test_shared_blocks_match_golden_metrics(workload: str, model: str,
                                            monkeypatch) -> None:
     """The goldens hold verbatim with every function block-bound (same
     counters, output, traps, checkpoints).  ``test_metrics_golden`` runs
-    with tiered binding, where a ``main`` that runs once stays single-step;
-    binding at the first call puts every function's body through the
-    shared block plans."""
+    tiered, where code that runs once stays in tier 0; promotion at the
+    first call puts every function's body through the shared block
+    plans."""
     monkeypatch.setattr(machine_module, "HOT_CALL_THRESHOLD", 1)
     expected = GOLDEN[f"{workload}/{model}"]
     observed = observables(run_source(WORKLOADS[workload](), model))
@@ -109,7 +109,7 @@ int main(void) {
 def test_budget_exhaustion_identical_in_both_modes(model: str, monkeypatch) -> None:
     """Budgets landing at *every* point of the program — including inside
     block-bound code, mid-charge-group, where a batched charge must be
-    replayed one entry at a time — must trap with the single-step reference
+    replayed one entry at a time — must trap with the tier-0 reference
     engine's counters."""
     from repro.difftest import generate_program
 
@@ -120,42 +120,69 @@ def test_budget_exhaustion_identical_in_both_modes(model: str, monkeypatch) -> N
     # exhaustive on three distinct binding shapes (pdp11's check policy
     # without shadow, strict's base check with shadow, cheri_v2's
     # model-specific pointer moves on the 32-byte layout); strided
-    # elsewhere to keep tier-1 fast.  Every function binds its blocks at
-    # its first call, so one-shot code is block-bound too.
+    # elsewhere to keep tier-1 fast.  Every function is promoted at its
+    # first call, so one-shot code is block-bound too.
     stride = 1 if model in ("pdp11", "strict", "cheri_v2") else 7
     with monkeypatch.context() as patch:
         patch.setattr(machine_module, "HOT_CALL_THRESHOLD", 1)
         for budget in range(1, full + 2, stride):
-            stepped = run_single_step(module, get_model(model), max_instructions=budget)
+            stepped = run_tier0_only(module, get_model(model), max_instructions=budget)
             blocked = AbstractMachine(module, get_model(model),
                                       max_instructions=budget).run()
             assert observables(stepped) == observables(blocked), budget
 
-    # and the hot-helper case under tiered binding: the trap lands inside
+    # and the hot-helper case under tiered execution: the trap lands inside
     # block plans bound mid-run
     hot_full = run_source(HOT_SOURCE, model)
     budget = hot_full.instructions // 2
-    stepped = run_single_step(compile_for_model(HOT_SOURCE, resolved), get_model(model),
-                              max_instructions=budget)
+    stepped = run_tier0_only(compile_for_model(HOT_SOURCE, resolved), get_model(model),
+                             max_instructions=budget)
     blocked = run_source(HOT_SOURCE, model, max_instructions=budget)
     assert observables(stepped) == observables(blocked)
     assert blocked.trap is not None and "instruction budget" in str(blocked.trap)
 
 
 def test_hot_functions_get_blocks_and_cold_ones_do_not() -> None:
+    """The helper called 8 times is promoted by its calls, with its blocks
+    installed at once; ``main`` runs once and its loops (14 back edges) stay
+    below the loop threshold, so it never leaves tier 0."""
+    assert HOT_CALL_THRESHOLD <= 8 and HOT_LOOP_THRESHOLD > 14
     model = get_model("pdp11")
     module = compile_for_model(HOT_SOURCE, model)
     machine = AbstractMachine(module, model)
+    before = ENGINE.stats()
     machine.run()
+    after = ENGINE.stats()
     by_name = {code.function.name: code
                for code in machine._code_cache.values()}
+    assert set(by_name) == {"accumulate"}, "main ran once: it stays in tier 0"
     helper = by_name["accumulate"]
-    assert helper.calls >= HOT_CALL_THRESHOLD
     assert helper.blocks, "hot helper should have bound its shared block plans"
-    assert helper.pending_blocks is None
-    main = by_name["main"]
-    assert main.pending_blocks is not None, "main ran once: binding still deferred"
-    assert not main.blocks
+    assert after["promoted.call"] - before["promoted.call"] == 1
+    assert after["promoted.loop"] == before["promoted.loop"]
+    assert after["pcs_bound"] - before["pcs_bound"] == helper.size
+
+
+def test_hot_loop_promotes_a_function_that_runs_once() -> None:
+    """A ``main`` that runs once but drives a long loop is promoted at the
+    loop head and finishes in bound code."""
+    source = r"""
+    int main(void) {
+        int i;
+        long total = 0;
+        for (i = 0; i < 500; i++) total += i * 3;
+        mini_output_int(total);
+        return 0;
+    }
+    """
+    model = get_model("pdp11")
+    machine = AbstractMachine(compile_for_model(source, model), model)
+    before = ENGINE.stats()["promoted.loop"]
+    result = machine.run()
+    assert result.output_text() == f"{sum(i * 3 for i in range(500))}\n"
+    assert ENGINE.stats()["promoted.loop"] == before + 1
+    (main,) = machine._code_cache.values()
+    assert main.function.name == "main" and main.blocks
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,22 @@
 
 Block handlers batch instruction-count/cycle charges per charge group and
 thread raw register values through generated locals.  These tests pin
-that this is **observationally identical** to single-step dispatch — same
-counters, output, traps — on every memory model, including the two places
-where batching could plausibly diverge:
+that this is **observationally identical** to instruction-at-a-time
+dispatch — same counters, output, traps — on every memory model.  The
+reference is the tier-0 engine with promotion switched off
+(``interp/tier0.py``: one generic operation and one charge per pc), and
+the two places where batching could plausibly diverge are covered:
 
 * a trap raised by a mid-block entry (a load/store/call/division charge
-  point) must surface with the exact single-step counter values;
+  point) must surface with the exact per-instruction counter values;
 * instruction-budget exhaustion landing *inside* a block must trap at the
-  same instruction, with the same counts, as the single-step loop (the
+  same instruction, with the same counts, as the tier-0 loop (the
   generated handlers fall back to per-entry charge replay for this).
 
-Blocks normally bind at a function's ``HOT_CALL_THRESHOLD``-th call, so a
-``main`` that runs once would stay single-step and the comparison would be
-vacuous; every test here lowers the threshold to 1 so every function binds.
+Functions are normally promoted to bound code with blocks at their
+``HOT_CALL_THRESHOLD``-th call, so a ``main`` that runs once would stay in
+tier 0 and the comparison would be vacuous; the block engine here lowers
+the threshold to 1 so every function is promoted at its first call.
 """
 
 from __future__ import annotations
@@ -23,15 +26,11 @@ import pytest
 
 from repro.core.api import compile_for_model
 from repro.interp import machine as machine_module
-from repro.interp import predecode
 from repro.interp.machine import AbstractMachine
 from repro.interp.models import PAPER_MODEL_ORDER, get_model
 
-
-@pytest.fixture(autouse=True)
-def blocks_at_first_call(monkeypatch):
-    """Every function binds its block plans on its first call."""
-    monkeypatch.setattr(machine_module, "HOT_CALL_THRESHOLD", 1)
+#: a promotion threshold no test run reaches (the tier-0 reference engine).
+NEVER = 1 << 62
 
 #: arithmetic + memory + calls + a trap under CHERIv2 (pointer subtraction);
 #: ``intptr_arith`` runs provenance-carrying boxed arithmetic and
@@ -113,14 +112,18 @@ WORKLOADS = {
 
 
 def _run(source: str, model: str, *, blocks: bool, max_instructions: int = 10_000_000):
-    predecode.SUPERINSTRUCTIONS = blocks
+    """Run on the block engine (every function promoted at its first call)
+    or on the tier-0 reference engine (nothing ever promoted)."""
+    saved = machine_module.HOT_CALL_THRESHOLD, machine_module.HOT_LOOP_THRESHOLD
+    machine_module.HOT_CALL_THRESHOLD = 1 if blocks else NEVER
+    machine_module.HOT_LOOP_THRESHOLD = NEVER
     try:
         module = compile_for_model(source, model)
         machine = AbstractMachine(module, get_model(model),
                                   max_instructions=max_instructions)
         result = machine.run()
     finally:
-        predecode.SUPERINSTRUCTIONS = True
+        machine_module.HOT_CALL_THRESHOLD, machine_module.HOT_LOOP_THRESHOLD = saved
     return result, machine
 
 
@@ -142,36 +145,43 @@ def _observables(result) -> dict:
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_blocks_match_single_step(workload: str, model: str) -> None:
     source = WORKLOADS[workload]
-    stepped, _ = _run(source, model, blocks=False)
+    expected, reference = _run(source, model, blocks=False)
     blocked, machine = _run(source, model, blocks=True)
-    assert _observables(blocked) == _observables(stepped)
-    # non-vacuity: the block engine actually compiled superinstructions
+    assert _observables(blocked) == _observables(expected)
+    # non-vacuity: every function that ran was promoted, with its blocks
+    # installed, on the block engine, and none on the reference engine
+    promoted = {code.function.name for code in machine._code_cache.values()}
+    assert "main" in promoted and promoted <= set(machine.module.functions)
     assert any(code.blocks for code in machine._code_cache.values()), (
         "no superinstructions were installed; the equivalence test is vacuous")
+    assert not reference._code_cache
 
 
 @pytest.mark.parametrize("model", PAPER_MODEL_ORDER)
 def test_budget_exhaustion_inside_blocks_is_exact(model: str) -> None:
-    """Budgets landing mid-block must trap at the single-step point."""
+    """Budgets landing mid-block must trap at the tier-0 point."""
     source = WORKLOADS["scalar_loop"]
     full, _ = _run(source, model, blocks=False)
     total = full.instructions
     assert total > 100
     # Budgets spread across the run: most land inside some charge group.
     for budget in sorted({total // 7 * step + 3 for step in range(1, 7)}):
-        stepped, _ = _run(source, model, blocks=False, max_instructions=budget)
+        expected, _ = _run(source, model, blocks=False, max_instructions=budget)
         blocked, _ = _run(source, model, blocks=True, max_instructions=budget)
-        assert _observables(blocked) == _observables(stepped), (
+        assert _observables(blocked) == _observables(expected), (
             f"budget {budget} diverged under model {model}")
-        assert stepped.trap is not None  # the budget really was exhausted
-        assert stepped.instructions == budget + 1
+        assert expected.trap is not None  # the budget really was exhausted
+        assert expected.instructions == budget + 1
 
 
 def test_frame_pool_releases_reset_frames() -> None:
-    """Released frames are reset to the prototype with the alloca list kept."""
+    """Released frames of promoted functions are reset to the prototype
+    with the alloca list kept."""
     source = WORKLOADS["scalar_loop"]
     result, machine = _run(source, "pdp11", blocks=True)
     assert result.exit_code == 0
+    assert {code.function.name for code in machine._code_cache.values()} == {
+        "main", "accumulate"}
     pooled = 0
     for code in machine._code_cache.values():
         for frame in code.pool:

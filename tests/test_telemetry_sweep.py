@@ -240,6 +240,35 @@ def test_worker_cache_stats_cross_the_fork_boundary(tmp_path):
     assert counters["cache.artifact.misses"] > 0
 
 
+def test_engine_counters_count_promotions():
+    """The counters workers ship (``engine.*``) change only when a function
+    is promoted: by its calls, by a hot loop, and by the pcs bound."""
+    from repro.core.api import compile_for_model
+    from repro.difftest.service import _process_counters
+    from repro.interp.machine import AbstractMachine
+    from repro.interp.models import get_model
+
+    source = """
+    int twice(int x) { return x * 2; }
+    int main(void) {
+        int i;
+        long total = 0;
+        for (i = 0; i < 300; i++) total += twice(i);
+        return (int)(total & 1);
+    }
+    """
+    module = compile_for_model(source, get_model("pdp11"))
+    before = _process_counters()
+    AbstractMachine(module, "pdp11").run()
+    after = _process_counters()
+    delta = {key: after[key] - before[key] for key in after
+             if key.startswith("engine.")}
+    sizes = sum(len(function.instrs) for function in module.functions.values()
+                if function.name in ("twice", "main"))
+    assert delta == {"engine.promoted.call": 1, "engine.promoted.loop": 1,
+                     "engine.pcs_bound": sizes}
+
+
 def test_artifact_cache_reports_evictions():
     """An eviction is a stale artifact replaced on its function: mutating
     the function in place counts exactly one."""
