@@ -561,14 +561,19 @@ class AbstractMachine:
             if code is None:
                 key = id(function)
                 calls = self._calls[key] = self._calls.get(key, 0) + 1
-                if calls < HOT_CALL_THRESHOLD:
+                if calls >= HOT_CALL_THRESHOLD:
+                    ENGINE.promoted_by_call += 1
+                    code = self._code_for(function)
+                else:
                     frame, pc = run_tier0(self, function, args, HOT_LOOP_THRESHOLD)
                     if pc is None:
                         return frame[2]
-                    ENGINE.promoted_by_loop += 1
-                else:
-                    ENGINE.promoted_by_call += 1
-                code = self._code_for(function)
+                    # A hot loop; a nested (recursive) call may have
+                    # promoted the function meanwhile.
+                    code = self._code_cache.get(key)
+                    if code is None:
+                        ENGINE.promoted_by_loop += 1
+                        code = self._code_for(function)
         pool = code.pool
         if frame is None:
             # Frames come from a per-CompiledFunction pool: released frames

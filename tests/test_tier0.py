@@ -128,3 +128,30 @@ def test_tier0_binds_nothing_and_a_finished_run_unbinds_promoted_code(monkeypatc
     assert list(warm._code_cache.values()) != promoted  # bound afresh
     warm.release()
     assert not warm._code_cache
+
+
+def test_hot_loop_after_a_nested_promotion_continues_in_the_bound_code(monkeypatch) -> None:
+    """The outer tier-0 activation of a recursive function gets hot after
+    a nested call promoted the function: it continues in that bound code,
+    and the promotion is counted once."""
+    source = r"""
+    long walk(int depth) {
+        long total = 0;
+        int i;
+        if (depth > 0) total = walk(depth - 1);
+        for (i = 0; i < 100; i++) total += i;
+        return total;
+    }
+    int main(void) { mini_output_int(walk(3)); return 0; }
+    """
+    module = compile_for_model(source, get_model("strict"))
+    set_thresholds(monkeypatch, NEVER, NEVER)
+    expected = observables(AbstractMachine(module, get_model("strict")).run())
+    set_thresholds(monkeypatch, 2, 64)
+    before = ENGINE.stats()
+    machine = AbstractMachine(module, get_model("strict"))
+    assert observables(machine.run()) == expected
+    after = ENGINE.stats()
+    assert after["promoted.call"] - before["promoted.call"] == 1
+    assert after["promoted.loop"] == before["promoted.loop"]
+    assert [code.function.name for code in machine._code_cache.values()] == ["walk"]
