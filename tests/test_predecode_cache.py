@@ -83,7 +83,7 @@ def test_shared_blocks_match_golden_metrics(workload: str, model: str,
 
 
 #: helper runs often enough to cross HOT_CALL_THRESHOLD, so the shared
-#: block plans are exercised (not just the cold per-instruction handlers).
+#: block plans are exercised (not just tier 0).
 HOT_SOURCE = r"""
 int accumulate(int *p, int n) {
     int acc = 0;
