@@ -401,7 +401,10 @@ class AbstractMachine:
     def _load_raw(self, pointer: PtrVal, size: int, signed: bool) -> int:
         """Load a ``size``-byte scalar through a pointer as a raw int."""
         address = self.model.check_access(pointer, size, is_write=False)
-        self._touch_memory(address, size, is_write=False)
+        # _touch_memory inlined: tier 0 runs most of a sweep's memory ops here.
+        self.memory_accesses += 1
+        if self.collect_timing:
+            self.cycles += self.hierarchy.access(address, size, is_write=False)
         return self.memory.read_small(address, size, signed)
 
     def _store_scalar(self, pointer: PtrVal, size: int, raw: int, entry=None) -> None:
@@ -413,8 +416,13 @@ class AbstractMachine:
         """
         model = self.model
         address = model.check_access(pointer, size, is_write=True)
-        self._touch_memory(address, size, is_write=True)
-        self._clear_shadow_range(address, size)
+        # _touch_memory inlined, and _clear_shadow_range called only when it
+        # has work: tier 0 runs most of a sweep's memory ops here.
+        self.memory_accesses += 1
+        if self.collect_timing:
+            self.cycles += self.hierarchy.access(address, size, is_write=True)
+        if self._clear_shadow and self.shadow.entries:
+            self._clear_shadow_range(address, size)
         if entry is None:
             self.memory.write_small(address, size, raw)
             return
