@@ -2,8 +2,11 @@
 """Profile the abstract-machine interpreter over one workload/model pair.
 
 Perf PRs should start from data, not guesses: this helper runs cProfile over
-``AbstractMachine.run`` (compilation excluded) and prints the top functions by cumulative time, so the next optimization
-target is visible immediately.  See PERFORMANCE.md ("Profiling workflow").
+``AbstractMachine.run`` and prints the top functions by cumulative time, so
+the next optimization target is visible immediately.  The front end (parse,
+lowering, optimization) is excluded, but ``run()`` includes everything the
+engine does: tier 0's per-pc decode, the predecode artifact and the binding
+of every promoted function.  See PERFORMANCE.md ("Profiling workflow").
 
 Usage::
 

@@ -9,11 +9,9 @@ of a layout binds the same predecode artifact, stored on each IR function
 superinstructions bind only in functions that prove hot — the sweep is
 compile-bound, not execution-bound.  Cycle accounting is off by default
 (the oracle classifies on architectural observables, not simulated time),
-trap tracebacks are dropped so results do not retain machine graphs, and
-every machine is released
-(:meth:`~repro.interp.machine.AbstractMachine.release`) straight after its
-run, so reference counting frees it.  See ``docs/difftest.md``
-and ``docs/pipeline.md``.
+and trap tracebacks are dropped so results do not retain machine graphs:
+a finished run leaves no reference cycle, so reference counting frees each
+machine.  See ``docs/difftest.md`` and ``docs/pipeline.md``.
 """
 
 from __future__ import annotations
@@ -137,12 +135,9 @@ class DifferentialRunner:
                 # Span and histogram are per model (stage.execute.pdp11
                 # ...): the oracle's hot comparison is pdp11 + one checked
                 # model, so per-model latency is what the stats report.
-                try:
-                    with timed_span(tracer, sink, f"stage.execute.{name}",
-                                    model=name):
-                        result = machine.run()
-                finally:
-                    machine.release()
+                with timed_span(tracer, sink, f"stage.execute.{name}",
+                                model=name):
+                    result = machine.run()
                 if result.trap is not None:
                     # The oracle classifies on the trap's type, message and
                     # structured cause; the traceback (and the tracebacks
@@ -163,8 +158,8 @@ class DifferentialRunner:
     def sweep(self, programs, *, progress=None) -> list[ProgramResult]:
         """Run a whole corpus; ``progress`` (if given) is called per program.
 
-        :meth:`run_source` releases every machine after its run, so the
-        seven machine graphs of a program die by reference counting; the
+        A finished run leaves no reference cycle, so the seven machine
+        graphs of a program die by reference counting; the
         only cyclic garbage left is the front end's occasional
         self-referential struct type (a handful of objects).  The loop
         still disables automatic collection, which would otherwise trigger

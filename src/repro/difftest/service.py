@@ -122,10 +122,10 @@ def _worker_main(worker_id: int, corpus_seed: int, model_names, budget: int,
     runner = DifferentialRunner(models=tuple(model_names), budget=budget,
                                 analyze=analyze, tracer=tracer,
                                 stage_sink=sink)
-    # Same GC discipline as DifferentialRunner.sweep: the runner releases
-    # every machine after its run, so per-program graphs die by reference
-    # counting; the batched young-generation pass only sweeps the front
-    # end's few self-referential struct types.
+    # Same GC discipline as DifferentialRunner.sweep: a finished run leaves
+    # no reference cycle, so per-program graphs die by reference counting;
+    # the batched young-generation pass only sweeps the front end's few
+    # self-referential struct types.
     gc_batch = DifferentialRunner.GC_BATCH
     gc.disable()
     done = 0

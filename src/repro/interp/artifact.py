@@ -7,22 +7,20 @@ is derivable from the IR and the pointer layout alone, independent of which
 memory model will execute it:
 
 * the instruction-stream facts (label index, register-file and alloca-slot
-  sizes);
+  sizes, per-timing cycle costs);
 * the **slot-type fixpoint** (:func:`analyze_slots`) that decides which
   register slots carry raw Python ints, and the per-operand raw descriptors
-  derived from it (:meth:`PredecodeArtifact.arg_raws`);
-* the **inline pointer-move deltas** (:func:`move_delta` for every
-  ``field``/``gep``/``ptradd`` the binding step can construct inline, one
-  memoized table; each model's binding decides per pc whether to use it);
-* the **per-pc descriptor table**: the one classification of every pc as
-  raw-register work (labels, gotos, raw casts, arithmetic and compares) or
-  a model-specialized entry, plus the per-timing **cycle-cost lists**; the
-  binding step and the block planner both read these;
-* the **raw handlers**: one frame-only closure per raw-register pc, built
-  from the descriptor table and shared by every machine of the layout, in
-  tier 0 and in bound code;
-* the **tier-0 operand facts** (:attr:`PredecodeArtifact.generic`), which
-  :mod:`repro.interp.tier0` decodes per pc on its first execution;
+  derived from it (:func:`raw_operand`);
+* the **per-pc descriptor** (:func:`_descriptor`): the one classification
+  of a pc as raw-register work or a model-specialized entry, and the
+  **raw handler** built from it, one frame-only closure per raw-register
+  pc shared by every machine of the layout, in tier 0 and in bound code;
+* the **tier-0 decode** (:attr:`PredecodeArtifact.decoded`), filled per pc
+  on its first execution, so a pc that never runs is never decoded;
+* the eager tables only promotion needs: every pc's raw operands
+  (:meth:`PredecodeArtifact.arg_raws`), descriptors and raw handlers (tier
+  0's are reused), and the **inline pointer-move deltas** (:func:`move_delta`;
+  each model's binding decides per pc whether to use one);
 * **basic-block superinstruction plans**: block segmentation plus a
   generated ``make(B) -> handler`` factory per block in which raw-register
   work is spliced as straight-line Python and every model-specialized entry
@@ -70,6 +68,18 @@ from repro.interp.values import (
 )
 from repro.minic.ir import Const, Function, Opcode, Temp
 from repro.minic.typesys import IntType, PointerType
+
+# Opcode members as module globals: on CPython 3.11 reading a member off its
+# Enum class costs about 15 times a global read, and the per-pc decoders here
+# and in tier 0 test opcodes in long chains.
+ALLOCA, LOAD, STORE, GEP, FIELD = (Opcode.ALLOCA, Opcode.LOAD, Opcode.STORE,
+                                   Opcode.GEP, Opcode.FIELD)
+PTRADD, PTRDIFF, PTRTOINT, INTTOPTR = (Opcode.PTRADD, Opcode.PTRDIFF,
+                                       Opcode.PTRTOINT, Opcode.INTTOPTR)
+BITCAST, INTCAST, BINOP, UNOP, CMP = (Opcode.BITCAST, Opcode.INTCAST,
+                                      Opcode.BINOP, Opcode.UNOP, Opcode.CMP)
+CALL, RET, JUMP, CJUMP, LABEL, NOP = (Opcode.CALL, Opcode.RET, Opcode.JUMP,
+                                      Opcode.CJUMP, Opcode.LABEL, Opcode.NOP)
 
 #: indices of the bookkeeping slots at the head of every frame; register slot
 #: of temp ``%i`` is ``i + FRAME_RESERVED`` (shared by tier 0 and bound code).
@@ -155,6 +165,38 @@ def _const_type(ctype, ctx) -> tuple[int, bool] | None:
     return (8, True)
 
 
+def _writer_rule(instr, ctx) -> tuple:
+    """The static part of one writer's type: ``(type, deps, source)``.
+
+    With ``source`` set, the writer copies temp ``source``'s type (None
+    until that temp has one); otherwise it produces ``type`` unless one of
+    the temps in ``deps`` has been demoted to boxed.
+    """
+    op = instr.op
+    if op is LOAD or op is CMP or op is PTRDIFF:
+        return ((4, True) if op is CMP else (8, True) if op is PTRDIFF
+                else scalar_int_type(instr.ctype, ctx)), (), None
+    if op is UNOP or op is BITCAST:
+        source = instr.args[0]
+        if type(source) is Temp:
+            return None, (), source.index
+        return (_const_type(source.ctype, ctx) if type(source) is Const else None), (), None
+    ctype = instr.ctype
+    if op is BINOP:
+        target, operands = scalar_int_type(ctype, ctx), instr.args
+    elif op is INTCAST and isinstance(ctype, IntType) and not ctype.is_pointer_sized:
+        target, operands = (min(ctype.size(ctx), 8), ctype.signed), instr.args[:1]
+    else:
+        return None, (), None
+    deps = []
+    for operand in operands:
+        if type(operand) is Temp:
+            deps.append(operand.index)
+        elif type(operand) is not Const or _const_type(operand.ctype, ctx) is None:
+            return None, (), None
+    return target, tuple(deps), None
+
+
 def analyze_slots(instrs: list, ctx) -> dict[int, tuple[int, bool]]:
     """Map temp index -> (width, signed) for slots that can go unboxed.
 
@@ -162,55 +204,24 @@ def analyze_slots(instrs: list, ctx) -> dict[int, tuple[int, bool]]:
     provenance-free scalar integer of the same static type.  The analysis is
     optimistic (loops like ``i = i + 1`` stay unboxed) and demotes to "boxed"
     on any conflict; it converges because demotion is monotone.
+
+    Each writer's static part is decided once (:func:`_writer_rule`), and
+    the Jacobi rounds run over those rules; a temp counts as demoted once a
+    previous round gave it None.
     """
-
-    def raw_safe(operand, prev) -> bool:
-        kind = type(operand)
-        if kind is Temp:
-            # Missing from ``prev`` means "not yet demoted" (optimistic) or
-            # "never written" (reading it raises either way).
-            return prev.get(operand.index, True) is not None
-        if kind is Const:
-            return _const_type(operand.ctype, ctx) is not None
-        return False
-
-    def writer_type(instr, prev) -> tuple[int, bool] | None:
-        op = instr.op
-        if op is Opcode.LOAD:
-            return scalar_int_type(instr.ctype, ctx)
-        if op is Opcode.CMP:
-            return (4, True)
-        if op is Opcode.PTRDIFF:
-            return (8, True)
-        if op is Opcode.BINOP:
-            target = scalar_int_type(instr.ctype, ctx)
-            if target is None or not all(raw_safe(a, prev) for a in instr.args):
-                return None
-            return target
-        if op is Opcode.UNOP or op is Opcode.BITCAST:
-            source = instr.args[0]
-            if type(source) is Temp:
-                t = prev.get(source.index)
-                return t if isinstance(t, tuple) else None
-            if type(source) is Const:
-                return _const_type(source.ctype, ctx)
-            return None
-        if op is Opcode.INTCAST:
-            target = instr.ctype
-            if not isinstance(target, IntType) or target.is_pointer_sized:
-                return None
-            if not raw_safe(instr.args[0], prev):
-                return None
-            return (min(target.size(ctx), 8), getattr(target, "signed", True))
-        return None
-
-    writers = [instr for instr in instrs if instr.dest is not None]
+    rules = [(instr.dest.index, *_writer_rule(instr, ctx))
+             for instr in instrs if instr.dest is not None]
     prev: dict[int, tuple[int, bool] | None] = {}
-    for _ in range(len(writers) + 1):
+    for _ in range(len(rules) + 1):
         cur: dict[int, tuple[int, bool] | None] = {}
-        for instr in writers:
-            t = writer_type(instr, prev)
-            index = instr.dest.index
+        for index, t, deps, source in rules:
+            if source is not None:
+                t = prev.get(source)
+            else:
+                for dep in deps:
+                    if prev.get(dep, True) is None:
+                        t = None
+                        break
             if index in cur and cur[index] != t:
                 cur[index] = None
             else:
@@ -250,10 +261,10 @@ def move_delta(instr, raws: tuple):
     (:func:`~repro.interp.predecode.compile_function`).
     """
     op = instr.op
-    if op is Opcode.FIELD:
+    if op is FIELD:
         return (1, instr.attrs["offset"], 0, None)
-    if op is Opcode.GEP or op is Opcode.PTRADD:
-        element_size = instr.attrs["element_size"] if op is Opcode.GEP else 1
+    if op is GEP or op is PTRADD:
+        element_size = instr.attrs["element_size"] if op is GEP else 1
         raw = raws[1]
         if raw is None:
             return None
@@ -268,9 +279,16 @@ def move_delta(instr, raws: tuple):
 # ---------------------------------------------------------------------------
 
 
-def _descriptors(instrs: list, ctx, labels: dict, slot_types: dict,
-                 arg_raws: list, scratch: int) -> list:
-    """Per-pc descriptors (the one classification).
+#: opcodes that are never raw-register work: tier 0 decodes them straight
+#: to generic facts, without a descriptor.
+NEVER_RAW = frozenset((LOAD, STORE, ALLOCA, CALL,
+                       PTRDIFF, GEP, PTRADD, FIELD,
+                       PTRTOINT, INTTOPTR))
+
+
+def _descriptor(instr, raws: tuple, ctx, labels: dict, slot_types: dict,
+                scratch: int, stop: int):
+    """One pc's descriptor (the one classification).
 
     Raw-register work (``label``, ``goto``, ``cjump_raw``, ``const_raw``,
     ``copy_raw``, ``intcast_raw``, ``unop_raw``, ``binop_raw``,
@@ -283,55 +301,51 @@ def _descriptors(instrs: list, ctx, labels: dict, slot_types: dict,
     when no model's hook can raise — and None marks a terminal closure call
     (boxed branch, valued return, unknown opcode).  Flushing charges at
     every charge point is always exact: single-step dispatch charges every
-    entry before it runs.
+    entry before it runs.  ``raws`` are the instruction's raw operands
+    (:func:`raw_operand`).
     """
-    stop = len(instrs)
-    descs: list = []
-    for instr, raws in zip(instrs, arg_raws):
-        op = instr.op
-        dest = dest_type = None
-        if instr.dest is not None:
-            dest = instr.dest.index + FRAME_RESERVED
-            dest_type = slot_types.get(instr.dest.index)
-        out = dest if dest is not None else scratch
-        desc = None
-        if op is Opcode.LABEL or op is Opcode.NOP:
-            desc = ("label",)
-        elif op is Opcode.JUMP:
-            desc = ("goto", labels[instr.attrs["target"]])
-        elif op is Opcode.CJUMP:
-            then_pc = labels[instr.attrs["then"]]
-            else_pc = labels[instr.attrs["else"]]
-            raw = raws[0]
-            if raw is not None and raw[0] == "slot":
-                desc = ("cjump_raw", raw[1], raw[3], then_pc, else_pc)
-            elif raw is not None:
-                desc = ("goto", then_pc if raw[1] else else_pc)
-        elif op is Opcode.RET:
-            if not instr.args:
-                desc = ("goto", stop)
-        elif op is Opcode.BINOP:
-            desc = _binop_desc(instr, ctx, raws, dest_type, out)
-        elif op is Opcode.CMP:
-            desc = _cmp_desc(instr, raws, dest_type, out)
-        elif op is Opcode.UNOP:
-            desc = _unop_desc(instr, raws, dest_type, out)
-        elif op is Opcode.INTCAST or op is Opcode.BITCAST:
-            desc = _cast_desc(instr, ctx, raws[0], dest_type, out)
-        elif op in (Opcode.GEP, Opcode.PTRADD, Opcode.FIELD,
-                    Opcode.PTRTOINT, Opcode.INTTOPTR):
-            # Pointer moves and conversions: no model's hook for these raises
-            # (a contract every model keeps), so they are deferred-charge
-            # closure calls.
-            desc = ("opaque", out)
-        elif op is Opcode.CALL:
-            desc = ("ext", dest)
-        elif op in (Opcode.LOAD, Opcode.ALLOCA, Opcode.PTRDIFF):
-            desc = ("ext", out)
-        elif op is Opcode.STORE:
-            desc = ("ext", None)
-        descs.append(desc)
-    return descs
+    op = instr.op
+    dest = dest_type = None
+    if instr.dest is not None:
+        dest = instr.dest.index + FRAME_RESERVED
+        dest_type = slot_types.get(instr.dest.index)
+    out = dest if dest is not None else scratch
+    if op is LABEL or op is NOP:
+        return ("label",)
+    if op is JUMP:
+        return ("goto", labels[instr.attrs["target"]])
+    if op is CJUMP:
+        then_pc = labels[instr.attrs["then"]]
+        else_pc = labels[instr.attrs["else"]]
+        raw = raws[0]
+        if raw is not None and raw[0] == "slot":
+            return ("cjump_raw", raw[1], raw[3], then_pc, else_pc)
+        if raw is not None:
+            return ("goto", then_pc if raw[1] else else_pc)
+        return None
+    if op is RET:
+        return None if instr.args else ("goto", stop)
+    if op is BINOP:
+        return _binop_desc(instr, ctx, raws, dest_type, out)
+    if op is CMP:
+        return _cmp_desc(instr, raws, dest_type, out)
+    if op is UNOP:
+        return _unop_desc(instr, raws, dest_type, out)
+    if op is INTCAST or op is BITCAST:
+        return _cast_desc(instr, ctx, raws[0], dest_type, out)
+    if op in (GEP, PTRADD, FIELD,
+              PTRTOINT, INTTOPTR):
+        # Pointer moves and conversions: no model's hook for these raises
+        # (a contract every model keeps), so they are deferred-charge
+        # closure calls.
+        return ("opaque", out)
+    if op is CALL:
+        return ("ext", dest)
+    if op in (LOAD, ALLOCA, PTRDIFF):
+        return ("ext", out)
+    if op is STORE:
+        return ("ext", None)
+    return None
 
 
 def _binop_desc(instr, ctx, raws, dest_type, out):
@@ -391,7 +405,7 @@ def _unop_desc(instr, raws, dest_type, out):
 def _cast_desc(instr, ctx, raw, dest_type, out):
     if raw is None or dest_type is None:
         return ("opaque", out)
-    if instr.op is Opcode.BITCAST:
+    if instr.op is BITCAST:
         # An unboxed destination was given the source's exact type.
         width, signed = raw[2]
     else:
@@ -402,23 +416,6 @@ def _cast_desc(instr, ctx, raw, dest_type, out):
     if raw[2] == (width, signed):
         return ("copy_raw", raw[1], raw[3], out)
     return ("intcast_raw", raw[1], raw[3], width, signed, out)
-
-
-def _costs(instrs: list, timing: tuple[int, int, int]) -> list:
-    """Per-pc cycle costs the dispatch loop charges before each handler."""
-    base_cost, branch_cost, call_cost = timing
-    costs = []
-    for instr in instrs:
-        op = instr.op
-        if op is Opcode.LABEL or op is Opcode.NOP:
-            costs.append(0)
-        elif op is Opcode.JUMP or op is Opcode.CJUMP:
-            costs.append(branch_cost)
-        elif op is Opcode.CALL:
-            costs.append(call_cost)
-        else:
-            costs.append(base_cost)
-    return costs
 
 
 def _wrapping(width: int, signed: bool) -> tuple:
@@ -799,7 +796,7 @@ class PredecodeArtifact:
     """Everything about one IR function derivable from IR + pointer layout."""
 
     __slots__ = ("name", "ctx", "instrs", "ninstrs", "mutations",
-                 "labels", "nregs", "alloca_slots", "scratch", "generic",
+                 "labels", "nregs", "alloca_slots", "scratch", "decoded",
                  "_slot_types", "_deltas", "_plans", "_arg_raws",
                  "_descs", "_costs", "_raw_handlers")
 
@@ -825,17 +822,18 @@ class PredecodeArtifact:
             for arg in instr.args:
                 if type(arg) is Temp and arg.index > max_temp:
                     max_temp = arg.index
-            if instr.op is Opcode.ALLOCA:
+            if instr.op is ALLOCA:
                 alloca_slots[pc] = len(alloca_slots)
         # One extra frame slot beyond the temps: a scratch slot for
         # dest-less ops.
         self.nregs = max_temp + 2
         self.alloca_slots = alloca_slots
         self.scratch = max_temp + 1 + FRAME_RESERVED
-        #: per-pc tier-0 operation facts (:mod:`repro.interp.tier0`), decoded
-        #: on a pc's first tier-0 execution; None until then and at every
-        #: raw-register pc.
-        self.generic: list = [None] * len(function.instrs)
+        #: per-pc tier-0 decode (:mod:`repro.interp.tier0`), filled on a pc's
+        #: first tier-0 execution and None until then: the pc's shared raw
+        #: handler (:meth:`raw_handler`), or a tuple of generic operation
+        #: facts for every other pc.
+        self.decoded: list = [None] * len(function.instrs)
         self._slot_types: dict | None = None
         self._deltas: dict[int, tuple] | None = None
         self._plans: dict[tuple, list[BlockPlan]] = {}
@@ -877,32 +875,52 @@ class PredecodeArtifact:
         return cached
 
     def descriptors(self) -> list:
-        """The per-pc descriptor table (:func:`_descriptors`), memoized."""
+        """The per-pc descriptor table (:func:`_descriptor`), memoized."""
         cached = self._descs
         if cached is None:
-            cached = self._descs = _descriptors(
-                self.instrs, self.ctx, self.labels, self.slot_types(),
-                self.arg_raws(), self.scratch)
+            ctx, labels, slot_types = self.ctx, self.labels, self.slot_types()
+            scratch, stop = self.scratch, self.ninstrs
+            cached = self._descs = [
+                _descriptor(instr, raws, ctx, labels, slot_types, scratch, stop)
+                for instr, raws in zip(self.instrs, self.arg_raws())]
         return cached
 
-    def costs(self, timing: tuple[int, int, int]) -> list[int]:
-        """Per-pc cycle costs, memoized per timing.
+    def raw_handler(self, pc: int, raws, slot_types: dict):
+        """pc's shared raw-register handler, or None when the pc is not
+        raw-register work; ``raws`` are its raw operands.  Tier 0 decodes
+        each pc it runs through this, on the pc's first execution, except
+        :data:`NEVER_RAW` pcs."""
+        desc = _descriptor(self.instrs[pc], raws, self.ctx, self.labels,
+                           slot_types, self.scratch, self.ninstrs)
+        return None if desc is None else _raw_handler(desc, pc + 1)
 
-        Read-only: every machine of the timing dispatches from this list.
-        """
+    def costs(self, timing: tuple[int, int, int]) -> list[int]:
+        """Per-pc cycle costs the dispatch loop charges before each handler,
+        memoized per timing.  Read-only: every machine of the timing
+        dispatches from this list."""
         cached = self._costs.get(timing)
         if cached is None:
-            cached = self._costs[timing] = _costs(self.instrs, timing)
+            cost_of = dict.fromkeys(Opcode, timing[0])
+            cost_of[LABEL] = cost_of[NOP] = 0
+            cost_of[JUMP] = cost_of[CJUMP] = timing[1]
+            cost_of[CALL] = timing[2]
+            cached = self._costs[timing] = [cost_of[instr.op] for instr in self.instrs]
         return cached
 
     def raw_handlers(self) -> list:
         """Per-pc shared single-step handlers for raw-register descriptors
-        (None at every other pc), memoized."""
+        (None at every other pc), memoized.  A pc tier 0 has decoded keeps
+        the handler tier 0 built, so both tiers run the same closures."""
         cached = self._raw_handlers
         if cached is None:
-            cached = self._raw_handlers = [
-                None if desc is None else _raw_handler(desc, pc + 1)
-                for pc, desc in enumerate(self.descriptors())]
+            cached = []
+            for pc, (entry, desc) in enumerate(zip(self.decoded, self.descriptors())):
+                if entry is None:
+                    entry = None if desc is None else _raw_handler(desc, pc + 1)
+                elif type(entry) is tuple:
+                    entry = None
+                cached.append(entry)
+            self._raw_handlers = cached
         return cached
 
     def block_plans(self, timing: tuple[int, int, int],

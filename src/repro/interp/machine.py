@@ -502,28 +502,6 @@ class AbstractMachine:
             model_name=self.model.name,
         )
 
-    def release(self) -> None:
-        """Drop what the run's promoted code holds.
-
-        Tier-0 code binds nothing to the machine, and :meth:`run` empties
-        every promoted function's handler table (``paired``) when it ends,
-        which breaks the one reference cycle a machine forms (its handlers
-        close over it).  This drops the rest: the code cache with each
-        promoted function's handler table and frame pool, the tier-0 call
-        counts and the pointer-load memo.  Counters and output stay
-        readable; a released machine must not be run again.  :meth:`run`
-        never releases (tests inspect ``_code_cache`` after a run) —
-        callers that discard the machine may, as
-        :class:`~repro.difftest.runner.DifferentialRunner` does after every
-        model's run.
-        """
-        for code in self._code_cache.values():
-            code.paired = []
-            code.pool = []
-        self._code_cache = {}
-        self._calls = {}
-        self._ptr_load_memo = {}
-
     # ------------------------------------------------------------------
     # Call frames
     # ------------------------------------------------------------------

@@ -3,13 +3,13 @@
 Most functions of a one-shot program run once, and most of their pcs run
 about once, so binding them (:func:`repro.interp.predecode.compile_function`)
 costs more than it saves.  :func:`run` executes a function without binding
-anything: raw-register pcs take the artifact's shared
-:meth:`~repro.interp.artifact.PredecodeArtifact.raw_handlers`, and every
-other pc goes through a module-level generic operation keyed on its opcode
-that reads its operand facts from the artifact and its state from the
-machine it is given.  The facts are decoded on a pc's first execution and
-memoized on the artifact (:attr:`~repro.interp.artifact.PredecodeArtifact.generic`),
-so every model of a layout shares them; they hold no machine state.
+anything, and decodes a pc only when it first runs (:func:`_decode`): to the
+artifact's shared raw handler when it is raw-register work, else to the
+facts of a module-level generic operation keyed on its opcode, which reads
+its state from the machine it is given.  The decode is memoized on the
+artifact (:attr:`~repro.interp.artifact.PredecodeArtifact.decoded`) for
+every model of the layout, holds no machine state, and gives promotion its
+raw handlers; ``ENGINE.pcs_decoded`` counts the pcs decoded.
 
 Memory operations go through the machine's generic paths
 (:meth:`~repro.interp.machine.AbstractMachine._load_scalar` and
@@ -37,11 +37,16 @@ from repro.interp.artifact import (
     CMP_FUNCS,
     FRAME_RESERVED,
     INT_BINOPS,
+    NEVER_RAW,
     UNDEF,
     divide,
     get_artifact,
+    move_delta,
     raw_operand,
 )
+from repro.interp.artifact import (ALLOCA, BINOP, BITCAST, CALL, CJUMP, CMP, FIELD, GEP,
+                                   INTCAST, INTTOPTR, LOAD, PTRADD, PTRDIFF, PTRTOINT,
+                                   RET, STORE, UNOP)
 from repro.interp.intrinsics import INTRINSICS
 from repro.interp.models.base import field_pointer, qualifier_mask
 from repro.interp.values import (
@@ -58,7 +63,7 @@ from repro.interp.values import (
     ptr_to_int,
     qualified,
 )
-from repro.minic.ir import Const, GlobalRef, Opcode, Temp
+from repro.minic.ir import Const, GlobalRef, Temp
 from repro.minic.typesys import IntType, PointerType
 
 #: calls before a function is promoted to bound code with blocks (bound
@@ -83,9 +88,8 @@ def run(machine, function, args: list, loop_threshold: int):
     """
     artifact = get_artifact(function, machine.ctx)
     costs = artifact.costs(machine._charges)
-    raw = artifact.raw_handlers()
     slot_types = artifact.slot_types()
-    generic = artifact.generic
+    decoded = artifact.decoded
     size = artifact.ninstrs
     nallocas = len(artifact.alloca_slots)
     frame = [args, [None] * nallocas if nallocas else None, None]
@@ -100,14 +104,14 @@ def run(machine, function, args: list, loop_threshold: int):
                 f"instruction budget of {machine.max_instructions} exhausted in {function.name}"
             )
         machine.cycles += costs[pc]
-        handler = raw[pc]
-        if handler is not None:
-            next_pc = handler(frame)
+        entry = decoded[pc]
+        if entry is None:
+            entry = decoded[pc] = _decode(artifact, pc, slot_types)
+            ENGINE.pcs_decoded += 1
+        if type(entry) is tuple:
+            next_pc = entry[0](machine, frame, entry)
         else:
-            facts = generic[pc]
-            if facts is None:
-                facts = generic[pc] = _decode(artifact, pc, slot_types)
-            next_pc = facts[0](machine, frame, facts)
+            next_pc = entry(frame)
         if next_pc <= pc:
             back_edges += 1
             if back_edges >= loop_threshold:
@@ -118,21 +122,24 @@ def run(machine, function, args: list, loop_threshold: int):
 
 class EngineStats:
     """Process-wide tiering counters: functions promoted by their
-    ``HOT_CALL_THRESHOLD``-th call and by a hot loop, and pcs bound.  They
-    change only when a function is bound, never per instruction."""
+    ``HOT_CALL_THRESHOLD``-th call and by a hot loop, pcs bound, and pcs
+    tier 0 decoded.  They change only when a function is bound or a pc is
+    decoded, never per instruction."""
 
-    __slots__ = ("promoted_by_call", "promoted_by_loop", "pcs_bound")
+    __slots__ = ("promoted_by_call", "promoted_by_loop", "pcs_bound", "pcs_decoded")
 
     def __init__(self) -> None:
         self.clear()
 
     def clear(self) -> None:
-        self.promoted_by_call = self.promoted_by_loop = self.pcs_bound = 0
+        self.promoted_by_call = self.promoted_by_loop = 0
+        self.pcs_bound = self.pcs_decoded = 0
 
     def stats(self) -> dict[str, int]:
         return {"promoted.call": self.promoted_by_call,
                 "promoted.loop": self.promoted_by_loop,
-                "pcs_bound": self.pcs_bound}
+                "pcs_bound": self.pcs_bound,
+                "pcs_decoded": self.pcs_decoded}
 
 
 #: the process-level engine counters (``engine.*`` in sweep telemetry).
@@ -149,26 +156,26 @@ ENGINE = EngineStats()
 # IntVal, converted by the model on every read), 4 a global (name).
 
 
-def _operand(operand, ctx, slot_types) -> tuple:
+def _operand(operand, raw, ctx) -> tuple:
+    """The spec of an operand whose raw descriptor (:func:`raw_operand`) is
+    ``raw``: a raw operand is a raw register or an integer constant, and
+    any other register is boxed."""
+    if raw is not None:
+        kind, payload, (width, signed), label = raw
+        if kind == "slot":
+            return (1, payload, label, intern_table(width, signed), width, signed)
+        return (2, IntVal(payload, width, signed))
     kind = type(operand)
     if kind is Temp:
-        slot = operand.index + FRAME_RESERVED
-        t = slot_types.get(operand.index)
-        if t is None:
-            return (0, slot, str(operand))
-        width, signed = t
-        return (1, slot, str(operand), intern_table(width, signed), width, signed)
-    if kind is Const:
+        return (0, operand.index + FRAME_RESERVED, str(operand))
+    if kind is Const:  # a pointer or pointer-sized integer constant
         ctype = operand.ctype
         if isinstance(ctype, PointerType):
             if operand.value == 0:
                 return (2, NULL_PTR)
             return (3, IntVal(operand.value, bytes=8, signed=False))
-        size = ctype.size(ctx) if isinstance(ctype, IntType) else 8
-        pointer_sized = isinstance(ctype, IntType) and ctype.is_pointer_sized
-        return (2, IntVal(operand.value, bytes=min(size, 8),
-                          signed=getattr(ctype, "signed", True),
-                          pointer_sized=pointer_sized))
+        return (2, IntVal(operand.value, bytes=min(ctype.size(ctx), 8),
+                          signed=ctype.signed, pointer_sized=True))
     if kind is GlobalRef:
         return (4, operand.name)
     raise InterpreterError(f"cannot evaluate operand {operand!r}")
@@ -294,12 +301,13 @@ def _store_data(machine, frame, f):
 
 def _index_move(machine, frame, f):
     """``gep`` / ``ptradd``: move a pointer by an index times an element
-    size; the index is a constant (its delta), a raw register or boxed."""
-    _, pspec, mode, index, element_size, label, out, next_pc = f
+    size; the index is a constant (its delta), a raw register
+    (:func:`~repro.interp.artifact.move_delta`) or boxed (mode 3)."""
+    _, pspec, (mode, index, element_size, label), out, next_pc = f
     pointer = _read_ptr(machine, frame, pspec)
-    if mode == 0:
+    if mode == 1:
         delta = index
-    elif mode == 1:
+    elif mode == 2:
         idx = frame[index]
         if type(idx) is not int:
             raise InterpreterError(f"use of undefined temporary {label}")
@@ -453,11 +461,20 @@ def _unsupported(machine, frame, f):
 # ---------------------------------------------------------------------------
 
 
-def _decode(artifact, pc: int, slot_types: dict) -> tuple:
-    """The generic operation and operand facts of one non-raw pc."""
+def _decode(artifact, pc: int, slot_types: dict):
+    """One pc's tier-0 entry: its shared raw handler when the pc is
+    raw-register work, else its generic operation and operand facts.  Each
+    operand is decoded once, to its raw descriptor, and a generic fact
+    completes that descriptor into an operand spec."""
     instr = artifact.instrs[pc]
-    op = instr.op
     ctx = artifact.ctx
+    args = instr.args
+    raws = [raw_operand(arg, ctx, slot_types) for arg in args]
+    op = instr.op
+    if op not in NEVER_RAW:
+        handler = artifact.raw_handler(pc, raws, slot_types)
+        if handler is not None:
+            return handler
     next_pc = pc + 1
     dest = dest_raw = None
     if instr.dest is not None:
@@ -467,19 +484,19 @@ def _decode(artifact, pc: int, slot_types: dict) -> tuple:
     ctype = instr.ctype
 
     def operand(i):
-        return _operand(instr.args[i], ctx, slot_types)
+        return _operand(args[i], raws[i], ctx)
 
-    if op is Opcode.CJUMP:
+    if op is CJUMP:
         labels = artifact.labels
         return (_cjump, operand(0), labels[instr.attrs["then"]], labels[instr.attrs["else"]])
-    if op is Opcode.RET:
+    if op is RET:
         return (_ret, operand(0), artifact.ninstrs)
-    if op is Opcode.ALLOCA:
+    if op is ALLOCA:
         alloc_type = instr.attrs.get("alloc_type")
         alignment = max(8, alloc_type.alignment(ctx) if alloc_type is not None else 8)
         return (_alloca, artifact.alloca_slots[pc], instr.attrs.get("size", 8),
                 instr.attrs.get("name", ""), alignment, out, next_pc)
-    if op is Opcode.LOAD:
+    if op is LOAD:
         if isinstance(ctype, PointerType) or (isinstance(ctype, IntType)
                                               and ctype.is_pointer_sized):
             return (_load, operand(0), ctype, None, None, None, out, next_pc)
@@ -487,36 +504,31 @@ def _decode(artifact, pc: int, slot_types: dict) -> tuple:
         signed = getattr(ctype, "signed", True)
         table = None if dest_raw else intern_table(size, signed)
         return (_load, operand(0), ctype, size, signed, table, out, next_pc)
-    if op is Opcode.STORE:
-        return _decode_store(instr, ctx, slot_types, operand, next_pc)
-    if op is Opcode.GEP or op is Opcode.PTRADD:
-        element_size = instr.attrs["element_size"] if op is Opcode.GEP else 1
-        raw = raw_operand(instr.args[1], ctx, slot_types)
-        if raw is None:
-            mode, index, label = 2, operand(1), None
-        elif raw[0] == "const":
-            mode, index, label = 0, raw[1] * element_size, None
-        else:
-            mode, index, label = 1, raw[1], raw[3]
-        return (_index_move, operand(0), mode, index, element_size, label, out, next_pc)
-    if op is Opcode.FIELD:
+    if op is STORE:
+        return _decode_store(instr, ctx, raws, operand, next_pc)
+    if op is GEP or op is PTRADD:
+        delta = move_delta(instr, raws)
+        if delta is None:  # a boxed index
+            delta = (3, operand(1), instr.attrs["element_size"] if op is GEP else 1, None)
+        return (_index_move, operand(0), delta, out, next_pc)
+    if op is FIELD:
         field_type = ctype.pointee if isinstance(ctype, PointerType) else None
         field_size = field_type.size(ctx) if field_type is not None else 1
         return (_field, operand(0), instr.attrs["offset"], field_size, out, next_pc)
-    if op is Opcode.PTRDIFF:
+    if op is PTRDIFF:
         return (_ptrdiff, operand(0), operand(1), instr.attrs.get("element_size", 1),
                 bool(dest_raw), out, next_pc)
-    if op is Opcode.PTRTOINT or op is Opcode.INTCAST:
+    if op is PTRTOINT or op is INTCAST:
         width = min(ctype.size(ctx), 8)
         signed = getattr(ctype, "signed", True)
         pointer_sized = isinstance(ctype, IntType) and ctype.is_pointer_sized
-        handler = _ptrtoint if op is Opcode.PTRTOINT else _intcast
+        handler = _ptrtoint if op is PTRTOINT else _intcast
         return (handler, operand(0), width, signed, pointer_sized, out, next_pc)
-    if op is Opcode.INTTOPTR or op is Opcode.BITCAST:
+    if op is INTTOPTR or op is BITCAST:
         ptr_type = ctype if isinstance(ctype, PointerType) else None
-        handler = _inttoptr if op is Opcode.INTTOPTR else _bitcast
+        handler = _inttoptr if op is INTTOPTR else _bitcast
         return (handler, operand(0), ptr_type, out, next_pc)
-    if op is Opcode.BINOP:
+    if op is BINOP:
         operator = instr.attrs["operator"]
         width = min(ctype.size(ctx), 8) if ctype is not None else 8
         signed = getattr(ctype, "signed", True)
@@ -527,19 +539,19 @@ def _decode(artifact, pc: int, slot_types: dict) -> tuple:
         table = None if pointer_sized else intern_table(width, signed)
         return (_binop, operand(0), operand(1), fast_op, width, signed, pointer_sized,
                 table, bool(dest_raw), out, next_pc, operator)
-    if op is Opcode.UNOP:
+    if op is UNOP:
         return (_unop, operand(0), instr.attrs["operator"] == "neg", out, next_pc)
-    if op is Opcode.CMP:
+    if op is CMP:
         operator = instr.attrs["operator"]
         return (_cmp, operand(0), operand(1), CMP_FUNCS.get(operator), operator,
                 bool(dest_raw), out, next_pc)
-    if op is Opcode.CALL:
-        specs = tuple(_operand(arg, ctx, slot_types) for arg in instr.args)
+    if op is CALL:
+        specs = tuple(_operand(arg, raw, ctx) for arg, raw in zip(args, raws))
         return (_call, instr.attrs["callee"], specs, ctype, dest, next_pc)
     return (_unsupported, op)
 
 
-def _decode_store(instr, ctx, slot_types, operand, next_pc) -> tuple:
+def _decode_store(instr, ctx, raws, operand, next_pc) -> tuple:
     ctype = instr.ctype
     param_index = instr.attrs.get("param_index")
     if isinstance(ctype, PointerType) or (isinstance(ctype, IntType) and ctype.is_pointer_sized):
@@ -547,7 +559,7 @@ def _decode_store(instr, ctx, slot_types, operand, next_pc) -> tuple:
         return (_store_pointer, operand(0), vspec, isinstance(ctype, PointerType), next_pc)
     size = max(ctype.size(ctx), 1)
     size_mask = MASKS[size] if size <= 8 else (1 << (8 * size)) - 1
-    raw = raw_operand(instr.args[1], ctx, slot_types) if param_index is None else None
+    raw = raws[1] if param_index is None else None
     coerce_bytes = coerce_signed = None
     if raw is not None:
         kind, payload, (vwidth, _signed), label = raw

@@ -24,8 +24,8 @@ interning below (and the predecoded engine's unboxed register scheme, see
 
 Hot scalar arithmetic avoids boxing entirely: the predecoded interpreter
 keeps provenance-free scalars as raw Python ints and boxes them through
-:func:`box_int` / :func:`intern_table` only at ABI boundaries (calls into
-non-predecoded code, traps, shadow-table entries).
+:func:`intern_table` only at ABI boundaries (calls into non-predecoded
+code, traps, shadow-table entries).
 """
 
 from __future__ import annotations
@@ -295,13 +295,6 @@ def intern_table(width: int, signed: bool) -> tuple:
                       for v in range(INTERN_MIN, INTERN_MAX + 1))
         _intern_tables[key] = table
     return table
-
-
-def box_int(raw: int, width: int, signed: bool) -> IntVal:
-    """Box a raw (provenance-free) scalar, sharing interned instances."""
-    if INTERN_MIN <= raw <= INTERN_MAX:
-        return _intern_tables.get((width, signed), intern_table(width, signed))[raw - INTERN_MIN]
-    return IntVal(raw, width, signed)
 
 
 #: canonical boxed comparison results (``int`` in C is 4 bytes): shared by the

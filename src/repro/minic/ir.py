@@ -154,10 +154,11 @@ class Function:
         """
         key = (id(self.instrs), len(self.instrs))
         if self._label_cache is None or self._label_cache_key != key:
+            label = Opcode.LABEL  # a member read off the Enum class is slow
             self._label_cache = {
                 instr.attrs["name"]: index
                 for index, instr in enumerate(self.instrs)
-                if instr.op is Opcode.LABEL
+                if instr.op is label
             }
             self._label_cache_key = key
         return self._label_cache

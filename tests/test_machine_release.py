@@ -1,9 +1,9 @@
 """Differential runs free their machine graphs by reference counting.
 
 Handler closures close over their machine and the machine's code cache owns
-the handlers, so an unreleased machine is a reference cycle.  The runner
-calls :meth:`AbstractMachine.release` after every model's run; this test
-pins that a mini-sweep — trapping programs, budget exhaustion and an
+the handlers of promoted functions, so :meth:`AbstractMachine.run` empties
+every promoted function's handler table when it ends, trap or not.  This
+test pins that a mini-sweep — trapping programs, budget exhaustion and an
 injected engine error raised out of the run included — leaves no machine,
 compiled function or handler closure for the cyclic collector.
 
@@ -53,7 +53,7 @@ def _mini_sweep() -> list:
     """Run 16 programs through every runner configuration; return results.
 
     Each program is also run once with an injected engine fault, which
-    raises out of the run: ``release()`` must still free that machine.
+    raises out of the run: reference counting must still free that machine.
     """
     programs = [generate_program(0, index) for index in range(16)]
     faulty = DifferentialRunner(

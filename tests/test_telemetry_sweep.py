@@ -242,7 +242,9 @@ def test_worker_cache_stats_cross_the_fork_boundary(tmp_path):
 
 def test_engine_counters_count_promotions():
     """The counters workers ship (``engine.*``) change only when a function
-    is promoted: by its calls, by a hot loop, and by the pcs bound."""
+    is promoted (by its calls, by a hot loop, and by the pcs bound) or when
+    tier 0 decodes a pc, never per instruction: a second machine running
+    the same module decodes nothing again."""
     from repro.core.api import compile_for_model
     from repro.difftest.service import _process_counters
     from repro.interp.machine import AbstractMachine
@@ -265,8 +267,15 @@ def test_engine_counters_count_promotions():
              if key.startswith("engine.")}
     sizes = sum(len(function.instrs) for function in module.functions.values()
                 if function.name in ("twice", "main"))
+    decoded = sum(entry is not None for function in module.functions.values()
+                  for entry in function._artifact.decoded)
+    # tier 0 ran all of ``twice`` and ``main`` up to its hot loop, not past it
+    assert 0 < decoded < sizes
     assert delta == {"engine.promoted.call": 1, "engine.promoted.loop": 1,
-                     "engine.pcs_bound": sizes}
+                     "engine.pcs_bound": sizes, "engine.pcs_decoded": decoded}
+    again = AbstractMachine(module, "pdp11").run()
+    assert again.instructions > 0
+    assert _process_counters()["engine.pcs_decoded"] == after["engine.pcs_decoded"]
 
 
 def test_artifact_cache_reports_evictions():

@@ -19,6 +19,7 @@ from repro.core.api import compile_for_model
 from repro.interp import machine as machine_module
 from repro.interp.machine import AbstractMachine
 from repro.interp.models import PAPER_MODEL_ORDER, get_model
+from repro.interp.artifact import PredecodeArtifact, get_artifact
 from repro.interp.tier0 import ENGINE
 
 from test_metrics_golden import GOLDEN, WORKLOADS
@@ -126,8 +127,6 @@ def test_tier0_binds_nothing_and_a_finished_run_unbinds_promoted_code(monkeypatc
     second = warm.run()
     assert second.output == first.output + first.output
     assert list(warm._code_cache.values()) != promoted  # bound afresh
-    warm.release()
-    assert not warm._code_cache
 
 
 def test_hot_loop_after_a_nested_promotion_continues_in_the_bound_code(monkeypatch) -> None:
@@ -155,3 +154,49 @@ def test_hot_loop_after_a_nested_promotion_continues_in_the_bound_code(monkeypat
     assert after["promoted.call"] - before["promoted.call"] == 1
     assert after["promoted.loop"] == before["promoted.loop"]
     assert [code.function.name for code in machine._code_cache.values()] == ["walk"]
+
+
+#: ``pick`` never takes its ``x > 100`` branch.
+UNTAKEN_BRANCH = r"""
+int pick(int x) {
+    if (x > 100) {
+        int y = x * 3;
+        return y - 7;
+    }
+    return x + 1;
+}
+int main(void) { mini_output_int(pick(5)); return 0; }
+"""
+
+
+@pytest.mark.parametrize("model", ["pdp11", "cheri_v3"])
+def test_tier0_decodes_only_what_runs_and_promotion_completes_the_tables(
+        model: str, monkeypatch) -> None:
+    """Tier 0 decodes a pc on its first execution, so ``pick``'s untaken
+    branch stays undecoded; promoting ``pick`` afterwards builds complete
+    raw handlers, keeps the ones tier 0 decoded, and runs the same as the
+    never-promote engine."""
+    module = compile_for_model(UNTAKEN_BRANCH, get_model(model))
+    pick = module.functions["pick"]
+    set_thresholds(monkeypatch, NEVER, NEVER)
+    before = ENGINE.stats()["pcs_decoded"]
+    reference = observables(AbstractMachine(module, get_model(model)).run())
+    artifact = get_artifact(pick, module.context)
+    decoded = artifact.decoded
+    undecoded = [pc for pc, entry in enumerate(decoded) if entry is None]
+    assert undecoded, "the untaken branch was decoded"
+    assert ENGINE.stats()["pcs_decoded"] - before == sum(
+        entry is not None for function in module.functions.values()
+        for entry in function._artifact.decoded)
+
+    eager = PredecodeArtifact(pick, module.context).raw_handlers()
+    set_thresholds(monkeypatch, 1, NEVER)
+    machine = AbstractMachine(module, get_model(model))
+    assert observables(machine.run()) == reference
+    assert get_artifact(pick, module.context) is artifact
+    handlers = artifact.raw_handlers()
+    assert [h is None for h in handlers] == [h is None for h in eager]
+    assert any(handlers[pc] is not None for pc in undecoded)
+    for pc, entry in enumerate(decoded):
+        if entry is not None and type(entry) is not tuple:
+            assert handlers[pc] is entry  # both tiers share tier 0's handler
