@@ -13,7 +13,11 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry and latency of a single cache level."""
+    """Geometry and latency of a single cache level.
+
+    Line size and set count are powers of two, as in real caches, so the
+    cache model finds a line and its set with a shift and a mask.
+    """
 
     size_bytes: int
     line_bytes: int = 64
@@ -23,6 +27,9 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.size_bytes % (self.line_bytes * self.associativity):
             raise ValueError("cache size must be a multiple of line size * associativity")
+        for what, count in (("line size", self.line_bytes), ("set count", self.num_sets)):
+            if count < 1 or count & (count - 1):
+                raise ValueError(f"cache {what} must be a power of two, got {count}")
 
     @property
     def num_sets(self) -> int:

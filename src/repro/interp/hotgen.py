@@ -1,7 +1,7 @@
 """Source-specialized load/store handlers for the predecoded interpreter.
 
 The generic closure-based handlers in :mod:`repro.interp.predecode` branch on
-a dozen compile-time-constant flags (check policy, cache inlining,
+a dozen compile-time-constant flags (check policy, cache timing,
 destination representation, ...) on *every* execution.  This module
 generates straight-line Python source for each distinct flag combination — a
 "shape" — compiles it once per process, and instantiates per-instruction
@@ -54,9 +54,8 @@ _MAKERS: dict[tuple, object] = {}
 #: closure only captures the ones its generated body actually references.
 _BINDING_NAMES = (
     "pslot", "pcoerce", "check_access",
-    "size", "size_m1", "line_shift", "nsets_mask", "nsets_shift", "assoc",
-    "lat_l1", "lat_l2", "lat_dram", "l1_sets", "l1_stats", "l2_access",
-    "hier", "hierarchy_access", "machine", "page_mask", "page_size",
+    "size", "last_offset", "line_shift", "line_mask", "nsets_mask", "l1_mru",
+    "l1_stats", "hierarchy_access", "machine", "page_mask", "page_size",
     "page_shift", "mem_size", "pages_get", "mem_pages", "read_small",
     "write_small", "write_ptr_raw", "mem_tags", "shadow_get",
     "shadow_entries", "shadow_pages", "shadow_page_shift", "ptr_memo",
@@ -121,38 +120,21 @@ def _emit_check(lines, flat_check, is_write):
         ]
 
 
-def _emit_timing(lines, collect_timing, inline_cache, is_write):
+def _emit_timing(lines, collect_timing, is_write):
+    """A one-line access to its set's MRU line only counts; the rest call.
+
+    ``last_offset`` is the highest offset in a line at which the access
+    still fits in that line (negative when it never does).
+    """
     if not collect_timing:
         return
-    flag = "True" if is_write else "False"
     counter = "writes" if is_write else "reads"
-    if not inline_cache:
-        lines.append(f"        machine.cycles += hierarchy_access(address, size, is_write={flag})")
-        return
     lines += [
         "        line = address >> line_shift",
-        "        if (address + size_m1) >> line_shift == line:",
-        "            cache_set = l1_sets[line & nsets_mask]",
-        "            tag = line >> nsets_shift",
+        "        if address & line_mask <= last_offset and l1_mru[line & nsets_mask] == line:",
         f"            l1_stats.{counter} += 1",
-        "            if tag in cache_set:",
-        "                del cache_set[tag]",
-        "                cache_set[tag] = 0",
-        "                l1_stats.hits += 1",
-        "                lat = lat_l1",
-        "            else:",
-        "                l1_stats.misses += 1",
-        "                if len(cache_set) >= assoc:",
-        "                    del cache_set[next(iter(cache_set))]",
-        "                cache_set[tag] = 0",
-        "                lat = lat_l1 + lat_l2",
-        f"                if not l2_access(line << line_shift, is_write={flag}):",
-        "                    hier.dram_accesses += 1",
-        "                    lat += lat_dram",
-        "            hier.stall_cycles += lat",
-        "            machine.cycles += lat",
         "        else:",
-        f"            machine.cycles += hierarchy_access(address, size, is_write={flag})",
+        f"            hierarchy_access(address, size, is_write={is_write})",
     ]
 
 
@@ -164,17 +146,17 @@ def load_maker(shape: tuple):
 def load_body(shape: tuple) -> list:
     """Raw handler body lines for a LOAD of the given shape.
 
-    shape = (kind, pslot_inline, flat_check, collect_timing, inline_cache,
-             uses_shadow, memo, inline_reconcile, qualifies, fast_mem)
+    shape = (kind, pslot_inline, flat_check, collect_timing, uses_shadow,
+             memo, inline_reconcile, qualifies, fast_mem)
     with kind in {"ptr", "psint", "raw", "box"}.
     """
-    (kind, pslot_inline, flat_check, collect_timing, inline_cache,
-     uses_shadow, memo, inline_reconcile, qualifies, fast_mem) = shape
+    (kind, pslot_inline, flat_check, collect_timing, uses_shadow,
+     memo, inline_reconcile, qualifies, fast_mem) = shape
     lines = []
     _emit_prologue(lines, pslot_inline)
     _emit_check(lines, flat_check, False)
     lines.append("        machine.memory_accesses += 1")
-    _emit_timing(lines, collect_timing, inline_cache, False)
+    _emit_timing(lines, collect_timing, False)
     # memory read: pointer-like loads read the 8-byte raw address word but
     # size/bounds reflect the model's pointer width.
     is_ptr_like = kind in ("ptr", "psint")
@@ -273,15 +255,13 @@ def store_maker(shape: tuple):
 def store_body(shape: tuple) -> list:
     """Raw handler body lines for a STORE of the given shape.
 
-    shape = (kind, pslot_inline, flat_check, collect_timing, inline_cache,
-             clear_shadow, uses_shadow, value_mode, coerce, wide_span,
-             fast_mem)
+    shape = (kind, pslot_inline, flat_check, collect_timing, clear_shadow,
+             uses_shadow, value_mode, coerce, wide_span, fast_mem)
     with kind in {"ptr", "scalar"}; value_mode in (0 const, 1 raw slot,
     2 boxed reader) for scalar stores (ptr stores always use the reader).
     """
-    (kind, pslot_inline, flat_check, collect_timing, inline_cache,
-     clear_shadow, uses_shadow, value_mode, coerce, wide_span,
-     fast_mem) = shape
+    (kind, pslot_inline, flat_check, collect_timing, clear_shadow,
+     uses_shadow, value_mode, coerce, wide_span, fast_mem) = shape
     lines = []
     _emit_prologue(lines, pslot_inline)
     if kind == "ptr":
@@ -310,7 +290,7 @@ def store_body(shape: tuple) -> list:
         lines.append("        raw = const_raw")
     _emit_check(lines, flat_check, True)
     lines.append("        machine.memory_accesses += 1")
-    _emit_timing(lines, collect_timing, inline_cache, True)
+    _emit_timing(lines, collect_timing, True)
     if kind == "ptr":
         lines.append("        raw = (value.address if type(value) is PtrVal else value.unsigned) & M64")
     if clear_shadow:

@@ -19,9 +19,11 @@ Key mechanisms:
   load reconciles the raw bytes with the shadow entry, is the memory model's
   decision — this is where the INT/IA/MASK rows of Table 3 come from.
 * **Timing.**  Every instruction costs one cycle (calls and branches a little
-  more) and every memory access adds the cache hierarchy's latency.  The only
-  difference between ABIs is the size and alignment of pointers, which is the
-  paper's architectural story for Figures 1–4.
+  more), counted in ``cycles``.  Every memory access goes through the cache
+  hierarchy, whose counters give its stall cycles; a result's cycles are the
+  two added once.  The only difference between ABIs is the size and
+  alignment of pointers, which is the paper's architectural story for
+  Figures 1–4.
 * **Dispatch.**  Execution is tiered.  A function first runs in tier 0
   (:mod:`repro.interp.tier0`), straight from its model-independent predecode
   artifact with nothing bound to this machine.  It is promoted at its
@@ -291,7 +293,7 @@ class AbstractMachine:
         consumed = found + 1 if found >= 0 else scanned
         self.memory_accesses += consumed
         if self.collect_timing and consumed:
-            self.cycles += self.hierarchy.access_run(address, consumed)
+            self.hierarchy.access_run(address, consumed)
         if found >= 0:
             return bytes(out)
         if consumed >= limit:
@@ -316,7 +318,7 @@ class AbstractMachine:
             address = check_access(cursor, 1, is_write=False)
             self.memory_accesses += 1
             if collect_timing:
-                self.cycles += hierarchy_access(address, 1, is_write=False)
+                hierarchy_access(address, 1, is_write=False)
             byte = read_small(address, 1, False)
             if byte == 0:
                 return bytes(out)
@@ -360,7 +362,7 @@ class AbstractMachine:
     def _touch_memory(self, address: int, size: int, *, is_write: bool) -> None:
         self.memory_accesses += 1
         if self.collect_timing:
-            self.cycles += self.hierarchy.access(address, size, is_write=is_write)
+            self.hierarchy.access(address, size, is_write=is_write)
 
     def _clear_shadow_range(self, address: int, size: int) -> None:
         if not self._clear_shadow or not self.shadow.entries:
@@ -404,7 +406,7 @@ class AbstractMachine:
         # _touch_memory inlined: tier 0 runs most of a sweep's memory ops here.
         self.memory_accesses += 1
         if self.collect_timing:
-            self.cycles += self.hierarchy.access(address, size, is_write=False)
+            self.hierarchy.access(address, size, is_write=False)
         return self.memory.read_small(address, size, signed)
 
     def _store_scalar(self, pointer: PtrVal, size: int, raw: int, entry=None) -> None:
@@ -420,7 +422,7 @@ class AbstractMachine:
         # has work: tier 0 runs most of a sweep's memory ops here.
         self.memory_accesses += 1
         if self.collect_timing:
-            self.cycles += self.hierarchy.access(address, size, is_write=True)
+            self.hierarchy.access(address, size, is_write=True)
         if self._clear_shadow and self.shadow.entries:
             self._clear_shadow_range(address, size)
         if entry is None:
@@ -494,7 +496,7 @@ class AbstractMachine:
             output=bytes(self.output),
             trap=trap,
             instructions=self.instructions,
-            cycles=self.cycles,
+            cycles=self.cycles + self.hierarchy.stall_cycles,
             memory_accesses=self.memory_accesses,
             allocations=self.allocator.allocation_count,
             allocated_bytes=self.allocator.bytes_allocated,

@@ -337,26 +337,15 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     page_mask = memory._PAGE_MASK
     page_shift = memory._PAGE_SHIFT
 
-    # Inline fast path for the cache model's single-line L1 hit.  The captured
-    # set list / stats object stay valid because CacheLevel.reset() mutates in
-    # place.  Timestamps stored in the per-set dicts are never read (LRU order
-    # is dict order), so the inline path stores 0 instead of a clock.
-    hier = machine.hierarchy
-    l1 = hier.l1
-    l1_sets = l1._sets
+    # The cache model's MRU check, inlined by the generated load/store
+    # handlers.  The captured list and stats object stay valid because
+    # CacheLevel.reset() mutates in place.
+    l1 = machine.hierarchy.l1
+    l1_mru = l1._mru
     l1_stats = l1.stats
-    l2_access = hier.l2.access
-    line_bytes = l1._line_bytes
-    num_sets = l1._num_sets
-    assoc = l1._associativity
-    lat_l1 = hier._l1_hit_latency
-    lat_l2 = hier._l2_hit_latency
-    lat_dram = hier._dram_latency
-    inline_cache = (line_bytes & (line_bytes - 1) == 0
-                    and num_sets & (num_sets - 1) == 0)
-    line_shift = line_bytes.bit_length() - 1
-    nsets_mask = num_sets - 1
-    nsets_shift = num_sets.bit_length() - 1
+    line_bytes = l1.config.line_bytes
+    line_shift = l1._line_shift
+    nsets_mask = l1._set_mask
 
     # When the model keeps the default pointer-arithmetic policy (cursor moves
     # freely, bounds unchanged), pointer moves can be constructed inline
@@ -429,11 +418,10 @@ def compile_function(machine, function: Function) -> CompiledFunction:
     # machine-level values never change within one binding pass.
     proto_bindings = {
         "pslot": None, "pcoerce": None, "check_access": check_access,
-        "size": 0, "size_m1": 0, "line_shift": line_shift,
-        "nsets_mask": nsets_mask, "nsets_shift": nsets_shift, "assoc": assoc,
-        "lat_l1": lat_l1, "lat_l2": lat_l2, "lat_dram": lat_dram,
-        "l1_sets": l1_sets, "l1_stats": l1_stats, "l2_access": l2_access,
-        "hier": hier, "hierarchy_access": hierarchy_access, "machine": machine,
+        "size": 0, "last_offset": 0, "line_shift": line_shift,
+        "line_mask": line_bytes - 1, "nsets_mask": nsets_mask,
+        "l1_mru": l1_mru, "l1_stats": l1_stats,
+        "hierarchy_access": hierarchy_access, "machine": machine,
         "page_mask": page_mask, "page_size": page_size, "page_shift": page_shift,
         "mem_size": mem_size, "pages_get": pages_get, "mem_pages": mem_pages,
         "read_small": read_small, "write_small": write_small,
@@ -479,7 +467,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                 kind = "box"
                 b["table"] = intern_table(size, getattr(ctype, "signed", True))
         b["size"] = size
-        b["size_m1"] = size - 1
+        b["last_offset"] = line_bytes - size
         signed = getattr(ctype, "signed", True)
         b["signed"] = signed
         b["qmask"] = qmask
@@ -487,7 +475,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
                       else unpacker_for(size, signed))
         b["mem_unpack"] = mem_unpack
         shape = (kind, pslot is not None, flat_check,
-                 collect_timing, inline_cache, uses_shadow,
+                 collect_timing, uses_shadow,
                  ptr_memo is not None, inline_reconcile, qmask != 0,
                  mem_unpack is not None)
         return load_maker(shape)(b)
@@ -514,21 +502,21 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         if isinstance(ctype, PointerType) or _is_pointer_sized_int(ctype):
             span = pointer_bytes if pointer_bytes > 8 else 8
             b["size"] = pointer_bytes
-            b["size_m1"] = pointer_bytes - 1
+            b["last_offset"] = line_bytes - pointer_bytes
             b["span"] = span
             b["pad"] = bytes(span - 8)
             b["read_value"] = read_value
             mem_pack = packer_for(8)
             b["mem_pack"] = mem_pack
             shape = ("ptr", pslot is not None, flat_check,
-                     collect_timing, inline_cache, clear_shadow, uses_shadow,
+                     collect_timing, clear_shadow, uses_shadow,
                      2, isinstance(ctype, PointerType), span > 8,
                      mem_pack is not None)
             return store_maker(shape)(b)
 
         size = max(ctype.size(ctx), 1)
         b["size"] = size
-        b["size_m1"] = size - 1
+        b["last_offset"] = line_bytes - size
         b["size_mask"] = MASKS[size] if size <= 8 else (1 << (8 * size)) - 1
         raw_desc = raws[1] if param_index is None else None
         coerce_flag = False
@@ -553,7 +541,7 @@ def compile_function(machine, function: Function) -> CompiledFunction:
         mem_pack = packer_for(size)
         b["mem_pack"] = mem_pack
         shape = ("scalar", pslot is not None, flat_check,
-                 collect_timing, inline_cache, clear_shadow, uses_shadow,
+                 collect_timing, clear_shadow, uses_shadow,
                  value_mode, coerce_flag, False, mem_pack is not None)
         return store_maker(shape)(b)
 

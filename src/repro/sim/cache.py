@@ -31,12 +31,15 @@ class AccessStats:
 
     reads: int = 0
     writes: int = 0
-    hits: int = 0
     misses: int = 0
 
     @property
     def accesses(self) -> int:
         return self.reads + self.writes
+
+    @property
+    def hits(self) -> int:
+        return self.reads + self.writes - self.misses
 
     @property
     def miss_rate(self) -> float:
@@ -48,69 +51,71 @@ class CacheLevel:
 
     Only presence/absence is modelled (no data storage): the simulator and the
     interpreter keep the authoritative memory contents, and the cache decides
-    how many cycles each access costs.
+    how many cycles each access costs.  Line size and set count are powers of
+    two (:class:`CacheConfig` enforces it), so lines and sets are shifts and
+    masks.
     """
 
-    __slots__ = ("config", "name", "stats", "_sets", "_line_bytes",
-                 "_num_sets", "_associativity")
+    __slots__ = ("config", "name", "stats", "_sets", "_mru", "_line_shift",
+                 "_set_mask", "_associativity")
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
         self.stats = AccessStats()
-        # Each set maps line tag -> 0.  The dict is kept in recency order
+        # Each set maps line number -> 0.  The dict is kept in recency order
         # (hits delete + reinsert), so the LRU victim is always the first
-        # key — no O(ways) min() scan on evictions.
+        # key — no O(ways) min() scan on evictions.  ``_mru`` holds each
+        # set's last key (None while the set is empty): touching it again
+        # leaves the order unchanged, so it is a hit with no dict work.
         self._sets: list[dict[int, int]] = [dict() for _ in range(config.num_sets)]
-        self._line_bytes = config.line_bytes
-        self._num_sets = config.num_sets
+        self._mru: list[int | None] = [None] * config.num_sets
+        self._line_shift = config.line_bytes.bit_length() - 1
+        self._set_mask = config.num_sets - 1
         self._associativity = config.associativity
 
     def reset(self) -> None:
         """Drop all cached lines and statistics.
 
         Mutates in place (rather than rebinding) so that references captured
-        by the predecoded interpreter's inline L1 path stay valid.
+        by the predecoded interpreter's inline MRU check stay valid.
         """
         stats = self.stats
-        stats.reads = stats.writes = stats.hits = stats.misses = 0
+        stats.reads = stats.writes = stats.misses = 0
         for cache_set in self._sets:
             cache_set.clear()
+        self._mru[:] = [None] * len(self._mru)
 
     def access(self, address: int, *, is_write: bool) -> bool:
         """Touch the line containing ``address``; return True on a hit.
 
-        NOTE: MemoryHierarchy.access inlines a copy of this body for the
-        single-line L1 case — keep the two in sync when changing counters,
-        recency handling or eviction.
+        The one LRU body: both levels of :class:`MemoryHierarchy` run it, and
+        the interpreter's generated load/store handlers inline only the MRU
+        test, counting the access as a hit when it passes.
         """
-        line = address // self._line_bytes
-        num_sets = self._num_sets
-        cache_set = self._sets[line % num_sets]
-        tag = line // num_sets
+        line = address >> self._line_shift
+        index = line & self._set_mask
         stats = self.stats
         if is_write:
             stats.writes += 1
         else:
             stats.reads += 1
-        if tag in cache_set:
+        mru = self._mru
+        if mru[index] == line:
+            return True
+        mru[index] = line
+        cache_set = self._sets[index]
+        if line in cache_set:
             # Refresh recency: delete + reinsert moves the key to the end of
             # the dict's insertion order, so iteration order == LRU order.
-            del cache_set[tag]
-            cache_set[tag] = 0
-            stats.hits += 1
+            del cache_set[line]
+            cache_set[line] = 0
             return True
         stats.misses += 1
         if len(cache_set) >= self._associativity:
             del cache_set[next(iter(cache_set))]
-        cache_set[tag] = 0
+        cache_set[line] = 0
         return False
-
-    def lines_touched(self, address: int, size: int) -> list[int]:
-        """Addresses of the first byte of every cache line the access covers."""
-        first = address - (address % self.config.line_bytes)
-        last = (address + max(size, 1) - 1) - ((address + max(size, 1) - 1) % self.config.line_bytes)
-        return list(range(first, last + 1, self.config.line_bytes))
 
 
 @dataclass
@@ -124,17 +129,20 @@ class HierarchyStats:
 
 
 class MemoryHierarchy:
-    """Two-level cache + DRAM latency model matching the evaluation platform."""
+    """Two-level cache + DRAM latency model matching the evaluation platform.
 
-    __slots__ = ("timing", "l1", "l2", "dram_accesses", "stall_cycles",
-                 "_l1_hit_latency", "_l2_hit_latency", "_dram_latency")
+    Every L1 miss is one L2 access and every L2 miss one DRAM access, so the
+    stall cycles follow from the levels' counters and are never accumulated.
+    """
+
+    __slots__ = ("timing", "l1", "l2", "_line_shift", "_l1_hit_latency",
+                 "_l2_hit_latency", "_dram_latency")
 
     def __init__(self, timing: TimingConfig | None = None) -> None:
         self.timing = timing or TimingConfig()
         self.l1 = CacheLevel(self.timing.l1, "L1")
         self.l2 = CacheLevel(self.timing.l2, "L2")
-        self.dram_accesses = 0
-        self.stall_cycles = 0
+        self._line_shift = self.l1._line_shift
         self._l1_hit_latency = self.timing.l1.hit_latency
         self._l2_hit_latency = self.timing.l2.hit_latency
         self._dram_latency = self.timing.dram_latency
@@ -142,99 +150,55 @@ class MemoryHierarchy:
     def reset(self) -> None:
         self.l1.reset()
         self.l2.reset()
-        self.dram_accesses = 0
-        self.stall_cycles = 0
+
+    @property
+    def dram_accesses(self) -> int:
+        return self.l2.stats.misses
+
+    @property
+    def stall_cycles(self) -> int:
+        l1 = self.l1.stats
+        return (l1.accesses * self._l1_hit_latency
+                + l1.misses * self._l2_hit_latency
+                + self.l2.stats.misses * self._dram_latency)
 
     def access(self, address: int, size: int, *, is_write: bool = False) -> int:
         """Model an access of ``size`` bytes at ``address``; return its cycles.
 
-        Accesses larger than a cache line (e.g. a 32-byte capability store
-        with 64-byte lines stays within one line, but a misaligned multi-line
-        access would not) touch every covered line.
-
-        The single-line case — every scalar access the interpreter issues —
-        runs the L1 lookup inline (same counters/LRU updates as
-        :meth:`CacheLevel.access`) to avoid three Python calls per access.
+        The access touches every L1 line it covers (a 32-byte capability
+        within one 64-byte line touches one; a misaligned multi-line access
+        touches each), and each L1 miss goes on to L2 at the line's address.
         """
-        l1 = self.l1
-        line_bytes = l1._line_bytes
-        line = address // line_bytes
-        last_byte = address + size - 1
-        if last_byte < address:
-            last_byte = address
-        if last_byte // line_bytes == line:
-            num_sets = l1._num_sets
-            cache_set = l1._sets[line % num_sets]
-            tag = line // num_sets
-            stats = l1.stats
-            if is_write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
-            if tag in cache_set:
-                del cache_set[tag]
-                cache_set[tag] = 0
-                stats.hits += 1
-                total = self._l1_hit_latency
-            else:
-                stats.misses += 1
-                if len(cache_set) >= l1._associativity:
-                    del cache_set[next(iter(cache_set))]
-                cache_set[tag] = 0
-                total = self._l1_hit_latency + self._l2_hit_latency
-                if not self.l2.access(line * line_bytes, is_write=is_write):
-                    self.dram_accesses += 1
-                    total += self._dram_latency
-            self.stall_cycles += total
-            return total
-        total = 0
-        for line_address in l1.lines_touched(address, size):
-            total += self._access_line(line_address, is_write=is_write)
-        self.stall_cycles += total
-        return total
+        shift = self._line_shift
+        first = address >> shift
+        last = (address + size - 1) >> shift if size > 1 else first
+        cycles = 0
+        for line in range(first, last + 1):
+            cycles += self._l1_hit_latency
+            line_address = line << shift
+            if not self.l1.access(line_address, is_write=is_write):
+                cycles += self._l2_hit_latency
+                if not self.l2.access(line_address, is_write=is_write):
+                    cycles += self._dram_latency
+        return cycles
 
     def access_run(self, address: int, count: int) -> int:
         """Charge ``count`` consecutive 1-byte reads starting at ``address``.
 
         Observationally identical to calling ``access(a, 1)`` for every byte:
         after the first byte of a line is touched, the remaining bytes of
-        that line are guaranteed L1 hits whose only effects are the hit/read
-        counters and the hit latency — the delete+reinsert
-        recency refresh is a no-op for a line that is already most recent.
-        This turns the per-byte loops of ``read_cstring``/string intrinsics
-        into O(lines) instead of O(bytes) without changing a single counter.
+        that line are hits on the set's MRU line, whose only effect is the
+        read counter.  This turns the per-byte loops of
+        ``read_cstring``/string intrinsics into O(lines) instead of O(bytes)
+        without changing a single counter.
         """
         if count <= 0:
             return 0
-        total = 0
-        l1 = self.l1
-        line_bytes = l1._line_bytes
-        stats = l1.stats
-        hit_latency = self._l1_hit_latency
-        end = address + count
-        while address < end:
-            line_end = address - (address % line_bytes) + line_bytes
-            chunk = (line_end if line_end < end else end) - address
-            total += self.access(address, 1, is_write=False)
-            extra = chunk - 1
-            if extra:
-                stats.reads += extra
-                stats.hits += extra
-                bulk = extra * hit_latency
-                self.stall_cycles += bulk
-                total += bulk
-            address += chunk
-        return total
-
-    def _access_line(self, address: int, *, is_write: bool) -> int:
-        cycles = self._l1_hit_latency
-        if self.l1.access(address, is_write=is_write):
-            return cycles
-        cycles += self._l2_hit_latency
-        if self.l2.access(address, is_write=is_write):
-            return cycles
-        self.dram_accesses += 1
-        return cycles + self._dram_latency
+        shift = self._line_shift
+        lines = ((address + count - 1) >> shift) - (address >> shift) + 1
+        extra = count - lines
+        self.l1.stats.reads += extra
+        return self.access(address, count) + extra * self._l1_hit_latency
 
     def stats(self) -> HierarchyStats:
         return HierarchyStats(

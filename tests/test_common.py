@@ -136,6 +136,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=1000, line_bytes=64, associativity=4)
 
+    def test_cache_rejects_non_power_of_two_line_size(self):
+        with pytest.raises(ValueError, match="line size"):
+            CacheConfig(size_bytes=96 * 4 * 16, line_bytes=96, associativity=4)
+
+    def test_cache_rejects_non_power_of_two_set_count(self):
+        with pytest.raises(ValueError, match="set count"):
+            CacheConfig(size_bytes=768, line_bytes=64, associativity=4)  # 3 sets
+
     def test_default_timing_matches_paper_platform(self):
         timing = TimingConfig()
         assert timing.l1.size_bytes == 16 * 1024

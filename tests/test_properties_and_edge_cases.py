@@ -101,6 +101,90 @@ class TestModelInvariants:
 # ---------------------------------------------------------------------------
 
 
+class _ReferenceLevel:
+    """The dict-only true-LRU level (no MRU short cut, tags by division)."""
+
+    def __init__(self, config: CacheConfig) -> None:
+        self.line_bytes = config.line_bytes
+        self.num_sets = config.num_sets
+        self.ways = config.associativity
+        self.reset()
+
+    def reset(self) -> None:
+        self.sets = [dict() for _ in range(self.num_sets)]
+        self.reads = self.writes = self.hits = self.misses = 0
+
+    def access(self, address: int, is_write: bool) -> bool:
+        line = address // self.line_bytes
+        cache_set = self.sets[line % self.num_sets]
+        tag = line // self.num_sets
+        if is_write:
+            self.writes += 1
+        else:
+            self.reads += 1
+        if tag in cache_set:
+            del cache_set[tag]
+            cache_set[tag] = 0
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(cache_set) >= self.ways:
+            del cache_set[next(iter(cache_set))]
+        cache_set[tag] = 0
+        return False
+
+
+class _ReferenceHierarchy:
+    """L1 + L2 + DRAM over reference levels, with stalls accumulated per access."""
+
+    def __init__(self, timing: TimingConfig) -> None:
+        self.timing = timing
+        self.l1 = _ReferenceLevel(timing.l1)
+        self.l2 = _ReferenceLevel(timing.l2)
+        self.dram_accesses = self.stall_cycles = 0
+
+    def reset(self) -> None:
+        self.l1.reset()
+        self.l2.reset()
+        self.dram_accesses = self.stall_cycles = 0
+
+    def access(self, address: int, size: int, is_write: bool) -> int:
+        line_bytes = self.l1.line_bytes
+        last = address + max(size, 1) - 1
+        total = 0
+        for line_address in range(address - address % line_bytes,
+                                  last - last % line_bytes + 1, line_bytes):
+            cycles = self.timing.l1.hit_latency
+            if not self.l1.access(line_address, is_write):
+                cycles += self.timing.l2.hit_latency
+                if not self.l2.access(line_address, is_write):
+                    self.dram_accesses += 1
+                    cycles += self.timing.dram_latency
+            total += cycles
+        self.stall_cycles += total
+        return total
+
+    def access_run(self, address: int, count: int) -> int:
+        return sum(self.access(byte, 1, False) for byte in range(address, address + count))
+
+
+#: a 4-line L1 over an 8-line L2, so short streams evict at both levels.
+_SMALL_TIMING = TimingConfig(
+    l1=CacheConfig(size_bytes=256, line_bytes=64, associativity=2),
+    l2=CacheConfig(size_bytes=512, line_bytes=64, associativity=2, hit_latency=6))
+
+
+def _cache_ops(address_limit: int):
+    """Streams of accesses (1-64 bytes, so some cross lines), runs and resets."""
+    address = st.integers(min_value=0, max_value=address_limit - 1)
+    return st.lists(st.one_of(
+        st.tuples(st.just("access"), address,
+                  st.integers(min_value=1, max_value=64), st.booleans()),
+        st.tuples(st.just("run"), address, st.integers(min_value=0, max_value=200)),
+        st.tuples(st.just("reset")),
+    ), min_size=1, max_size=200)
+
+
 class TestCacheProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 18),
@@ -124,6 +208,45 @@ class TestCacheProperties:
         cache = CacheLevel(CacheConfig(size_bytes=16 * 1024))
         cache.access(address, is_write=False)
         assert cache.access(address, is_write=False)
+
+    @pytest.mark.parametrize("timing, address_limit",
+                             [(TimingConfig(), 1 << 16), (_SMALL_TIMING, 1024)],
+                             ids=["paper", "small"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_hierarchy_matches_reference_lru(self, timing, address_limit, data):
+        """The MRU short cut and derived counters agree with a plain LRU model."""
+        ops = data.draw(_cache_ops(address_limit))
+        hierarchy = MemoryHierarchy(timing)
+        reference = _ReferenceHierarchy(timing)
+        for op in ops:
+            if op[0] == "access":
+                _, address, size, is_write = op
+                assert (hierarchy.access(address, size, is_write=is_write)
+                        == reference.access(address, size, is_write))
+            elif op[0] == "run":
+                _, address, count = op
+                assert (hierarchy.access_run(address, count)
+                        == reference.access_run(address, count))
+            else:
+                hierarchy.reset()
+                reference.reset()
+        for level, ref in ((hierarchy.l1, reference.l1), (hierarchy.l2, reference.l2)):
+            stats = level.stats
+            assert (stats.reads, stats.writes, stats.hits, stats.misses) == (
+                ref.reads, ref.writes, ref.hits, ref.misses)
+        assert hierarchy.dram_accesses == reference.dram_accesses
+        assert hierarchy.stall_cycles == reference.stall_cycles
+
+    def test_reset_forgets_the_mru_line(self):
+        timing = TimingConfig()
+        hierarchy = MemoryHierarchy(timing)
+        hierarchy.access(0x1000, 8)
+        assert hierarchy.access(0x1008, 8) == timing.l1.hit_latency
+        hierarchy.reset()
+        cold = timing.l1.hit_latency + timing.l2.hit_latency + timing.dram_latency
+        assert hierarchy.access(0x1000, 8) == cold
+        assert hierarchy.l1.stats.misses == 1 and hierarchy.stall_cycles == cold
 
     def test_working_set_larger_than_cache_misses(self):
         cache = CacheLevel(CacheConfig(size_bytes=1024, line_bytes=64, associativity=2))
