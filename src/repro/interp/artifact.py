@@ -67,7 +67,7 @@ from repro.interp.values import (
     intern_table,
 )
 from repro.minic.ir import Const, Function, Opcode, Temp
-from repro.minic.typesys import IntType, PointerType
+from repro.minic.typesys import IntType, PointerType, is_pointer_sized_int
 
 # Opcode members as module globals: on CPython 3.11 reading a member off its
 # Enum class costs about 15 times a global read, and the per-pc decoders here
@@ -360,7 +360,7 @@ def _binop_desc(instr, ctx, raws, dest_type, out):
     target = instr.ctype
     width = min(target.size(ctx), 8) if target is not None else 8
     signed = getattr(target, "signed", True)
-    pointer_sized = isinstance(target, IntType) and target.is_pointer_sized
+    pointer_sized = is_pointer_sized_int(target)
     lkind, lpayload, _lt, llabel = raw_left
     rkind, rpayload, _rt, rlabel = raw_right
     dest_mode = 0 if dest_type is not None else 2 if pointer_sized else 1

@@ -1,14 +1,15 @@
 """Source-specialized load/store handlers for the predecoded interpreter.
 
-The generic closure-based handlers in :mod:`repro.interp.predecode` branch on
-a dozen compile-time-constant flags (check policy, cache timing,
-destination representation, ...) on *every* execution.  This module
-generates straight-line Python source for each distinct flag combination — a
-"shape" — compiles it once per process, and instantiates per-instruction
-closures from the cached code object.  The generated bodies are the exact
-same operations the generic handlers perform with the branches resolved, so
-observational behaviour (counters, cache state, traps) is identical; the
-golden-metrics suite pins this across all seven memory models.
+Tier 0's generic load and store operations (:mod:`repro.interp.tier0`,
+through the machine's ``_load_scalar``/``_store_scalar``) branch on a dozen
+flags that bound code fixes once per machine (check policy, cache timing,
+destination representation, ...).  This module generates straight-line
+Python source for each distinct flag combination — a "shape" — compiles it
+once per process, and :mod:`repro.interp.predecode` instantiates
+per-instruction closures from the cached code object.  The generated bodies
+are the same operations with the branches resolved, so observational
+behaviour (counters, cache state, traps) is identical; the golden-metrics
+and tier-0 suites pin this across all seven memory models.
 
 Shapes are tuples of small ints/strings/bools; the cache is unbounded but in
 practice a workload produces a few dozen shapes.
@@ -95,7 +96,7 @@ def _emit_prologue(lines, pslot_inline):
         lines += [
             "        pointer = frame[pslot]",
             "        if type(pointer) is not PtrVal:",
-            "            pointer = pcoerce(pointer)",
+            "            pointer = pcoerce(frame)",
         ]
     else:
         lines.append("        pointer = pcoerce(frame)")

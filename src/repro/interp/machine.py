@@ -60,7 +60,7 @@ from repro.interp.tier0 import ENGINE, HOT_CALL_THRESHOLD, HOT_LOOP_THRESHOLD
 from repro.interp.tier0 import run as run_tier0
 from repro.interp.values import IntVal, Provenance, PtrVal, qualified
 from repro.minic.ir import Function, Module
-from repro.minic.typesys import CType, IntType, PointerType
+from repro.minic.typesys import CType, PointerType, is_pointer_sized_int
 from repro.sim.cache import MemoryHierarchy
 from repro.sim.memory import TaggedMemory
 
@@ -386,7 +386,7 @@ class AbstractMachine:
 
     def _load_scalar(self, pointer: PtrVal, ctype: CType):
         """Load one typed value through a pointer."""
-        if isinstance(ctype, PointerType) or self._is_pointer_sized_int(ctype):
+        if isinstance(ctype, PointerType) or is_pointer_sized_int(ctype):
             width = self.model.pointer_bytes
             address = self.model.check_access(pointer, width, is_write=False)
             self._touch_memory(address, width, is_write=False)
@@ -449,10 +449,6 @@ class AbstractMachine:
         if isinstance(entry, PtrVal) and entry.address == raw:
             return IntVal(raw, bytes=8, signed=signed, provenance=Provenance(entry), pointer_sized=True)
         return IntVal(raw, bytes=8, signed=signed, pointer_sized=True)
-
-    @staticmethod
-    def _is_pointer_sized_int(ctype: CType) -> bool:
-        return isinstance(ctype, IntType) and ctype.is_pointer_sized
 
     # ------------------------------------------------------------------
     # Running programs

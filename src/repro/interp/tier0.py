@@ -9,7 +9,9 @@ facts of a module-level generic operation keyed on its opcode, which reads
 its state from the machine it is given.  The decode is memoized on the
 artifact (:attr:`~repro.interp.artifact.PredecodeArtifact.decoded`) for
 every model of the layout, holds no machine state, and gives promotion its
-raw handlers; ``ENGINE.pcs_decoded`` counts the pcs decoded.
+raw handlers and facts; ``ENGINE.pcs_decoded`` counts the pcs decoded.
+Bound code runs the same generic operations at every pc it does not
+specialise, so each opcode has one semantics in both tiers.
 
 Memory operations go through the machine's generic paths
 (:meth:`~repro.interp.machine.AbstractMachine._load_scalar` and
@@ -64,7 +66,7 @@ from repro.interp.values import (
     qualified,
 )
 from repro.minic.ir import Const, GlobalRef, Temp
-from repro.minic.typesys import IntType, PointerType
+from repro.minic.typesys import IntType, PointerType, is_pointer_sized_int
 
 #: calls before a function is promoted to bound code with blocks (bound
 #: code is observationally identical, so the threshold only trades binding
@@ -109,7 +111,7 @@ def run(machine, function, args: list, loop_threshold: int):
             entry = decoded[pc] = _decode(artifact, pc, slot_types)
             ENGINE.pcs_decoded += 1
         if type(entry) is tuple:
-            next_pc = entry[0](machine, frame, entry)
+            next_pc = entry[0](machine, entry, frame)
         else:
             next_pc = entry(frame)
         if next_pc <= pc:
@@ -181,7 +183,7 @@ def _operand(operand, raw, ctx) -> tuple:
     raise InterpreterError(f"cannot evaluate operand {operand!r}")
 
 
-def _read(machine, frame, spec):
+def _read(machine, spec, frame):
     """The boxed value of an operand (raw registers are boxed on read)."""
     mode = spec[0]
     if mode == 0:
@@ -206,14 +208,14 @@ def _read(machine, frame, spec):
         raise InterpreterError(f"use of unknown global {spec[1]!r}") from None
 
 
-def _read_ptr(machine, frame, spec):
+def _read_ptr(machine, spec, frame):
     """An operand coerced to a pointer (integers through ``int_to_ptr``)."""
     if spec[0] == 0:
         value = frame[spec[1]]
         if value is UNDEF:
             raise InterpreterError(f"use of undefined temporary {spec[2]}")
     else:
-        value = _read(machine, frame, spec)
+        value = _read(machine, spec, frame)
     kind = type(value)
     if kind is PtrVal:
         return value
@@ -223,36 +225,41 @@ def _read_ptr(machine, frame, spec):
 
 
 # ---------------------------------------------------------------------------
-# Generic operations: op(machine, frame, facts) -> next pc
+# Generic operations: op(machine, facts, frame) -> next pc
 # ---------------------------------------------------------------------------
+#
+# Bound code runs these too, as ``partial(op, machine, facts)``, at every pc
+# it does not specialise (:func:`repro.interp.predecode.compile_function`).
 
 
-def _cjump(machine, frame, f):
-    condition = _read(machine, frame, f[1])
+def _cjump(machine, f, frame):
+    condition = _read(machine, f[1], frame)
     if type(condition) is IntVal:
         return f[2] if condition.value != 0 else f[3]
     return f[3] if condition.is_null else f[2]
 
 
-def _ret(machine, frame, f):
-    frame[_RET] = _read(machine, frame, f[1])
+def _ret(machine, f, frame):
+    frame[_RET] = _read(machine, f[1], frame)
     return f[2]
 
 
-def _alloca(machine, frame, f):
-    _, slot, size, name, alignment, out, next_pc = f
+def _alloca(machine, f, frame):
+    # A re-execution (the slot is already allocated) reads only the first
+    # four facts.
     allocas = frame[_ALLOCAS]
-    pointer = allocas[slot]
+    pointer = allocas[f[1]]
     if pointer is None:
+        _, slot, _, _, size, name, alignment = f
         obj = machine.allocator.allocate_stack(size, name, alignment=alignment)
         pointer = allocas[slot] = machine.model.make_pointer(obj)
-    frame[out] = pointer
-    return next_pc
+    frame[f[2]] = pointer
+    return f[3]
 
 
-def _load(machine, frame, f):
+def _load(machine, f, frame):
     _, pspec, ctype, size, signed, table, out, next_pc = f
-    pointer = _read_ptr(machine, frame, pspec)
+    pointer = _read_ptr(machine, pspec, frame)
     if size is None:  # a pointer or pointer-sized integer
         frame[out] = machine._load_scalar(pointer, ctype)
         return next_pc
@@ -266,11 +273,11 @@ def _load(machine, frame, f):
     return next_pc
 
 
-def _store_pointer(machine, frame, f):
+def _store_pointer(machine, f, frame):
     """A pointer or pointer-sized integer store (the value keeps a shadow entry)."""
     _, pspec, vspec, coerce, next_pc = f
-    pointer = _read_ptr(machine, frame, pspec)
-    value = frame[_ARGS][vspec] if type(vspec) is int else _read(machine, frame, vspec)
+    pointer = _read_ptr(machine, pspec, frame)
+    value = frame[_ARGS][vspec] if type(vspec) is int else _read(machine, vspec, frame)
     if coerce and type(value) is IntVal:
         value = machine.model.int_to_ptr(value, machine.allocator)
     raw = (value.address if type(value) is PtrVal else value.unsigned) & _M64
@@ -278,10 +285,10 @@ def _store_pointer(machine, frame, f):
     return next_pc
 
 
-def _store_data(machine, frame, f):
+def _store_data(machine, f, frame):
     """A data store: the value is written as ``size`` bytes."""
     _, pspec, mode, payload, mask, size, coerce_bytes, coerce_signed, next_pc = f
-    pointer = _read_ptr(machine, frame, pspec)
+    pointer = _read_ptr(machine, pspec, frame)
     if mode == 0:
         raw = payload
     elif mode == 1:
@@ -290,7 +297,7 @@ def _store_data(machine, frame, f):
             raise InterpreterError(payload[1])
         raw = value & mask
     else:
-        value = frame[_ARGS][payload] if type(payload) is int else _read(machine, frame, payload)
+        value = frame[_ARGS][payload] if type(payload) is int else _read(machine, payload, frame)
         if coerce_bytes is not None and type(value) is PtrVal:
             value = ptr_to_int(value, bytes=coerce_bytes, signed=coerce_signed,
                                pointer_sized=False)
@@ -299,12 +306,12 @@ def _store_data(machine, frame, f):
     return next_pc
 
 
-def _index_move(machine, frame, f):
+def _index_move(machine, f, frame):
     """``gep`` / ``ptradd``: move a pointer by an index times an element
     size; the index is a constant (its delta), a raw register
     (:func:`~repro.interp.artifact.move_delta`) or boxed (mode 3)."""
     _, pspec, (mode, index, element_size, label), out, next_pc = f
-    pointer = _read_ptr(machine, frame, pspec)
+    pointer = _read_ptr(machine, pspec, frame)
     if mode == 1:
         delta = index
     elif mode == 2:
@@ -313,23 +320,23 @@ def _index_move(machine, frame, f):
             raise InterpreterError(f"use of undefined temporary {label}")
         delta = idx * element_size
     else:
-        idx = _read(machine, frame, index)
+        idx = _read(machine, index, frame)
         delta = (idx.value if type(idx) is IntVal else idx.address) * element_size
     frame[out] = machine.model.ptr_offset(pointer, delta)
     return next_pc
 
 
-def _field(machine, frame, f):
+def _field(machine, f, frame):
     _, pspec, offset, field_size, out, next_pc = f
-    frame[out] = field_pointer(machine.model, _read_ptr(machine, frame, pspec),
+    frame[out] = field_pointer(machine.model, _read_ptr(machine, pspec, frame),
                                offset, field_size)
     return next_pc
 
 
-def _ptrdiff(machine, frame, f):
+def _ptrdiff(machine, f, frame):
     _, aspec, bspec, element_size, raw_dest, out, next_pc = f
-    diff = machine.model.ptr_diff(_read_ptr(machine, frame, aspec),
-                                  _read_ptr(machine, frame, bspec), element_size)
+    diff = machine.model.ptr_diff(_read_ptr(machine, aspec, frame),
+                                  _read_ptr(machine, bspec, frame), element_size)
     if raw_dest:
         raw = diff & _M64
         frame[out] = raw - 0x1_0000_0000_0000_0000 if raw >= 0x8000_0000_0000_0000 else raw
@@ -338,36 +345,36 @@ def _ptrdiff(machine, frame, f):
     return next_pc
 
 
-def _ptrtoint(machine, frame, f):
+def _ptrtoint(machine, f, frame):
     _, pspec, width, signed, pointer_sized, out, next_pc = f
-    frame[out] = ptr_to_int(_read_ptr(machine, frame, pspec), bytes=width,
+    frame[out] = ptr_to_int(_read_ptr(machine, pspec, frame), bytes=width,
                             signed=signed, pointer_sized=pointer_sized)
     return next_pc
 
 
-def _inttoptr(machine, frame, f):
+def _inttoptr(machine, f, frame):
     _, vspec, ptr_type, out, next_pc = f
-    value = _read(machine, frame, vspec)
+    value = _read(machine, vspec, frame)
     pointer = value if type(value) is PtrVal else machine.model.int_to_ptr(value, machine.allocator)
     frame[out] = qualified(pointer, qualifier_mask(machine.model, ptr_type)
                            if ptr_type is not None else 0)
     return next_pc
 
 
-def _bitcast(machine, frame, f):
+def _bitcast(machine, f, frame):
     # Casting away const never restores rights: only the target type's
     # qualifiers act.
     _, vspec, ptr_type, out, next_pc = f
-    value = _read(machine, frame, vspec)
+    value = _read(machine, vspec, frame)
     if type(value) is PtrVal and ptr_type is not None:
         value = qualified(value, qualifier_mask(machine.model, ptr_type))
     frame[out] = value
     return next_pc
 
 
-def _intcast(machine, frame, f):
+def _intcast(machine, f, frame):
     _, vspec, width, signed, pointer_sized, out, next_pc = f
-    value = _read(machine, frame, vspec)
+    value = _read(machine, vspec, frame)
     if type(value) is PtrVal:
         frame[out] = ptr_to_int(value, bytes=width, signed=signed, pointer_sized=pointer_sized)
     elif (value.bytes == width and value.signed == signed
@@ -378,11 +385,11 @@ def _intcast(machine, frame, f):
     return next_pc
 
 
-def _binop(machine, frame, f):
+def _binop(machine, f, frame):
     (_, lspec, rspec, fast_op, width, signed, pointer_sized, table, raw_dest, out,
      next_pc, operator) = f
-    left = _read(machine, frame, lspec)
-    right = _read(machine, frame, rspec)
+    left = _read(machine, lspec, frame)
+    right = _read(machine, rspec, frame)
     if fast_op is None:
         raise InterpreterError(f"unknown binary operator {operator!r}")
     if type(left) is not IntVal:
@@ -404,19 +411,19 @@ def _binop(machine, frame, f):
     return next_pc
 
 
-def _unop(machine, frame, f):
+def _unop(machine, f, frame):
     _, vspec, negate, out, next_pc = f
-    value = _read(machine, frame, vspec)
+    value = _read(machine, vspec, frame)
     if type(value) is not IntVal:
         raise InterpreterError("unary arithmetic on a pointer value")
     frame[out] = value.with_value(-value.value if negate else ~value.value, provenance=None)
     return next_pc
 
 
-def _cmp(machine, frame, f):
+def _cmp(machine, f, frame):
     _, lspec, rspec, compare, operator, raw_dest, out, next_pc = f
-    left = _read(machine, frame, lspec)
-    right = _read(machine, frame, rspec)
+    left = _read(machine, lspec, frame)
+    right = _read(machine, rspec, frame)
     if compare is None:
         raise KeyError(operator)
     result = compare(left.address if type(left) is PtrVal else left.value,
@@ -428,31 +435,42 @@ def _cmp(machine, frame, f):
     return next_pc
 
 
-def _call(machine, frame, f):
+def _call(machine, f, frame):
     _, callee, specs, result_type, dest, next_pc = f
     function = machine.module.functions.get(callee)
     if function is not None and function.instrs:
-        args = [_read(machine, frame, spec) for spec in specs]
-        # An integer passed to a pointer parameter converts through the
-        # model; a pointer argument already carries its type's qualifiers.
-        params = function.params
-        for index, value in enumerate(args):
-            if (type(value) is IntVal and index < len(params)
-                    and isinstance(params[index][1], PointerType)):
-                args[index] = machine.model.int_to_ptr(value, machine.allocator)
-        result = machine._call(function, args)
+        result = machine._call(function, [read(machine, spec, frame) for read, spec
+                                          in zip(_arg_readers(function, specs), specs)])
     else:
         intrinsic = INTRINSICS.get(callee)
         if intrinsic is None:
             raise InterpreterError(f"call to unknown function {callee!r}")
-        result = intrinsic(machine, [_read(machine, frame, spec) for spec in specs],
+        result = intrinsic(machine, [_read(machine, spec, frame) for spec in specs],
                            result_type)
     if dest is not None:
         frame[dest] = result
     return next_pc
 
 
-def _unsupported(machine, frame, f):
+def _read_pointer_arg(machine, spec, frame):
+    """An argument to a pointer parameter: an integer converts through the
+    model; a pointer already carries its type's qualifiers (irgen casts
+    every argument to its parameter type)."""
+    value = _read(machine, spec, frame)
+    if type(value) is IntVal:
+        return machine.model.int_to_ptr(value, machine.allocator)
+    return value
+
+
+def _arg_readers(function, specs: tuple) -> list:
+    """The reader of each argument of a call to module ``function``."""
+    params = function.params
+    return [_read_pointer_arg if index < len(params)
+            and isinstance(params[index][1], PointerType) else _read
+            for index in range(len(specs))]
+
+
+def _unsupported(machine, f, frame):
     raise InterpreterError(f"unsupported IR opcode {f[1]}")
 
 
@@ -463,18 +481,24 @@ def _unsupported(machine, frame, f):
 
 def _decode(artifact, pc: int, slot_types: dict):
     """One pc's tier-0 entry: its shared raw handler when the pc is
-    raw-register work, else its generic operation and operand facts.  Each
-    operand is decoded once, to its raw descriptor, and a generic fact
-    completes that descriptor into an operand spec."""
+    raw-register work, else its generic operation and operand facts."""
     instr = artifact.instrs[pc]
-    ctx = artifact.ctx
-    args = instr.args
-    raws = [raw_operand(arg, ctx, slot_types) for arg in args]
-    op = instr.op
-    if op not in NEVER_RAW:
+    raws = [raw_operand(arg, artifact.ctx, slot_types) for arg in instr.args]
+    if instr.op not in NEVER_RAW:
         handler = artifact.raw_handler(pc, raws, slot_types)
         if handler is not None:
             return handler
+    return _facts(artifact, pc, raws, slot_types)
+
+
+def _facts(artifact, pc: int, raws, slot_types: dict) -> tuple:
+    """The generic operation and operand facts of a pc that is not
+    raw-register work; ``raws`` are its operands' raw descriptors
+    (:func:`raw_operand`), which each fact completes into an operand spec."""
+    instr = artifact.instrs[pc]
+    ctx = artifact.ctx
+    args = instr.args
+    op = instr.op
     next_pc = pc + 1
     dest = dest_raw = None
     if instr.dest is not None:
@@ -494,11 +518,10 @@ def _decode(artifact, pc: int, slot_types: dict):
     if op is ALLOCA:
         alloc_type = instr.attrs.get("alloc_type")
         alignment = max(8, alloc_type.alignment(ctx) if alloc_type is not None else 8)
-        return (_alloca, artifact.alloca_slots[pc], instr.attrs.get("size", 8),
-                instr.attrs.get("name", ""), alignment, out, next_pc)
+        return (_alloca, artifact.alloca_slots[pc], out, next_pc,
+                instr.attrs.get("size", 8), instr.attrs.get("name", ""), alignment)
     if op is LOAD:
-        if isinstance(ctype, PointerType) or (isinstance(ctype, IntType)
-                                              and ctype.is_pointer_sized):
+        if isinstance(ctype, PointerType) or is_pointer_sized_int(ctype):
             return (_load, operand(0), ctype, None, None, None, out, next_pc)
         size = max(ctype.size(ctx), 1)
         signed = getattr(ctype, "signed", True)
@@ -521,7 +544,7 @@ def _decode(artifact, pc: int, slot_types: dict):
     if op is PTRTOINT or op is INTCAST:
         width = min(ctype.size(ctx), 8)
         signed = getattr(ctype, "signed", True)
-        pointer_sized = isinstance(ctype, IntType) and ctype.is_pointer_sized
+        pointer_sized = is_pointer_sized_int(ctype)
         handler = _ptrtoint if op is PTRTOINT else _intcast
         return (handler, operand(0), width, signed, pointer_sized, out, next_pc)
     if op is INTTOPTR or op is BITCAST:
@@ -532,7 +555,7 @@ def _decode(artifact, pc: int, slot_types: dict):
         operator = instr.attrs["operator"]
         width = min(ctype.size(ctx), 8) if ctype is not None else 8
         signed = getattr(ctype, "signed", True)
-        pointer_sized = isinstance(ctype, IntType) and ctype.is_pointer_sized
+        pointer_sized = is_pointer_sized_int(ctype)
         fast_op = INT_BINOPS.get(operator)
         if fast_op is None and operator in ("/", "%"):
             fast_op = partial(divide, operator == "/")
@@ -554,7 +577,7 @@ def _decode(artifact, pc: int, slot_types: dict):
 def _decode_store(instr, ctx, raws, operand, next_pc) -> tuple:
     ctype = instr.ctype
     param_index = instr.attrs.get("param_index")
-    if isinstance(ctype, PointerType) or (isinstance(ctype, IntType) and ctype.is_pointer_sized):
+    if isinstance(ctype, PointerType) or is_pointer_sized_int(ctype):
         vspec = param_index if param_index is not None else operand(1)
         return (_store_pointer, operand(0), vspec, isinstance(ctype, PointerType), next_pc)
     size = max(ctype.size(ctx), 1)

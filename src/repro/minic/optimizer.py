@@ -19,10 +19,13 @@ from __future__ import annotations
 from repro.common.bitops import sign_extend, truncate
 from repro.minic.ir import Const, Function, Instr, Module, Opcode, Temp
 
-#: opcodes with observable side effects (never removed by DCE).
-_SIDE_EFFECTS = {
+#: values of the opcodes DCE never removes: those with observable side
+#: effects, and NOP.  Keyed by value: testing an ``Opcode`` against a set
+#: would call the Python-level ``Enum.__hash__`` once per instruction.
+_KEPT = frozenset(op.value for op in (
     Opcode.STORE, Opcode.CALL, Opcode.RET, Opcode.JUMP, Opcode.CJUMP, Opcode.LABEL, Opcode.ALLOCA,
-}
+    Opcode.NOP,
+))
 
 _FOLDABLE_BINOPS = {
     "+": lambda a, b: a + b,
@@ -130,7 +133,7 @@ def eliminate_dead_code(function: Function) -> bool:
                 used.add(arg.index)
     changed = False
     for instr in function.instrs:
-        if instr.op in _SIDE_EFFECTS or instr.op is Opcode.NOP:
+        if instr.op._value_ in _KEPT:
             continue
         if instr.dest is not None and instr.dest.index not in used:
             instr.op = Opcode.NOP

@@ -258,6 +258,12 @@ class FunctionType(CType):
         return f"{self.return_type}({params})"
 
 
+def is_pointer_sized_int(ctype: CType) -> bool:
+    """Whether ``ctype`` is an integer with pointer representation
+    (``intptr_t`` and friends)."""
+    return isinstance(ctype, IntType) and ctype.is_pointer_sized
+
+
 def _round_up(value: int, alignment: int) -> int:
     if alignment <= 0:
         return value

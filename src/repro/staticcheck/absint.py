@@ -19,10 +19,12 @@ walk continues for the rest.  Anything the walk cannot mirror exactly
 raises :class:`~repro.staticcheck.domain.Bail`, which resolves every model
 still live to ``unknown`` — precision is lost, soundness is not.
 
-The transfer functions below mirror :mod:`repro.interp.machine` /
-:mod:`repro.interp.predecode` instruction for instruction (the golden tests
-pin those two to be observationally identical, so the machine's simpler
-scalar paths are the canonical semantics).  The instruction counter mirrors
+The transfer functions below mirror tier 0's generic operations
+(:mod:`repro.interp.tier0`, over :mod:`repro.interp.machine`'s scalar load
+and store paths) instruction for instruction: bound code runs the same
+operations wherever it does not specialise, and the golden tests pin the
+two tiers to be observationally identical, so tier 0 is the canonical
+semantics.  The instruction counter mirrors
 the dynamic dispatch count exactly — one tick per IR instruction, each
 dispatched and charged once — so budget exhaustion is predicted at the same
 instruction the dynamic machines trap on.
@@ -51,7 +53,7 @@ from repro.interp.values import (
 )
 from repro.interp.artifact import CMP_FUNCS, INT_BINOPS
 from repro.minic.ir import Const, Function, GlobalRef, Module, Opcode, Temp
-from repro.minic.typesys import IntType, PointerType
+from repro.minic.typesys import IntType, PointerType, is_pointer_sized_int
 from repro.sim.memory import TaggedMemory
 
 from repro.staticcheck.domain import Bail, ModelOutcome, WalkOutcome
@@ -65,10 +67,6 @@ _CALL_DEPTH_LIMIT = 400
 
 class _AllMasked(Exception):
     """Every model trapped; the walk has nothing left to execute."""
-
-
-def _is_psint(ctype) -> bool:
-    return isinstance(ctype, IntType) and ctype.is_pointer_sized
 
 
 class _Plane:
@@ -160,7 +158,7 @@ class Walk:
         return addresses.pop()
 
     # ------------------------------------------------------------------
-    # Operand evaluation (mirrors predecode._reader / _ptr_reader)
+    # Operand evaluation (mirrors tier0._read / _read_ptr)
     # ------------------------------------------------------------------
 
     def _read(self, operand, env, args):
@@ -183,7 +181,7 @@ class Walk:
             signed = getattr(ctype, "signed", True)
             return self._uniform(IntVal(operand.value, bytes=min(size, 8),
                                         signed=signed,
-                                        pointer_sized=_is_psint(ctype)))
+                                        pointer_sized=is_pointer_sized_int(ctype)))
         if kind is GlobalRef:
             av = self.globals.get(operand.name)
             if av is None:
@@ -192,7 +190,7 @@ class Walk:
         raise InterpreterError(f"cannot evaluate operand {operand!r}")
 
     def _ptr_av(self, av) -> dict:
-        """Coerce an abstract value to per-model pointers (``_ptr_reader``)."""
+        """Coerce an abstract value to per-model pointers (``tier0._read_ptr``)."""
         def coerce(plane):
             value = av[plane.name]
             if type(value) is PtrVal:
@@ -254,7 +252,7 @@ class Walk:
         return IntVal(raw, bytes=8, signed=signed, pointer_sized=True)
 
     def _load(self, ctype, ptr_av) -> dict:
-        if isinstance(ctype, PointerType) or _is_psint(ctype):
+        if isinstance(ctype, PointerType) or is_pointer_sized_int(ctype):
             width = self.pointer_bytes
             addresses = self._per_live(
                 lambda p: p.model.check_access(ptr_av[p.name], width,
@@ -282,7 +280,7 @@ class Walk:
         return self._uniform(IntVal(raw, bytes=size, signed=signed))
 
     def _store(self, ctype, ptr_av, value_av) -> None:
-        if isinstance(ctype, PointerType) or _is_psint(ctype):
+        if isinstance(ctype, PointerType) or is_pointer_sized_int(ctype):
             width = self.pointer_bytes
             addresses = self._per_live(
                 lambda p: p.model.check_access(ptr_av[p.name], width,
@@ -549,7 +547,7 @@ class Walk:
                 target = instr.ctype
                 width = min(target.size(self.ctx), 8)
                 signed = getattr(target, "signed", True)
-                pointer_sized = _is_psint(target)
+                pointer_sized = is_pointer_sized_int(target)
                 ptr_av = self._ptr_av(self._read(instr.args[0], env, args))
                 result = self._per_live(
                     lambda p: ptr_to_int(ptr_av[p.name], bytes=width,
@@ -578,7 +576,7 @@ class Walk:
                 target = instr.ctype
                 width = min(target.size(self.ctx), 8)
                 signed = getattr(target, "signed", True)
-                pointer_sized = _is_psint(target)
+                pointer_sized = is_pointer_sized_int(target)
                 value_av = self._read(instr.args[0], env, args)
 
                 def intcast(plane, value_av=value_av, width=width,
@@ -633,7 +631,7 @@ class Walk:
         target = instr.ctype
         width = min(target.size(self.ctx), 8) if target is not None else 8
         signed = getattr(target, "signed", True)
-        pointer_sized = _is_psint(target)
+        pointer_sized = is_pointer_sized_int(target)
         left_av = self._read(instr.args[0], env, args)
         right_av = self._read(instr.args[1], env, args)
         is_div_op = operator == "/"

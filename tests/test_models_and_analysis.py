@@ -64,14 +64,12 @@ class TestModelRegistry:
                          for cls in MODEL_REGISTRY.values())]
         assert unused == []
 
-    def test_binder_inlines_every_check_and_make_pointer_policy(self):
-        """The binder inlines the base and PDP-11 ``check_access`` and
-        ``make_pointer``; it has no generic arm for any other policy."""
+    def test_binder_inlines_every_check_access_policy(self):
+        """Bound loads and stores inline the base and PDP-11
+        ``check_access``; they have no generic arm for any other policy."""
         for cls in MODEL_REGISTRY.values():
-            for hook in ("check_access", "make_pointer"):
-                policy = getattr(cls, hook)
-                assert policy in (getattr(MemoryModel, hook),
-                                  getattr(Pdp11Model, hook)), (cls.name, hook)
+            assert cls.check_access in (MemoryModel.check_access,
+                                        Pdp11Model.check_access), cls.name
 
 
 class TestModelPrimitives:

@@ -35,8 +35,48 @@ NEVER = 1 << 62
 #: arithmetic + memory + calls + a trap under CHERIv2 (pointer subtraction);
 #: ``intptr_arith`` runs provenance-carrying boxed arithmetic and
 #: pointer-pointer comparisons in a hot helper, and traps on its last call
-#: under the models that reject a modified provenance.
+#: under the models that reject a modified provenance.  ``generic_ops``
+#: runs, in a helper called twice, the ops bound code takes from tier 0's
+#: generic operations: an alloca re-executed in a loop, an inttoptr of a
+#: non-null integer, a const-qualifying bitcast, intcasts of a
+#: pointer-sized integer holding a pointer, a boxed unop, intrinsic calls
+#: with results and pointer subtractions (last, so CHERIv2 traps after the
+#: rest ran).  A pointer subtraction always writes a raw register from C
+#: source: every temp has one writer.
 WORKLOADS = {
+    "generic_ops": r"""
+    long probe(int *base, int n) {
+        long total = 0;
+        int i;
+        for (i = 0; i < n; i++) {
+            int cell[2];
+            cell[0] = i;
+            cell[1] = base[i];
+            total = total + cell[0] * cell[1];
+        }
+        int *end = base + n;
+        intptr_t bits = (intptr_t)end;
+        int *back = (int *)(bits - 4);
+        const int *view = (const int *)back;
+        long wide = (long)bits;
+        int narrow = (int)bits;
+        long flip = -labs(total);
+        long size = strlen("probe");
+        if (view == &base[n - 1]) { total = total + 100; }
+        if (wide != 0 && narrow != 0) { total = total + 1000; }
+        long span = end - base;
+        long gap = n > 1 ? end - &base[1] : labs(n);
+        return total + flip + size + span + gap;
+    }
+    int main(void) {
+        int data[6];
+        int i;
+        for (i = 0; i < 6; i++) { data[i] = i + 1; }
+        long sum = probe(data, 6) + probe(&data[2], 3);
+        mini_output_int(sum);
+        return 0;
+    }
+    """,
     "intptr_arith": r"""
     long probe(int *base, int i, int last) {
         intptr_t bits = (intptr_t)&base[i];
