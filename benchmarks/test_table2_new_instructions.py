@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from conftest import write_result
 
-from repro.isa import Assembler
+from repro.isa.assembler import Assembler
 from repro.isa.instructions import INSTRUCTION_SET
-from repro.sim import CheriCpu
+from repro.sim.cpu import CheriCpu
 
 #: Table 2 of the paper: mnemonic -> use.
 TABLE2_INSTRUCTIONS = {

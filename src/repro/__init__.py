@@ -6,8 +6,9 @@ The package is organised as the paper's system is:
 * :mod:`repro.minic` — a C front end producing a typed IR;
 * :mod:`repro.interp` — the abstract-machine interpreter with pluggable
   memory models (PDP-11, HardBound, MPX, Relaxed, Strict, CHERIv2, CHERIv3);
-* :mod:`repro.isa` / :mod:`repro.sim` — the CHERI-MIPS capability ISA and its
-  functional simulator with tagged memory and a cache timing model;
+* :mod:`repro.isa` / :mod:`repro.sim` — the capability model, tagged memory
+  and cache timing model, plus the CHERI-MIPS instruction subset and CPU that
+  run the Table 2 validation program;
 * :mod:`repro.analysis` — the pointer-idiom survey tooling (Table 1);
 * :mod:`repro.core` — the public API, idiom test cases, compatibility matrix
   (Table 3) and porting analysis (Table 4);

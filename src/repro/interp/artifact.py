@@ -279,11 +279,11 @@ def move_delta(instr, raws: tuple):
 # ---------------------------------------------------------------------------
 
 
-#: opcodes that are never raw-register work: tier 0 decodes them straight
-#: to generic facts, without a descriptor.
-NEVER_RAW = frozenset((LOAD, STORE, ALLOCA, CALL,
-                       PTRDIFF, GEP, PTRADD, FIELD,
-                       PTRTOINT, INTTOPTR))
+#: ``op._value_`` (no Enum hash per pc) of the opcodes that are never raw-register
+#: work: tier 0 decodes them straight to generic facts, without a descriptor.
+NEVER_RAW = frozenset(op._value_ for op in (LOAD, STORE, ALLOCA, CALL,
+                                            PTRDIFF, GEP, PTRADD, FIELD,
+                                            PTRTOINT, INTTOPTR))
 
 
 def _descriptor(instr, raws: tuple, ctx, labels: dict, slot_types: dict,
@@ -896,15 +896,15 @@ class PredecodeArtifact:
 
     def costs(self, timing: tuple[int, int, int]) -> list[int]:
         """Per-pc cycle costs the dispatch loop charges before each handler,
-        memoized per timing.  Read-only: every machine of the timing
-        dispatches from this list."""
+        memoized per timing and keyed by ``op._value_`` (no Enum hash per
+        pc).  Read-only: every machine of the timing dispatches from this list."""
         cached = self._costs.get(timing)
         if cached is None:
-            cost_of = dict.fromkeys(Opcode, timing[0])
-            cost_of[LABEL] = cost_of[NOP] = 0
-            cost_of[JUMP] = cost_of[CJUMP] = timing[1]
-            cost_of[CALL] = timing[2]
-            cached = self._costs[timing] = [cost_of[instr.op] for instr in self.instrs]
+            base = timing[0]
+            cost_of = {LABEL._value_: 0, NOP._value_: 0, JUMP._value_: timing[1],
+                       CJUMP._value_: timing[1], CALL._value_: timing[2]}
+            cached = self._costs[timing] = [cost_of.get(instr.op._value_, base)
+                                            for instr in self.instrs]
         return cached
 
     def raw_handlers(self) -> list:

@@ -334,14 +334,13 @@ def _field(machine, f, frame):
 
 
 def _ptrdiff(machine, f, frame):
-    _, aspec, bspec, element_size, raw_dest, out, next_pc = f
+    # The dest is always a raw register: analyze_slots types every PTRDIFF
+    # dest (8, True), and irgen gives it no other writer.
+    _, aspec, bspec, element_size, out, next_pc = f
     diff = machine.model.ptr_diff(_read_ptr(machine, aspec, frame),
                                   _read_ptr(machine, bspec, frame), element_size)
-    if raw_dest:
-        raw = diff & _M64
-        frame[out] = raw - 0x1_0000_0000_0000_0000 if raw >= 0x8000_0000_0000_0000 else raw
-    else:
-        frame[out] = IntVal(diff, bytes=8, signed=True)
+    raw = diff & _M64
+    frame[out] = raw - 0x1_0000_0000_0000_0000 if raw >= 0x8000_0000_0000_0000 else raw
     return next_pc
 
 
@@ -373,12 +372,11 @@ def _bitcast(machine, f, frame):
 
 
 def _intcast(machine, f, frame):
+    # The operand is an integer: irgen converts pointers with ptrtoint.
     _, vspec, width, signed, pointer_sized, out, next_pc = f
     value = _read(machine, vspec, frame)
-    if type(value) is PtrVal:
-        frame[out] = ptr_to_int(value, bytes=width, signed=signed, pointer_sized=pointer_sized)
-    elif (value.bytes == width and value.signed == signed
-          and value.pointer_sized == pointer_sized):
+    if (value.bytes == width and value.signed == signed
+            and value.pointer_sized == pointer_sized):
         frame[out] = value
     else:
         frame[out] = value.converted(bytes=width, signed=signed, pointer_sized=pointer_sized)
@@ -484,7 +482,7 @@ def _decode(artifact, pc: int, slot_types: dict):
     raw-register work, else its generic operation and operand facts."""
     instr = artifact.instrs[pc]
     raws = [raw_operand(arg, artifact.ctx, slot_types) for arg in instr.args]
-    if instr.op not in NEVER_RAW:
+    if instr.op._value_ not in NEVER_RAW:
         handler = artifact.raw_handler(pc, raws, slot_types)
         if handler is not None:
             return handler
@@ -540,7 +538,7 @@ def _facts(artifact, pc: int, raws, slot_types: dict) -> tuple:
         return (_field, operand(0), instr.attrs["offset"], field_size, out, next_pc)
     if op is PTRDIFF:
         return (_ptrdiff, operand(0), operand(1), instr.attrs.get("element_size", 1),
-                bool(dest_raw), out, next_pc)
+                out, next_pc)
     if op is PTRTOINT or op is INTCAST:
         width = min(ctype.size(ctx), 8)
         signed = getattr(ctype, "signed", True)

@@ -6,9 +6,8 @@ compiler back end.  It supports:
 
 * every mnemonic registered in :data:`repro.isa.instructions.INSTRUCTION_SET`,
 * labels (``name:``) on instructions, resolved to instruction indices,
-* a ``.data`` section with ``.byte`` / ``.half`` / ``.word`` / ``.dword`` /
-  ``.space`` / ``.asciiz`` / ``.align`` directives, placed at a configurable
-  base address, with data labels resolved to virtual addresses,
+* a ``.data`` section with ``.dword`` / ``.asciiz`` directives, placed at
+  :data:`DATA_BASE`, with data labels resolved to virtual addresses,
 * the ``la`` pseudo-instruction (load address of a data label), and
 * ``#`` / ``;`` comments.
 
@@ -30,6 +29,9 @@ from repro.isa.registers import cap_index, gpr_index
 _TOKEN_SPLIT = re.compile(r",\s*(?![^()]*\))")
 _MEM_OPERAND = re.compile(r"^(-?\w+)?\s*\(\s*(\$?\w+)\s*\)$")
 
+#: Virtual address the ``.data`` image is loaded at.
+DATA_BASE = 0x0040_0000
+
 
 @dataclass
 class Program:
@@ -38,7 +40,6 @@ class Program:
     instructions: list[Instruction] = field(default_factory=list)
     labels: dict[str, int] = field(default_factory=dict)
     data: bytes = b""
-    data_base: int = 0x0040_0000
     data_labels: dict[str, int] = field(default_factory=dict)
 
     def label_address(self, name: str) -> int:
@@ -60,27 +61,22 @@ class Program:
 class Assembler:
     """Two-pass assembler producing a :class:`Program`."""
 
-    def __init__(self, *, data_base: int = 0x0040_0000) -> None:
-        self._data_base = data_base
-
-    # ------------------------------------------------------------------
-
     def assemble(self, source: str) -> Program:
         """Assemble ``source`` text into a :class:`Program`."""
         lines = self._clean_lines(source)
-        program = Program(data_base=self._data_base)
+        program = Program()
         data = bytearray()
         section = "text"
         pending_labels: list[str] = []
 
-        parsed: list[tuple[str, list[str], str | None]] = []
+        parsed: list[tuple[str, list[str]]] = []
         for line in lines:
             label, rest = self._split_label(line)
             if label is not None:
                 if section == "text":
                     pending_labels.append(label)
                 else:
-                    program.data_labels[label] = self._data_base + len(data)
+                    program.data_labels[label] = DATA_BASE + len(data)
             if not rest:
                 continue
             if rest.startswith("."):
@@ -92,13 +88,13 @@ class Assembler:
             for lbl in pending_labels:
                 program.labels[lbl] = len(parsed)
             pending_labels.clear()
-            parsed.append((mnemonic, operands, None))
+            parsed.append((mnemonic, operands))
 
         for lbl in pending_labels:
             program.labels[lbl] = len(parsed)
 
         program.data = bytes(data)
-        for mnemonic, operands, _ in parsed:
+        for mnemonic, operands in parsed:
             program.instructions.append(self._build(mnemonic, operands, program))
         self._resolve_code_labels(program)
         return program
@@ -135,30 +131,15 @@ class Assembler:
             return "data"
         if section != "data":
             raise SimulationError(f"directive {name!r} only valid in .data section")
-        if name == ".byte":
-            for value in self._int_list(arg):
-                data.append(value & 0xFF)
-        elif name == ".half":
-            for value in self._int_list(arg):
-                data.extend((value & 0xFFFF).to_bytes(2, "little"))
-        elif name == ".word":
-            for value in self._int_list(arg):
-                data.extend((value & 0xFFFFFFFF).to_bytes(4, "little"))
-        elif name == ".dword":
+        if name == ".dword":
             for value in self._int_list(arg):
                 data.extend((value & ((1 << 64) - 1)).to_bytes(8, "little"))
-        elif name == ".space":
-            data.extend(b"\x00" * self._parse_int(arg))
         elif name == ".asciiz":
             text = arg.strip()
             if not (text.startswith('"') and text.endswith('"')):
                 raise SimulationError(f".asciiz expects a quoted string, got {arg!r}")
             data.extend(text[1:-1].encode("utf-8").decode("unicode_escape").encode("latin-1"))
             data.append(0)
-        elif name == ".align":
-            alignment = 1 << self._parse_int(arg)
-            while len(data) % alignment:
-                data.append(0)
         else:
             raise SimulationError(f"unknown assembler directive {name!r}")
         return section
@@ -190,7 +171,7 @@ class Assembler:
         values: list = []
         for kind, text in zip(kinds, operands):
             values.append(self._parse_operand(kind, text, program))
-        field_names = [f.name for f in dataclasses.fields(cls) if f.name != "label"]
+        field_names = [f.name for f in dataclasses.fields(cls)]
         kwargs = {}
         index = 0
         for name in field_names:

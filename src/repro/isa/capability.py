@@ -79,18 +79,6 @@ class Permission(enum.IntFlag):
         """Permissions of an ``__input``-qualified pointer (paper §4.1)."""
         return cls.LOAD | cls.LOAD_CAP | cls.GLOBAL
 
-    @classmethod
-    def write_only(cls) -> "Permission":
-        """Permissions of an ``__output``-qualified pointer (paper §4.1)."""
-        return cls.STORE | cls.STORE_CAP | cls.GLOBAL
-
-
-class CapabilityFormat(enum.Enum):
-    """Which ISA revision's capability semantics apply."""
-
-    CHERI_V2 = "cheriv2"
-    CHERI_V3 = "cheriv3"
-
 
 @dataclass(frozen=True)
 class Capability:
@@ -139,10 +127,6 @@ class Capability:
         """One past the highest address the capability grants access to."""
         return self.base + self.length
 
-    @property
-    def is_sealed(self) -> bool:
-        return self.otype >= 0
-
     def in_bounds(self, size: int = 1, address: int | None = None) -> bool:
         """True when an access of ``size`` bytes at ``address`` is within bounds."""
         addr = self.address if address is None else address
@@ -163,7 +147,7 @@ class Capability:
             raise TagViolation(
                 f"access via untagged capability at address {addr:#x}", address=addr, capability=self
             )
-        if self.is_sealed:
+        if self.otype >= 0:
             raise PermissionViolation(
                 f"access via sealed capability at address {addr:#x}", address=addr, capability=self
             )
@@ -286,15 +270,14 @@ class Capability:
 NULL_CAPABILITY = Capability()
 
 
-def make_default_capability(memory_bytes: int, *, executable: bool = True) -> Capability:
+def make_default_capability(memory_bytes: int) -> Capability:
     """Build the default data capability installed when a process starts.
 
     It spans the whole user address space with full permissions (§4: "When a
     process starts, it has a default data capability that covers the entire
     user address space").
     """
-    perms = Permission.all() if executable else Permission.all_data()
-    return Capability(base=0, length=memory_bytes, offset=0, permissions=perms, tag=True)
+    return Capability(base=0, length=memory_bytes, offset=0, permissions=Permission.all(), tag=True)
 
 
 def capability_from_int(value: int) -> Capability:

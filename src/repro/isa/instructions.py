@@ -1,11 +1,14 @@
 """Instruction set of the CHERI-MIPS machine.
 
-The instruction set has two halves:
+The instruction set is the part of CHERI-MIPS that the Table 2 validation
+program and the ISA tests assemble, in two halves:
 
-* a MIPS-III style 64-bit RISC subset (arithmetic, logic, shifts, loads,
-  stores, branches, jumps) whose loads and stores are indirected through the
-  default data capability exactly as described in §4 of the paper ("Legacy
-  MIPS loads and stores are relative to the default data capability"), and
+* a few 64-bit MIPS instructions (``daddu``, ``dadd``, ``dsubu``,
+  ``ddivu``, ``daddiu``, ``dsll``, ``li``, ``move``, ``beq``, ``j``,
+  ``syscall``) and the doubleword ``ld``/``sd``, whose accesses are
+  indirected through the default data capability exactly as described in
+  §4 of the paper ("Legacy MIPS loads and stores are relative to the
+  default data capability"), and
 * the CHERI capability extensions, including the six instructions the paper
   adds to better support C (Table 2): ``CIncOffset``, ``CSetOffset``,
   ``CGetOffset``, ``CPtrCmp``, ``CFromPtr`` and ``CToPtr``.
@@ -23,12 +26,12 @@ behaviour the paper evaluates (the data address space is fully modelled).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from repro.common.bitops import to_signed, to_unsigned
 from repro.common.errors import SimulationError, TrapError
-from repro.isa.capability import Capability, NULL_CAPABILITY, Permission, capability_from_int
+from repro.isa.capability import NULL_CAPABILITY, Permission, capability_from_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,11 +50,7 @@ def register(cls: type["Instruction"]) -> type["Instruction"]:
 
 @dataclass
 class Instruction:
-    """Base class of every instruction.
-
-    ``label`` is the optional label attached to the instruction by the
-    assembler (used for traces and error messages only).
-    """
+    """Base class of every instruction."""
 
     mnemonic: ClassVar[str] = "<abstract>"
     #: operand categories, used by the assembler for parsing and validation:
@@ -62,24 +61,12 @@ class Instruction:
     #: 'jump', 'cap' (capability manipulation executes in the ALU stage).
     latency_class: ClassVar[str] = "alu"
 
-    label: str | None = field(default=None, kw_only=True)
-
     def execute(self, cpu) -> None:  # pragma: no cover - abstract
         raise NotImplementedError(f"{type(self).__name__} does not implement execute")
 
-    def __str__(self) -> str:
-        import dataclasses
-
-        operand_fields = [
-            f"{f.name}={getattr(self, f.name)!r}"
-            for f in dataclasses.fields(self)
-            if f.name != "label"
-        ]
-        return f"{self.mnemonic} {', '.join(operand_fields)}"
-
 
 # ---------------------------------------------------------------------------
-# Integer arithmetic and logic
+# Integer arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -146,31 +133,6 @@ class Dsubu(_ThreeReg):
 
 @register
 @dataclass
-class Dsub(_ThreeReg):
-    """Signed subtraction trapping on overflow (companion to :class:`Dadd`)."""
-
-    mnemonic: ClassVar[str] = "dsub"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        result = to_signed(a) - to_signed(b)
-        if not (-(1 << 63) <= result < (1 << 63)):
-            raise TrapError("signed integer overflow in dsub", cause="overflow", pc=cpu.pc)
-        cpu.gpr.write(self.rd, to_unsigned(result, 64))
-
-
-@register
-@dataclass
-class Dmulu(_ThreeReg):
-    mnemonic: ClassVar[str] = "dmulu"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, (a * b) & _MASK64)
-
-
-@register
-@dataclass
 class Ddivu(_ThreeReg):
     mnemonic: ClassVar[str] = "ddivu"
 
@@ -179,108 +141,6 @@ class Ddivu(_ThreeReg):
         if b == 0:
             raise TrapError("division by zero", cause="divide", pc=cpu.pc)
         cpu.gpr.write(self.rd, a // b)
-
-
-@register
-@dataclass
-class Dremu(_ThreeReg):
-    mnemonic: ClassVar[str] = "dremu"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        if b == 0:
-            raise TrapError("division by zero", cause="divide", pc=cpu.pc)
-        cpu.gpr.write(self.rd, a % b)
-
-
-@register
-@dataclass
-class And(_ThreeReg):
-    mnemonic: ClassVar[str] = "and"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, a & b)
-
-
-@register
-@dataclass
-class Or(_ThreeReg):
-    mnemonic: ClassVar[str] = "or"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, a | b)
-
-
-@register
-@dataclass
-class Xor(_ThreeReg):
-    mnemonic: ClassVar[str] = "xor"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, a ^ b)
-
-
-@register
-@dataclass
-class Nor(_ThreeReg):
-    mnemonic: ClassVar[str] = "nor"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, ~(a | b) & _MASK64)
-
-
-@register
-@dataclass
-class Slt(_ThreeReg):
-    mnemonic: ClassVar[str] = "slt"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, 1 if to_signed(a) < to_signed(b) else 0)
-
-
-@register
-@dataclass
-class Sltu(_ThreeReg):
-    mnemonic: ClassVar[str] = "sltu"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, 1 if a < b else 0)
-
-
-@register
-@dataclass
-class Dsllv(_ThreeReg):
-    mnemonic: ClassVar[str] = "dsllv"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, (a << (b & 63)) & _MASK64)
-
-
-@register
-@dataclass
-class Dsrlv(_ThreeReg):
-    mnemonic: ClassVar[str] = "dsrlv"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, a >> (b & 63))
-
-
-@register
-@dataclass
-class Dsrav(_ThreeReg):
-    mnemonic: ClassVar[str] = "dsrav"
-
-    def execute(self, cpu) -> None:
-        a, b = self._operands(cpu)
-        cpu.gpr.write(self.rd, to_unsigned(to_signed(a) >> (b & 63), 64))
 
 
 @register
@@ -294,74 +154,11 @@ class Daddiu(_TwoRegImm):
 
 @register
 @dataclass
-class Andi(_TwoRegImm):
-    mnemonic: ClassVar[str] = "andi"
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rt, cpu.gpr.read(self.rs) & to_unsigned(self.imm, 64))
-
-
-@register
-@dataclass
-class Ori(_TwoRegImm):
-    mnemonic: ClassVar[str] = "ori"
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rt, cpu.gpr.read(self.rs) | to_unsigned(self.imm, 64))
-
-
-@register
-@dataclass
-class Xori(_TwoRegImm):
-    mnemonic: ClassVar[str] = "xori"
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rt, cpu.gpr.read(self.rs) ^ to_unsigned(self.imm, 64))
-
-
-@register
-@dataclass
-class Slti(_TwoRegImm):
-    mnemonic: ClassVar[str] = "slti"
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rt, 1 if to_signed(cpu.gpr.read(self.rs)) < self.imm else 0)
-
-
-@register
-@dataclass
-class Sltiu(_TwoRegImm):
-    mnemonic: ClassVar[str] = "sltiu"
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rt, 1 if cpu.gpr.read(self.rs) < to_unsigned(self.imm, 64) else 0)
-
-
-@register
-@dataclass
 class Dsll(_TwoRegImm):
     mnemonic: ClassVar[str] = "dsll"
 
     def execute(self, cpu) -> None:
         cpu.gpr.write(self.rt, (cpu.gpr.read(self.rs) << (self.imm & 63)) & _MASK64)
-
-
-@register
-@dataclass
-class Dsrl(_TwoRegImm):
-    mnemonic: ClassVar[str] = "dsrl"
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rt, cpu.gpr.read(self.rs) >> (self.imm & 63))
-
-
-@register
-@dataclass
-class Dsra(_TwoRegImm):
-    mnemonic: ClassVar[str] = "dsra"
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rt, to_unsigned(to_signed(cpu.gpr.read(self.rs)) >> (self.imm & 63), 64))
 
 
 @register
@@ -390,16 +187,6 @@ class Move(Instruction):
         cpu.gpr.write(self.rd, cpu.gpr.read(self.rs))
 
 
-@register
-@dataclass
-class Nop(Instruction):
-    mnemonic: ClassVar[str] = "nop"
-    operand_kinds: ClassVar[tuple[str, ...]] = ()
-
-    def execute(self, cpu) -> None:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Legacy MIPS loads and stores (indirected through the default data capability)
 # ---------------------------------------------------------------------------
@@ -417,46 +204,22 @@ class _MemoryInstruction(Instruction):
         return (cpu.gpr.read(self.base) + self.offset) & _MASK64
 
 
-def _make_load(name: str, size: int, signed: bool) -> type[Instruction]:
-    @register
-    @dataclass
-    class _Load(_MemoryInstruction):
-        mnemonic: ClassVar[str] = name
+@register
+@dataclass
+class Ld(_MemoryInstruction):
+    mnemonic: ClassVar[str] = "ld"
 
-        def execute(self, cpu) -> None:
-            value = cpu.load_via_ddc(self._address(cpu), size, signed=signed)
-            cpu.gpr.write(self.rt, to_unsigned(value, 64))
-
-    _Load.__name__ = name.capitalize()
-    _Load.__qualname__ = name.capitalize()
-    return _Load
+    def execute(self, cpu) -> None:
+        cpu.gpr.write(self.rt, cpu.load_via_ddc(self._address(cpu), 8))
 
 
-def _make_store(name: str, size: int) -> type[Instruction]:
-    @register
-    @dataclass
-    class _Store(_MemoryInstruction):
-        mnemonic: ClassVar[str] = name
+@register
+@dataclass
+class Sd(_MemoryInstruction):
+    mnemonic: ClassVar[str] = "sd"
 
-        def execute(self, cpu) -> None:
-            cpu.store_via_ddc(self._address(cpu), size, cpu.gpr.read(self.rt))
-
-    _Store.__name__ = name.capitalize()
-    _Store.__qualname__ = name.capitalize()
-    return _Store
-
-
-Lb = _make_load("lb", 1, True)
-Lbu = _make_load("lbu", 1, False)
-Lh = _make_load("lh", 2, True)
-Lhu = _make_load("lhu", 2, False)
-Lw = _make_load("lw", 4, True)
-Lwu = _make_load("lwu", 4, False)
-Ld = _make_load("ld", 8, False)
-Sb = _make_store("sb", 1)
-Sh = _make_store("sh", 2)
-Sw = _make_store("sw", 4)
-Sd = _make_store("sd", 8)
+    def execute(self, cpu) -> None:
+        cpu.store_via_ddc(self._address(cpu), 8, cpu.gpr.read(self.rt))
 
 
 # ---------------------------------------------------------------------------
@@ -464,83 +227,18 @@ Sd = _make_store("sd", 8)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Branch(Instruction):
-    latency_class: ClassVar[str] = "branch"
-
-
 @register
 @dataclass
-class Beq(_Branch):
+class Beq(Instruction):
     mnemonic: ClassVar[str] = "beq"
     operand_kinds: ClassVar[tuple[str, ...]] = ("r", "r", "l")
+    latency_class: ClassVar[str] = "branch"
     rs: int = 0
     rt: int = 0
     target: int | str = 0
 
     def execute(self, cpu) -> None:
         if cpu.gpr.read(self.rs) == cpu.gpr.read(self.rt):
-            cpu.branch_to(self.target)
-
-
-@register
-@dataclass
-class Bne(_Branch):
-    mnemonic: ClassVar[str] = "bne"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("r", "r", "l")
-    rs: int = 0
-    rt: int = 0
-    target: int | str = 0
-
-    def execute(self, cpu) -> None:
-        if cpu.gpr.read(self.rs) != cpu.gpr.read(self.rt):
-            cpu.branch_to(self.target)
-
-
-@dataclass
-class _CompareZeroBranch(_Branch):
-    operand_kinds: ClassVar[tuple[str, ...]] = ("r", "l")
-    rs: int = 0
-    target: int | str = 0
-
-
-@register
-@dataclass
-class Blez(_CompareZeroBranch):
-    mnemonic: ClassVar[str] = "blez"
-
-    def execute(self, cpu) -> None:
-        if to_signed(cpu.gpr.read(self.rs)) <= 0:
-            cpu.branch_to(self.target)
-
-
-@register
-@dataclass
-class Bgtz(_CompareZeroBranch):
-    mnemonic: ClassVar[str] = "bgtz"
-
-    def execute(self, cpu) -> None:
-        if to_signed(cpu.gpr.read(self.rs)) > 0:
-            cpu.branch_to(self.target)
-
-
-@register
-@dataclass
-class Bltz(_CompareZeroBranch):
-    mnemonic: ClassVar[str] = "bltz"
-
-    def execute(self, cpu) -> None:
-        if to_signed(cpu.gpr.read(self.rs)) < 0:
-            cpu.branch_to(self.target)
-
-
-@register
-@dataclass
-class Bgez(_CompareZeroBranch):
-    mnemonic: ClassVar[str] = "bgez"
-
-    def execute(self, cpu) -> None:
-        if to_signed(cpu.gpr.read(self.rs)) >= 0:
             cpu.branch_to(self.target)
 
 
@@ -558,60 +256,12 @@ class J(Instruction):
 
 @register
 @dataclass
-class Jal(Instruction):
-    mnemonic: ClassVar[str] = "jal"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("l",)
-    latency_class: ClassVar[str] = "jump"
-    target: int | str = 0
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write_named("ra", cpu.pc + 1)
-        cpu.branch_to(self.target)
-
-
-@register
-@dataclass
-class Jr(Instruction):
-    mnemonic: ClassVar[str] = "jr"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("r",)
-    latency_class: ClassVar[str] = "jump"
-    rs: int = 0
-
-    def execute(self, cpu) -> None:
-        cpu.branch_to(cpu.gpr.read(self.rs))
-
-
-@register
-@dataclass
-class Jalr(Instruction):
-    mnemonic: ClassVar[str] = "jalr"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("r",)
-    latency_class: ClassVar[str] = "jump"
-    rs: int = 0
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write_named("ra", cpu.pc + 1)
-        cpu.branch_to(cpu.gpr.read(self.rs))
-
-
-@register
-@dataclass
 class Syscall(Instruction):
     mnemonic: ClassVar[str] = "syscall"
     operand_kinds: ClassVar[tuple[str, ...]] = ()
 
     def execute(self, cpu) -> None:
         cpu.syscall()
-
-
-@register
-@dataclass
-class Break(Instruction):
-    mnemonic: ClassVar[str] = "break"
-    operand_kinds: ClassVar[tuple[str, ...]] = ()
-
-    def execute(self, cpu) -> None:
-        raise TrapError("break instruction executed", cause="break", pc=cpu.pc)
 
 
 # ---------------------------------------------------------------------------
@@ -622,18 +272,6 @@ class Break(Instruction):
 @dataclass
 class _CapInstruction(Instruction):
     latency_class: ClassVar[str] = "cap"
-
-
-@register
-@dataclass
-class CGetBase(_CapInstruction):
-    mnemonic: ClassVar[str] = "cgetbase"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("r", "c")
-    rd: int = 0
-    cb: int = 0
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rd, cpu.cap.read(self.cb).base)
 
 
 @register
@@ -664,18 +302,6 @@ class CGetOffset(_CapInstruction):
 
 @register
 @dataclass
-class CGetPerm(_CapInstruction):
-    mnemonic: ClassVar[str] = "cgetperm"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("r", "c")
-    rd: int = 0
-    cb: int = 0
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rd, int(cpu.cap.read(self.cb).permissions))
-
-
-@register
-@dataclass
 class CGetTag(_CapInstruction):
     mnemonic: ClassVar[str] = "cgettag"
     operand_kinds: ClassVar[tuple[str, ...]] = ("r", "c")
@@ -684,18 +310,6 @@ class CGetTag(_CapInstruction):
 
     def execute(self, cpu) -> None:
         cpu.gpr.write(self.rd, 1 if cpu.cap.read(self.cb).tag else 0)
-
-
-@register
-@dataclass
-class CGetAddr(_CapInstruction):
-    mnemonic: ClassVar[str] = "cgetaddr"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("r", "c")
-    rd: int = 0
-    cb: int = 0
-
-    def execute(self, cpu) -> None:
-        cpu.gpr.write(self.rd, cpu.cap.read(self.cb).address)
 
 
 @register
@@ -728,45 +342,6 @@ class CIncOffset(_CapInstruction):
     def execute(self, cpu) -> None:
         value = to_signed(cpu.gpr.read(self.rt))
         cpu.cap.write(self.cd, cpu.cap.read(self.cb).with_offset_increment(value))
-
-
-@register
-@dataclass
-class CIncBase(_CapInstruction):
-    """CHERIv2-style base increment (shrinks the region, keeps the cursor).
-
-    The paper's refinement modified CIncBase "to update the pointer such that
-    the offset remained constant": the pointed-to address stays the same while
-    the accessible window shrinks from below.
-    """
-
-    mnemonic: ClassVar[str] = "cincbase"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("c", "c", "r")
-    cd: int = 0
-    cb: int = 0
-    rt: int = 0
-
-    def execute(self, cpu) -> None:
-        increment = to_signed(cpu.gpr.read(self.rt))
-        source = cpu.cap.read(self.cb)
-        address = source.address
-        derived = source.with_base_increment(increment)
-        if derived.tag:
-            derived = derived.with_offset(address - derived.base)
-        cpu.cap.write(self.cd, derived)
-
-
-@register
-@dataclass
-class CSetLen(_CapInstruction):
-    mnemonic: ClassVar[str] = "csetlen"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("c", "c", "r")
-    cd: int = 0
-    cb: int = 0
-    rt: int = 0
-
-    def execute(self, cpu) -> None:
-        cpu.cap.write(self.cd, cpu.cap.read(self.cb).with_length(cpu.gpr.read(self.rt)))
 
 
 @register
@@ -810,18 +385,6 @@ class CClearTag(_CapInstruction):
 
     def execute(self, cpu) -> None:
         cpu.cap.write(self.cd, cpu.cap.read(self.cb).without_tag())
-
-
-@register
-@dataclass
-class CMove(_CapInstruction):
-    mnemonic: ClassVar[str] = "cmove"
-    operand_kinds: ClassVar[tuple[str, ...]] = ("c", "c")
-    cd: int = 0
-    cb: int = 0
-
-    def execute(self, cpu) -> None:
-        cpu.cap.write(self.cd, cpu.cap.read(self.cb))
 
 
 @register
@@ -946,46 +509,32 @@ class _CapMemory(_CapInstruction):
     latency_class: ClassVar[str] = "memory"
 
 
-def _make_cap_load(name: str, size: int, signed: bool) -> type[Instruction]:
-    @register
-    @dataclass
-    class _CapLoad(_CapMemory):
-        mnemonic: ClassVar[str] = name
+@register
+@dataclass
+class Clw(_CapMemory):
+    mnemonic: ClassVar[str] = "clw"
 
-        def execute(self, cpu) -> None:
-            value = cpu.load_via_capability(self.cb, self.offset, size, signed=signed)
-            cpu.gpr.write(self.rt, to_unsigned(value, 64))
-
-    _CapLoad.__name__ = name.upper()
-    _CapLoad.__qualname__ = name.upper()
-    return _CapLoad
+    def execute(self, cpu) -> None:
+        value = cpu.load_via_capability(self.cb, self.offset, 4, signed=True)
+        cpu.gpr.write(self.rt, to_unsigned(value, 64))
 
 
-def _make_cap_store(name: str, size: int) -> type[Instruction]:
-    @register
-    @dataclass
-    class _CapStore(_CapMemory):
-        mnemonic: ClassVar[str] = name
+@register
+@dataclass
+class Csw(_CapMemory):
+    mnemonic: ClassVar[str] = "csw"
 
-        def execute(self, cpu) -> None:
-            cpu.store_via_capability(self.cb, self.offset, size, cpu.gpr.read(self.rt))
-
-    _CapStore.__name__ = name.upper()
-    _CapStore.__qualname__ = name.upper()
-    return _CapStore
+    def execute(self, cpu) -> None:
+        cpu.store_via_capability(self.cb, self.offset, 4, cpu.gpr.read(self.rt))
 
 
-Clb = _make_cap_load("clb", 1, True)
-Clbu = _make_cap_load("clbu", 1, False)
-Clh = _make_cap_load("clh", 2, True)
-Clhu = _make_cap_load("clhu", 2, False)
-Clw = _make_cap_load("clw", 4, True)
-Clwu = _make_cap_load("clwu", 4, False)
-Cld = _make_cap_load("cld", 8, False)
-Csb = _make_cap_store("csb", 1)
-Csh = _make_cap_store("csh", 2)
-Csw = _make_cap_store("csw", 4)
-Csd = _make_cap_store("csd", 8)
+@register
+@dataclass
+class Csb(_CapMemory):
+    mnemonic: ClassVar[str] = "csb"
+
+    def execute(self, cpu) -> None:
+        cpu.store_via_capability(self.cb, self.offset, 1, cpu.gpr.read(self.rt))
 
 
 @register
@@ -1031,7 +580,7 @@ class Cjr(_CapInstruction):
     cb: int = 0
 
     def execute(self, cpu) -> None:
-        cpu.capability_jump(self.cb, link=False)
+        cpu.capability_jump(self.cb)
 
 
 @register
@@ -1048,4 +597,4 @@ class Cjalr(_CapInstruction):
     cd: int = 0
 
     def execute(self, cpu) -> None:
-        cpu.capability_jump(self.cb, link=True, link_register=self.cd)
+        cpu.capability_jump(self.cb, link_register=self.cd)

@@ -25,17 +25,15 @@ GPR_NAMES = (
 )
 
 #: Capability register names: $c0 is the default data capability (DDC),
-#: $c11 is conventionally the stack capability, $c31 holds the return PCC.
+#: $c11 is conventionally the stack capability.
 CAP_REG_NAMES = tuple(f"c{i}" for i in range(32))
 
 _GPR_INDEX = {name: i for i, name in enumerate(GPR_NAMES)}
 _CAP_INDEX = {name: i for i, name in enumerate(CAP_REG_NAMES)}
 
-#: Conventional capability register roles used by the assembler and tests.
+#: Capability registers the CPU initialises with the default capability.
 DDC_REG = 0
 STACK_CAP_REG = 11
-RETURN_CAP_REG = 17
-LINK_CAP_REG = 31
 
 
 def gpr_index(name: str) -> int:
@@ -82,10 +80,6 @@ class RegisterFile:
     def write_named(self, name: str, value: int) -> None:
         self.write(gpr_index(name), value)
 
-    def snapshot(self) -> dict[str, int]:
-        """A name → value mapping, handy for trace output and tests."""
-        return {GPR_NAMES[i]: self._regs[i] for i in range(32)}
-
 
 class CapabilityRegisterFile:
     """The 32-entry capability register file plus PCC."""
@@ -110,20 +104,7 @@ class CapabilityRegisterFile:
             raise SimulationError("capability registers only hold Capability values")
         self._regs[index] = value
 
-    def read_named(self, name: str) -> Capability:
-        return self.read(cap_index(name))
-
-    def write_named(self, name: str, value: Capability) -> None:
-        self.write(cap_index(name), value)
-
     @property
     def ddc(self) -> Capability:
         """The default data capability through which MIPS loads/stores go."""
         return self._regs[DDC_REG]
-
-    @ddc.setter
-    def ddc(self, value: Capability) -> None:
-        self._regs[DDC_REG] = value
-
-    def snapshot(self) -> dict[str, Capability]:
-        return {CAP_REG_NAMES[i]: self._regs[i] for i in range(32)}

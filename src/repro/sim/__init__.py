@@ -10,26 +10,20 @@ on a functional model of the CHERI-MIPS machine:
   evaluation platform's geometry (16 KB L1, 64 KB L2) used for the
   cycle-approximate timing results.
 * :mod:`repro.sim.cpu` — the fetch/decode/execute loop, capability-checked
-  memory access paths, trap handling, and the CHERIv2/v3 mode switch.
+  memory access paths and trap handling.
 * :mod:`repro.sim.syscalls` — the minimal OS layer (exit, putchar, sbrk) used
   by assembly test programs.
+
+The abstract-machine interpreter uses the memory and the cache model; the
+package re-exports only those two, so the interpreter never loads the CPU.
 """
 
 from repro.sim.memory import TaggedMemory
 from repro.sim.cache import CacheLevel, MemoryHierarchy, AccessStats
-from repro.sim.cpu import CheriCpu, CpuState
-from repro.sim.syscalls import SyscallHandler, SYS_EXIT, SYS_PUTCHAR, SYS_SBRK, SYS_WRITE
 
 __all__ = [
     "TaggedMemory",
     "CacheLevel",
     "MemoryHierarchy",
     "AccessStats",
-    "CheriCpu",
-    "CpuState",
-    "SyscallHandler",
-    "SYS_EXIT",
-    "SYS_PUTCHAR",
-    "SYS_SBRK",
-    "SYS_WRITE",
 ]

@@ -13,22 +13,19 @@ models the three memory-access paths described in §4 of the paper:
 The CPU also owns the cycle accounting: each executed instruction contributes
 its latency-class cost, and every memory access is routed through the
 :class:`~repro.sim.cache.MemoryHierarchy` so cache behaviour contributes stall
-cycles.  The ``isa_version`` switch selects CHERIv2 or CHERIv3 semantics for
-pointer-style capability arithmetic (v2 has no offset; see
-``Capability.with_base_increment``).
+cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.config import MachineConfig
 from repro.common.errors import MemorySafetyError, SimulationError, TrapError
-from repro.isa.assembler import Program
+from repro.isa.assembler import DATA_BASE, Program
 from repro.isa.capability import (
     CAPABILITY_SIZE,
     Capability,
-    CapabilityFormat,
     Permission,
     make_default_capability,
 )
@@ -48,7 +45,6 @@ class CpuState:
     output: str = ""
     trap: TrapError | None = None
     memory_safety_violation: MemorySafetyError | None = None
-    instruction_mix: dict[str, int] = field(default_factory=dict)
 
     @property
     def trapped(self) -> bool:
@@ -58,16 +54,8 @@ class CpuState:
 class CheriCpu:
     """Functional CHERI-MIPS CPU with cycle-approximate timing."""
 
-    def __init__(
-        self,
-        program: Program,
-        *,
-        config: MachineConfig | None = None,
-        isa_version: CapabilityFormat = CapabilityFormat.CHERI_V3,
-        trace: bool = False,
-    ) -> None:
+    def __init__(self, program: Program, *, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig()
-        self.isa_version = isa_version
         self.program = program
         self.memory = TaggedMemory(self.config.memory_bytes)
         self.hierarchy = MemoryHierarchy(self.config.timing)
@@ -77,11 +65,8 @@ class CheriCpu:
         self.pc = 0
         self._next_pc = 0
         self._halted = False
-        self._trace = trace
-        self.trace_log: list[str] = []
         self.cycles = 0
         self.instructions_executed = 0
-        self.instruction_mix: dict[str, int] = {}
         heap_base = self.config.heap_base
         self.syscalls = SyscallHandler(heap_base=heap_base, heap_limit=self.config.stack_top - self.config.stack_bytes)
         self._load_program()
@@ -92,7 +77,7 @@ class CheriCpu:
 
     def _load_program(self) -> None:
         if self.program.data:
-            self.memory.write_bytes(self.program.data_base, self.program.data)
+            self.memory.write_bytes(DATA_BASE, self.program.data)
         # Stack pointer starts at the top of the stack region, 32-byte aligned.
         self.gpr.write_named("sp", self.config.stack_top)
         # PCC spans the whole program; code addresses are instruction indices.
@@ -109,22 +94,22 @@ class CheriCpu:
     # ------------------------------------------------------------------
 
     def branch_to(self, target: int) -> None:
-        """Redirect execution to the given instruction index."""
-        if not isinstance(target, int):
-            raise SimulationError(f"unresolved branch target {target!r}")
+        """Redirect execution to the given instruction index (the assembler
+        has resolved every label)."""
         self._next_pc = target
 
     def halt(self) -> None:
         self._halted = True
 
-    def capability_jump(self, cap_register: int, *, link: bool, link_register: int = 31) -> None:
-        """CJR / CJALR: install a code capability as PCC and jump to its offset."""
+    def capability_jump(self, cap_register: int, link_register: int | None = None) -> None:
+        """CJR / CJALR: install a code capability as PCC and jump to its
+        offset; CJALR saves the return PCC in ``link_register``."""
         target = self.cap.read(cap_register)
         if not target.tag:
             raise MemorySafetyError("capability jump through untagged capability", capability=target)
         if not (target.permissions & Permission.EXECUTE):
             raise MemorySafetyError("capability jump without EXECUTE permission", capability=target)
-        if link:
+        if link_register is not None:
             return_cap = self.cap.pcc.with_offset(self.pc + 1)
             self.cap.write(link_register, return_cap)
         self.cap.pcc = target
@@ -137,12 +122,12 @@ class CheriCpu:
     # Memory access paths
     # ------------------------------------------------------------------
 
-    def load_via_ddc(self, address: int, size: int, *, signed: bool = False) -> int:
+    def load_via_ddc(self, address: int, size: int) -> int:
         """Legacy MIPS load: checked against the default data capability."""
         ddc = self.cap.ddc
         effective = ddc.check_access(size=size, permission=Permission.LOAD, address=ddc.base + address)
         self.hierarchy.access(effective, size, is_write=False)
-        return self.memory.read_int(effective, size, signed=signed)
+        return self.memory.read_int(effective, size)
 
     def store_via_ddc(self, address: int, size: int, value: int) -> None:
         """Legacy MIPS store: checked against the default data capability."""
@@ -150,12 +135,6 @@ class CheriCpu:
         effective = ddc.check_access(size=size, permission=Permission.STORE, address=ddc.base + address)
         self.hierarchy.access(effective, size, is_write=True)
         self.memory.write_int(effective, size, value)
-
-    def load_bytes_via_ddc(self, address: int, length: int) -> bytes:
-        ddc = self.cap.ddc
-        effective = ddc.check_access(size=max(length, 1), permission=Permission.LOAD, address=ddc.base + address)
-        self.hierarchy.access(effective, max(length, 1), is_write=False)
-        return self.memory.read_bytes(effective, length)
 
     def load_via_capability(self, cap_register: int, offset: int, size: int, *, signed: bool = False) -> int:
         """CL[BHWD]: load through an explicit capability register."""
@@ -199,8 +178,6 @@ class CheriCpu:
 
     def step(self) -> None:
         """Fetch, execute and retire a single instruction."""
-        if self._halted:
-            return
         if not (0 <= self.pc < len(self.program.instructions)):
             raise TrapError(
                 f"instruction fetch outside program (pc={self.pc})", cause="fetch", pc=self.pc
@@ -214,13 +191,9 @@ class CheriCpu:
             )
         instruction = self.program.instructions[self.pc]
         self._next_pc = self.pc + 1
-        if self._trace:
-            self.trace_log.append(f"{self.pc:6d}: {instruction}")
         instruction.execute(self)
         self.instructions_executed += 1
         self.cycles += self._instruction_cost(instruction)
-        mnemonic = instruction.mnemonic
-        self.instruction_mix[mnemonic] = self.instruction_mix.get(mnemonic, 0) + 1
         self.pc = self._next_pc
 
     def _instruction_cost(self, instruction) -> int:
@@ -254,5 +227,4 @@ class CheriCpu:
             output=self.syscalls.output_text(),
             trap=trap,
             memory_safety_violation=violation,
-            instruction_mix=dict(self.instruction_mix),
         )

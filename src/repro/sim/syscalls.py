@@ -2,8 +2,8 @@
 
 Assembly programs (test programs and the Table 2 benchmark) need a way to
 terminate, emit output and obtain heap memory.  Real CHERI runs FreeBSD; this
-reproduction provides the four calls those programs actually use, with the
-MIPS convention of the syscall number in ``$v0`` and arguments in ``$a0-$a2``:
+reproduction provides the three calls those programs actually use, with the
+MIPS convention of the syscall number in ``$v0`` and the argument in ``$a0``:
 
 ======  ==========  ====================================================
 number  name        behaviour
@@ -11,7 +11,6 @@ number  name        behaviour
 1       exit        stop execution; ``$a0`` is the exit status
 2       putchar     append ``chr($a0)`` to the captured output stream
 3       sbrk        grow the heap by ``$a0`` bytes, old break in ``$v0``
-4       write       write ``$a1`` bytes from address ``$a0`` to output
 ======  ==========  ====================================================
 """
 
@@ -22,7 +21,6 @@ from repro.common.errors import SimulationError
 SYS_EXIT = 1
 SYS_PUTCHAR = 2
 SYS_SBRK = 3
-SYS_WRITE = 4
 
 
 class SyscallHandler:
@@ -34,14 +32,6 @@ class SyscallHandler:
         self._heap_break = heap_base
         self._heap_limit = heap_limit
 
-    @property
-    def heap_break(self) -> int:
-        return self._heap_break
-
-    @property
-    def exited(self) -> bool:
-        return self.exit_status is not None
-
     def output_text(self) -> str:
         """The captured output decoded as latin-1 (byte-transparent)."""
         return self.output.decode("latin-1")
@@ -50,7 +40,6 @@ class SyscallHandler:
         """Dispatch the syscall currently requested by the CPU registers."""
         number = cpu.gpr.read_named("v0")
         arg0 = cpu.gpr.read_named("a0")
-        arg1 = cpu.gpr.read_named("a1")
         if number == SYS_EXIT:
             self.exit_status = arg0
             cpu.halt()
@@ -65,9 +54,5 @@ class SyscallHandler:
                 )
             self._heap_break = new_break
             cpu.gpr.write_named("v0", old_break)
-        elif number == SYS_WRITE:
-            data = cpu.load_bytes_via_ddc(arg0, arg1)
-            self.output.extend(data)
-            cpu.gpr.write_named("v0", arg1)
         else:
             raise SimulationError(f"unknown syscall number {number}")

@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 
 from repro.common.config import CacheConfig, TimingConfig
 from repro.common.errors import AlignmentViolation, SimulationError, TrapError
-from repro.isa import Assembler, Capability, Permission
+from repro.isa import Capability, Permission
+from repro.isa.assembler import Assembler
 from repro.isa.instructions import INSTRUCTION_SET
 from repro.isa.registers import CapabilityRegisterFile, RegisterFile, cap_index, gpr_index
-from repro.sim import CacheLevel, CheriCpu, MemoryHierarchy, TaggedMemory
+from repro.sim import CacheLevel, MemoryHierarchy, TaggedMemory
+from repro.sim.cpu import CheriCpu
 
 
 def run_asm(source: str, **kwargs):

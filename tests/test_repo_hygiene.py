@@ -1,4 +1,5 @@
-"""Repository hygiene guards: bytecode, documentation links, docstrings.
+"""Repository hygiene guards: bytecode, documentation links, docstrings,
+import layering.
 
 The seed repository carried 51 ``src/**/__pycache__/*.pyc`` files in the git
 index; a stale committed ``.pyc`` can shadow a source edit for anyone whose
@@ -11,14 +12,20 @@ every relative link inside ``docs/*.md`` and ``README.md`` must resolve,
 every ``results/<file>`` either of them cites must exist in the repository,
 and every ``src/repro/*/`` package must carry a real module docstring (the
 docs pages lean on them).
+
+The interpreter shares only the capability model and tagged memory with the
+CHERI-MIPS ISA simulator; the layering test keeps the instruction set, the
+assembler, the CPU and its syscall layer out of every interpreter process.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
 import subprocess
+import sys
 
 import pytest
 
@@ -140,3 +147,18 @@ def test_every_package_has_a_module_docstring():
         if not docstring or not docstring.strip():
             bare.append(str(init.relative_to(REPO_ROOT)))
     assert not bare, f"packages missing module docstrings: {bare}"
+
+
+#: The ISA simulator's own modules, which no interpreter process may load.
+ISA_SIMULATOR_MODULES = ("repro.isa.instructions", "repro.isa.assembler",
+                         "repro.sim.cpu", "repro.sim.syscalls")
+
+
+def test_interpreter_does_not_import_the_isa_simulator():
+    code = ("import repro, repro.difftest.runner, sys; "
+            f"print(' '.join(m for m in {ISA_SIMULATOR_MODULES!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"interpreter imports {proc.stdout.split()}"

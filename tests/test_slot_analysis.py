@@ -8,6 +8,10 @@ map.  Equality is checked on the golden workloads and a seeded mini-sweep
 under both pointer layouts, and on hand-written IR for the shapes the
 generated corpus rarely has (temps with several writers, loop-carried
 dependences, copy chains).
+
+The same corpora check that every PTRDIFF dest is typed raw ``(8, True)``:
+tier 0's pointer subtraction always writes a raw register and has no boxed
+arm, which is sound only because irgen gives each temp one writer.
 """
 
 from __future__ import annotations
@@ -84,10 +88,11 @@ def reference_analyze_slots(instrs: list, ctx) -> dict:
     return {index: t for index, t in prev.items() if t is not None}
 
 
-def _assert_modules_agree(source: str) -> int:
-    """Compare every function of ``source`` under both layouts; return how
-    many functions were compared."""
-    compared = 0
+def _assert_modules_agree(source: str) -> tuple[int, int]:
+    """Compare every function of ``source`` under both layouts and check
+    that every PTRDIFF dest is typed raw; return how many functions and
+    PTRDIFF dests were checked."""
+    compared = ptrdiffs = 0
     for model in LAYOUT_MODELS:
         module = compile_for_model(source, model)
         for function in module.functions.values():
@@ -95,20 +100,28 @@ def _assert_modules_agree(source: str) -> int:
             got = analyze_slots(function.instrs, module.context)
             assert got == expected, (model, function.name)
             assert list(got) == list(expected), (model, function.name)
+            for instr in function.instrs:
+                if instr.op is Opcode.PTRDIFF:
+                    assert got.get(instr.dest.index) == (8, True), (model, function.name)
+                    ptrdiffs += 1
             compared += 1
-    return compared
+    return compared, ptrdiffs
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_golden_workloads_match_the_reference(workload: str) -> None:
-    assert _assert_modules_agree(WORKLOADS[workload]())
+    compared, _ = _assert_modules_agree(WORKLOADS[workload]())
+    assert compared
 
 
 def test_mini_sweep_matches_the_reference() -> None:
-    compared = 0
+    compared = ptrdiffs = 0
     for index in range(64):
-        compared += _assert_modules_agree(generate_program(0, index).source)
+        functions, dests = _assert_modules_agree(generate_program(0, index).source)
+        compared += functions
+        ptrdiffs += dests
     assert compared > 128
+    assert ptrdiffs > 0
 
 
 CTX = TypeContext(pointer_bytes=8)

@@ -242,8 +242,8 @@ class TestEndToEndScenarios:
     def test_isa_and_interpreter_agree_on_capability_semantics(self):
         """The ISA simulator and the abstract machine enforce the same rule:
         an out-of-bounds store through a 64-byte capability traps."""
-        from repro.isa import Assembler
-        from repro.sim import CheriCpu
+        from repro.isa.assembler import Assembler
+        from repro.sim.cpu import CheriCpu
 
         asm_state = CheriCpu(Assembler().assemble("""
         .text
